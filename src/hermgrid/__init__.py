@@ -31,6 +31,7 @@ from .smolyak import (
     interpolant_eval,
     interpolate,
     l2_norm,
+    largest_threshold_set,
     quadrature,
     sparse_grid_points,
     zero_polynomial,

@@ -20,7 +20,6 @@ from .errors import (
     ConfigError,
     EmptyAllocation,
     HermgridError,
-    LevelTooLarge,
     ThresholdTooSmall,
 )
 from .grf import CovarianceSpec, circulant_embed_1d, sample_grf
@@ -43,7 +42,7 @@ from .multilevel import (
     ml_quadrature,
     work,
 )
-from .smolyak import evaluation_point_count, interpolate, quadrature
+from .smolyak import evaluation_point_count, interpolate, largest_threshold_set, quadrature
 
 _PROBLEM_KEYS = {"system", "r_decay", "d_max", "f", "qoi", "x0", "n_cells"}
 _STUDY_KEYS = {
@@ -222,18 +221,9 @@ def bisect_epsilon(cost, budget: float, lo: float = 1e-30, hi: float = 1e6,
 def threshold_set_for_budget(study: StudyConfig, k: int, n_points: int) -> IndexSet:
     """Largest threshold set whose evaluation-node count fits the budget."""
     family = study.weight_family(k)
-    surrogate = lambda nu: surrogate_weight(family, nu)
-    d_max = family.d_max
-
-    def cost(eps):
-        try:
-            selected = build_threshold_set(surrogate, eps, d_max)
-            return point_count(selected) if len(selected) else 0
-        except (ThresholdTooSmall, LevelTooLarge):
-            return math.inf
-
-    eps = bisect_epsilon(cost, n_points)
-    return build_threshold_set(surrogate, eps, d_max)
+    return largest_threshold_set(
+        lambda nu: surrogate_weight(family, nu), n_points, family.d_max
+    )
 
 
 def fit_rate(ns, errors, window: int = 4):
@@ -282,7 +272,7 @@ def write_meta(out_dir: Path, study: StudyConfig, extra: dict = None):
 # -- studies ----------------------------------------------------------------
 
 def _study_sets(study: StudyConfig, k: int) -> list:
-    """One threshold set per row: from the eps grid, or budget-bisected."""
+    """One threshold set per row: from the eps grid, or the largest fitting each budget."""
     if study.eps_grid:
         family = study.weight_family(k)
         surrogate = lambda nu: surrogate_weight(family, nu)
@@ -450,6 +440,11 @@ def run_ml_study(study: StudyConfig, out_dir: Path, quantity: str) -> list:
 
 def run_grf(study: StudyConfig, out_dir: Path) -> dict:
     """Seeded field samples plus an empirical covariance report."""
+    n_samples = study.budgets[-1]
+    if study.seed + n_samples - 1 > 2 ** 64 - 1:
+        raise ConfigError(
+            f"--seed {study.seed}: {n_samples} samples run past the largest seed 2**64 - 1"
+        )
     cfg = study.raw
     kind = cfg.get("cov", "exponential")
     corr_length = _get_float(cfg, "corr_length", 1.0)
@@ -470,7 +465,6 @@ def run_grf(study: StudyConfig, out_dir: Path) -> dict:
         raise HermgridError(
             f"embedding not positive semidefinite; retry with ell >= {suggested}"
         )
-    n_samples = study.budgets[-1]
     samples = np.empty((n_samples, plan.n_points))
     for i in range(n_samples):
         seed = study.seed + i

@@ -7,13 +7,14 @@ coefficients.  Quadrature is the weighted node sum with the same signed
 combination (equivalently the constant coefficient of the interpolant).
 """
 
+import heapq
 import itertools
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import EmptyIndexSet, NotDownwardClosed
-from .hermite import gauss_hermite_rule, hermite_eval_all
+from .hermite import MAX_LEVEL, gauss_hermite_rule, hermite_eval_all
 from .indexset import IndexSet, MultiIndex
 
 
@@ -78,14 +79,15 @@ def _require_admissible(index_set: IndexSet):
         raise NotDownwardClosed("operator requires a downward closed index set")
 
 
-def _tensor_point_keys(nu: MultiIndex):
-    """Keys of the tensor grid of ``nu``: sorted (dim, node) pairs, zeros dropped.
+def _tensor_point_keys(entries):
+    """Keys of a tensor grid: sorted (dim, node) pairs, zeros dropped.
 
-    Nodes come from the shared per-level rule cache, so equal nodes across
+    ``entries`` are the (dim, exp) pairs of the multi-index.  Nodes come
+    from the shared per-level rule cache, so equal nodes across
     multi-indices are bitwise identical and deduplicate exactly.
     """
     axes = []
-    for dim, exp in nu.entries:
+    for dim, exp in entries:
         nodes = gauss_hermite_rule(exp).nodes
         axes.append([(dim, float(v)) for v in nodes])
     keys = []
@@ -106,8 +108,64 @@ def evaluation_point_count(index_set: IndexSet) -> int:
     expansion = combination_coeffs(index_set)
     keys = set()
     for nu in expansion.terms:
-        keys.update(_tensor_point_keys(nu))
+        keys.update(_tensor_point_keys(nu.entries))
     return len(keys)
+
+
+def largest_threshold_set(surrogate, budget: int, d_max: int) -> IndexSet:
+    """Largest threshold set ``{nu : 1/surrogate(nu) >= eps}`` on at most ``budget`` nodes.
+
+    Walks the nested threshold family once, best-first in increasing
+    surrogate value (a child enters the heap once all its backward
+    neighbours are in), and keeps the combination coefficients and a
+    reference count of the evaluation-node keys up to date, so the node
+    count of every prefix equals `evaluation_point_count`.  Values within a
+    relative 1e-12 of a group's first value, and tied children pushed
+    meanwhile, join that group; only group boundaries are candidate sets.
+    The walk stops once a prefix has more members than the budget (the
+    operators reproduce P_Lambda, so they need at least |Lambda| nodes) or
+    meets an exponent above MAX_LEVEL, whose rule does not exist.
+    """
+    origin = (0,) * d_max
+    heap = [(surrogate(MultiIndex()), origin)]
+    members, coeffs, nodes = [], {}, {}
+    best = 0
+
+    def count_nodes(mu, step):
+        for key in _tensor_point_keys([(j, e) for j, e in enumerate(mu) if e]):
+            total = nodes.get(key, 0) + step
+            if total:
+                nodes[key] = total
+            else:
+                del nodes[key]
+
+    while heap and len(members) <= budget:
+        bound = heap[0][0] * (1.0 + 1e-12)
+        while heap and heap[0][0] <= bound:
+            _, nu = heapq.heappop(heap)
+            if max(nu) > MAX_LEVEL:
+                return IndexSet(MultiIndex.from_exponents(m) for m in members[:best])
+            members.append(nu)
+            support = [j for j in range(d_max) if nu[j]]
+            for picks in itertools.product((0, 1), repeat=len(support)):
+                mu = list(nu)
+                for j, used in zip(support, picks):
+                    mu[j] -= used
+                mu = tuple(mu)
+                old = coeffs.get(mu, 0)
+                coeffs[mu] = new = old + (-1) ** sum(picks)
+                if not old or not new:
+                    count_nodes(mu, 1 if new else -1)
+            for j in range(d_max):
+                child = nu[:j] + (nu[j] + 1,) + nu[j + 1:]
+                if all(child[:i] + (child[i] - 1,) + child[i + 1:] in coeffs
+                       for i in support if i != j):
+                    heapq.heappush(
+                        heap, (surrogate(MultiIndex.from_exponents(child)), child)
+                    )
+        if len(nodes) <= budget:
+            best = len(members)
+    return IndexSet(MultiIndex.from_exponents(m) for m in members[:best])
 
 
 def sparse_grid_points(index_set: IndexSet) -> SparseGrid:
@@ -120,7 +178,7 @@ def sparse_grid_points(index_set: IndexSet) -> SparseGrid:
     eval_keys = {}
     for nu in index_set:
         active = expansion is not None and nu in expansion.terms
-        for key in _tensor_point_keys(nu):
+        for key in _tensor_point_keys(nu.entries):
             all_keys.setdefault(key, None)
             if active or expansion is None:
                 eval_keys.setdefault(key, None)
@@ -246,7 +304,7 @@ class _GridEvaluation:
         keys = {}
         per_term_keys = {}
         for nu, _ in self.expansion.items_sorted():
-            term_keys = _tensor_point_keys(nu)
+            term_keys = _tensor_point_keys(nu.entries)
             per_term_keys[nu] = term_keys
             for key in term_keys:
                 keys.setdefault(key, None)

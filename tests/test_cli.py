@@ -252,6 +252,19 @@ class TestMainEntry:
         )
         assert main(["grf", "--config", str(npd), "--out", str(out)]) == 3
 
+    def test_grf_seed_overflow_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        top = 2 ** 64 - 1
+        assert main(["grf", "--out", str(out), "--seed", str(top - 1),
+                     "--budgets", "3"]) == 2
+        assert "2**64 - 1" in capsys.readouterr().err
+        assert not out.exists() or not list(out.glob("sample_*.csv"))
+        assert main(["grf", "--out", str(out), "--seed", str(top - 1),
+                     "--budgets", "2"]) == 0
+        assert sorted(p.name for p in out.glob("sample_*.csv")) == [
+            f"sample_{top - 1}.csv", f"sample_{top}.csv"
+        ]
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, CONSTANT_CFG)
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -4,10 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hermgrid.cli import resolve_config
 from hermgrid.errors import EmptyIndexSet, NotDownwardClosed
-from hermgrid.hermite import gauss_hermite_rule, hermite_eval
-from hermgrid.indexset import IndexSet, MultiIndex, degree_weight
+from hermgrid.hermite import MAX_LEVEL, gauss_hermite_rule, hermite_eval
+from hermgrid.indexset import IndexSet, MultiIndex, degree_weight, surrogate_weight
 from hermgrid.smolyak import (
     HermitePolynomial,
     combination_coeffs,
@@ -15,12 +18,21 @@ from hermgrid.smolyak import (
     interpolant_eval,
     interpolate,
     l2_norm,
+    largest_threshold_set,
     quadrature,
     sparse_grid_points,
     zero_polynomial,
 )
 
-from util import monomial_map, pad, random_downward_closed, tensor_moment
+from util import (
+    bisection_threshold_set,
+    monomial_map,
+    pad,
+    random_downward_closed,
+    random_product_surrogate,
+    scan_threshold_set,
+    tensor_moment,
+)
 
 mi = MultiIndex.from_dict
 
@@ -83,6 +95,63 @@ class TestSparseGrid:
             expansion = combination_coeffs(lam)
             bound = sum(degree_weight(nu, 1.0, 1.0) for nu in expansion.terms)
             assert evaluation_point_count(lam) <= bound + 1e-9
+
+
+def sindecay_surrogate(d_max):
+    """Quadrature surrogate of the CLI's default weights on the sine system."""
+    study = resolve_config("quad", {"system": "sindecay", "d_max": str(d_max)}, 0)
+    family = study.weight_family(2)
+    return lambda nu: surrogate_weight(family, nu)
+
+
+class TestLargestThresholdSet:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_bisection_oracle(self, seed, dims, budget):
+        surrogate, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
+        selected = largest_threshold_set(surrogate, budget, dims)
+        assert len(selected) == 0 or evaluation_point_count(selected) <= budget
+        # a set of more than `budget` members needs more than `budget` nodes
+        # (test_node_count_at_least_members), so the oracle may prune it; its
+        # eps range reaches the steepest surrogates' 300-member sets
+        bisected = bisection_threshold_set(surrogate, budget, dims, cap=budget, lo=1e-300)
+        if selected != bisected:
+            # bisection can stop short where the node count falls as eps falls
+            assert bisected.members < selected.members
+            assert selected == scan_threshold_set(surrogate, budget, dims)
+
+    def test_beats_bisection_where_node_count_falls(self):
+        # threshold sets of 29..32 members need 73, 77, 77, 75 nodes: the
+        # 32-member set fits 75, but bisection stops at 29 after probing 30
+        surrogate, _, _ = random_product_surrogate(np.random.default_rng(3279273494), 5)
+        selected = largest_threshold_set(surrogate, 75, 5)
+        assert len(selected) == 32 and evaluation_point_count(selected) == 75
+        assert selected == scan_threshold_set(surrogate, 75, 5)
+        assert len(bisection_threshold_set(surrogate, 75, 5, cap=75, lo=1e-300)) == 29
+
+    def test_node_count_at_least_members(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            lam = random_downward_closed(rng, 4, 40)
+            assert evaluation_point_count(lam) >= len(lam)
+
+    def test_one_ulp_ties_stay_together(self):
+        # members 22-26 share the value 2**18 up to one ulp; splitting them
+        # would pick a 22-member set
+        selected = largest_threshold_set(sindecay_surrogate(16), 50, 16)
+        assert len(selected) == 21
+        assert evaluation_point_count(selected) == 47
+
+    def test_budget_one_is_empty(self):
+        # rho_0 = 1 ties e_0 with the empty index, and their set needs 2 nodes
+        assert len(largest_threshold_set(sindecay_surrogate(16), 1, 16)) == 0
+        assert largest_threshold_set(sindecay_surrogate(16), 2, 16) == IndexSet(
+            [MultiIndex(), mi({0: 1})]
+        )
+
+    def test_stops_below_missing_rule(self):
+        surrogate, _, _ = random_product_surrogate(np.random.default_rng(0), 1)
+        assert largest_threshold_set(surrogate, 300, 1) == ladder(MAX_LEVEL)
 
 
 class TestInterpolate:

@@ -1,11 +1,15 @@
 """Shared test helpers: oracles and randomized structures."""
 
 import itertools
+import math
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from hermgrid.indexset import IndexSet, MultiIndex
+from hermgrid.cli import bisect_epsilon
+from hermgrid.errors import LevelTooLarge, ThresholdTooSmall
+from hermgrid.indexset import IndexSet, MultiIndex, build_threshold_set
+from hermgrid.smolyak import evaluation_point_count
 
 
 def gaussian_moment(degree: int) -> float:
@@ -111,3 +115,49 @@ def gauss_hermite_ratio(n_points: int, phi, density):
     values = density(nodes)
     normalization = float(weights @ values)
     return float(weights @ (phi(nodes) * values)) / normalization, normalization
+
+
+def bisection_threshold_set(surrogate, budget: int, d_max: int,
+                            cap: int = 10_000_000, lo: float = 1e-30) -> IndexSet:
+    """Slow oracle for `largest_threshold_set`: 40 geometric eps bisections.
+
+    Every probe rebuilds the threshold set and recounts its nodes; a set
+    with more than ``cap`` members, or an exponent without a rule, costs
+    infinity.  Assumes the node count never falls as eps falls, and sees
+    no set whose members need eps below ``lo``.
+    """
+
+    def cost(eps):
+        try:
+            selected = build_threshold_set(surrogate, eps, d_max, cap=cap)
+            return evaluation_point_count(selected) if len(selected) else 0
+        except (ThresholdTooSmall, LevelTooLarge):
+            return math.inf
+
+    return build_threshold_set(surrogate, bisect_epsilon(cost, budget, lo=lo), d_max)
+
+
+def scan_threshold_set(surrogate, budget: int, d_max: int) -> IndexSet:
+    """Exact oracle for `largest_threshold_set`: every threshold set in turn.
+
+    Lowers eps to the largest reciprocal surrogate outside the current set,
+    so each step yields the next larger threshold set, rebuilt and recounted
+    from scratch; keeps the largest on at most ``budget`` nodes.  Stops at
+    the first set with more than ``budget`` members (it needs more nodes
+    than that) or with an exponent that has no rule.
+    """
+    best = IndexSet([])
+    eps = 1.0 / surrogate(MultiIndex())
+    while True:
+        try:
+            selected = build_threshold_set(surrogate, eps, d_max, cap=budget)
+            if evaluation_point_count(selected) <= budget:
+                best = selected
+        except (ThresholdTooSmall, LevelTooLarge):
+            return best
+        eps = max(
+            1.0 / surrogate(nu.incremented(dim))
+            for nu in selected
+            for dim in range(d_max)
+            if nu.incremented(dim) not in selected
+        )
