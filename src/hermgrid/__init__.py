@@ -2,7 +2,6 @@
 product measures, with multilevel variants, Gaussian-random-field input
 generators, and a log-Gaussian diffusion model problem."""
 
-from ._accel import ACCEL_BACKEND
 from .hermite import (
     MAX_LEVEL,
     HermiteRule,

@@ -1,32 +1,20 @@
-"""Numba-accelerated numeric kernels with a pure-numpy fallback.
+"""Numeric kernels: Hermite tables, the P1 chain solve and the hat series.
 
-The fallback lane is selected by setting the environment variable
-``HERMGRID_PURE_NUMPY=1`` before import (useful on platforms without a
-working numba toolchain, and for A/B benchmarking; see ``benchmarks/``).
-Both lanes compute identical results to the last bit up to the usual
-floating-point reassociation differences.
+All three are plain numpy, vectorized over points, cells or levels.
 """
-
-import os
 
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("HERMGRID_PURE_NUMPY", "0") == "1"
+#: Name of the one kernel implementation; kept for run reports.
+ACCEL_BACKEND = "numpy"
 
-if not _FORCE_NUMPY:
-    try:
-        import numba
-    except ImportError:  # pragma: no cover
-        numba = None
-else:
-    numba = None
-
-ACCEL_BACKEND = "numba" if numba is not None else "numpy"
+# 3-point Gauss-Legendre on [0, 1]
+_REF_POINTS = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
+_REF_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 
-# -- normalized probabilists' Hermite recurrence -------------------------
-
-def _hermite_matrix_numpy(x, kmax):
+def hermite_matrix(x, kmax):
+    """Normalized probabilists' Hermite values ``H_0..H_kmax`` at each x."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty((x.size, kmax + 1))
     out[:, 0] = 1.0
@@ -37,113 +25,45 @@ def _hermite_matrix_numpy(x, kmax):
     return out
 
 
-def _hermite_matrix_loop(x, kmax):
-    n = x.shape[0]
-    out = np.empty((n, kmax + 1))
-    for i in range(n):
-        out[i, 0] = 1.0
-        if kmax >= 1:
-            out[i, 1] = x[i]
-        for k in range(1, kmax):
-            out[i, k + 1] = (x[i] * out[i, k] - np.sqrt(k) * out[i, k - 1]) / np.sqrt(k + 1.0)
-    return out
+def fem_system(aq, fq, h, flux):
+    """Nodal P1 Galerkin solution on n cells of width h.
 
-
-# -- P1 stiffness assembly and tridiagonal solve --------------------------
-
-def _fem_system_loop(aq, fq, wq, h, flux):
-    """Assemble and reduce the P1 Galerkin system for n cells.
-
-    aq, fq: (n, g) coefficient / right-hand-side values at the per-cell
-    quadrature points, wq: (g,) reference weights summing to 1.  Returns
-    the nodal solution of length n+1 with u[0] = 0 and the natural
-    condition a u' = flux at the right endpoint.
+    aq, fq: (n, 3) coefficient / right-hand-side values at the per-cell
+    `_REF_POINTS`.  Returns u of length n+1 with u[0] = 0 and the natural
+    condition a u' = flux at the right end.  The stiffness matrix is a
+    chain of cell conductances s_i, so the flux through cell i is the load
+    of all nodes right of it, q_i = sum_{k>i} load_k, and
+    u_{i+1} = u_i + q_i / s_i.  Raises ZeroDivisionError unless every
+    s_i > 0.
     """
-    n = aq.shape[0]
-    g = wq.shape[0]
-    s = np.zeros(n)
-    for i in range(n):
-        acc = 0.0
-        for q in range(g):
-            acc += wq[q] * aq[i, q]
-        s[i] = acc / h
-
-    # load: int f phi_i with the same per-cell rule; reference points
-    # enter through fq rows, hat values through the affine weights.
-    load = np.zeros(n + 1)
-    for i in range(n):
-        for q in range(g):
-            load[i] += h * wq[q] * fq[i, q] * (1.0 - _REF_POINTS[q])
-            load[i + 1] += h * wq[q] * fq[i, q] * _REF_POINTS[q]
-    load[n] += flux
-
-    # interior unknowns 1..n; forward elimination on the tridiagonal system
-    diag = np.zeros(n)
-    rhs = np.zeros(n)
-    for i in range(n):
-        left = s[i]
-        right = s[i + 1] if i + 1 < n else 0.0
-        diag[i] = left + right
-        rhs[i] = load[i + 1]
-    low = np.zeros(n)
-    for i in range(1, n):
-        low[i] = -s[i]
-
-    for i in range(1, n):
-        if diag[i - 1] == 0.0:
-            raise ZeroDivisionError
-        m = low[i] / diag[i - 1]
-        diag[i] -= m * (-s[i])
-        rhs[i] -= m * rhs[i - 1]
-    u = np.zeros(n + 1)
-    if diag[n - 1] == 0.0:
-        raise ZeroDivisionError
-    u[n] = rhs[n - 1] / diag[n - 1]
-    for i in range(n - 2, -1, -1):
-        u[i + 1] = (rhs[i] + s[i + 1] * u[i + 2]) / diag[i]
+    s = (aq @ _REF_WEIGHTS) / h
+    if not np.all(s > 0.0):
+        raise ZeroDivisionError("nonpositive cell conductance")
+    cell_load = h * (fq * _REF_WEIGHTS)
+    load = np.zeros(aq.shape[0] + 1)
+    load[:-1] += cell_load @ (1.0 - _REF_POINTS)
+    load[1:] += cell_load @ _REF_POINTS
+    load[-1] += flux
+    q = np.cumsum(load[:0:-1])[::-1]
+    u = np.zeros(load.size)
+    np.cumsum(q / s, out=u[1:])
     return u
 
 
-# 3-point Gauss-Legendre on [0, 1]
-_REF_POINTS = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
-_REF_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
-
-
-def _hat_series_loop(t, z, jmax, scale):
+def hat_series(t, z, jmax, scale):
     """Sum of scaled dyadic hat functions: series over levels 0..jmax.
 
     z is flattened level-major: z[2**j - 1 + k] multiplies the hat at
-    level j, shift k.  Used by the piecewise-linear bridge generator.
+    level j, shift k.  Levels are summed in order, so each value is the
+    left-to-right sum of its nonzero terms.  Used by the piecewise-linear
+    bridge generator.
     """
-    n = t.shape[0]
-    out = np.zeros(n)
-    for i in range(n):
-        acc = 0.0
-        for j in range(jmax + 1):
-            pos = t[i] * 2.0 ** j
-            k = int(np.floor(pos))
-            if k < 0 or k >= 2 ** j:
-                continue
-            s = pos - k
-            hat = 1.0 - 2.0 * abs(s - 0.5)
-            if hat > 0.0:
-                acc += z[2 ** j - 1 + k] * scale * 2.0 ** (-j / 2.0) * hat
-        out[i] = acc
+    out = np.zeros(t.shape[0])
+    for j in range(jmax + 1):
+        pos = t * 2.0 ** j
+        k = np.floor(pos)
+        hat = 1.0 - 2.0 * np.abs(pos - k - 0.5)
+        live = (k >= 0) & (k < 2 ** j) & (hat > 0.0)
+        idx = np.where(live, k, 0.0).astype(np.intp) + (2 ** j - 1)
+        out += np.where(live, z[idx] * scale * 2.0 ** (-j / 2.0) * hat, 0.0)
     return out
-
-
-if numba is not None:
-    hermite_matrix = numba.njit(cache=True)(_hermite_matrix_loop)
-    _fem_system = numba.njit(cache=True)(_fem_system_loop)
-    hat_series = numba.njit(cache=True)(_hat_series_loop)
-else:
-    hermite_matrix = _hermite_matrix_numpy
-    _fem_system = _fem_system_loop
-    hat_series = _hat_series_loop
-
-
-def fem_system(aq, fq, h, flux):
-    """Solve the reduced P1 system; see `_fem_system_loop`."""
-    return _fem_system(
-        np.ascontiguousarray(aq), np.ascontiguousarray(fq), _REF_WEIGHTS, h, flux
-    )

@@ -44,7 +44,7 @@ from .multilevel import (
 )
 from .smolyak import evaluation_point_count, interpolate, largest_threshold_set, quadrature
 
-_PROBLEM_KEYS = {"system", "r_decay", "d_max", "f", "qoi", "x0", "n_cells"}
+_PROBLEM_KEYS = {"system", "r_decay", "d_max", "f", "qoi", "x0"}
 _STUDY_KEYS = {
     "p", "xi", "r", "tau", "K", "q1", "alpha", "budgets", "eps_grid",
     "reference", "cov", "corr_length", "smoothness", "grid_m", "ell",
@@ -121,7 +121,7 @@ def build_problem(cfg: dict) -> ModelProblem1D:
         qoi = ("mean",)
     else:
         raise ConfigError(f"key 'qoi': unknown kind {qoi_kind!r}")
-    return ModelProblem1D(system, qoi=qoi, n_cells=_get_int(cfg, "n_cells", 64))
+    return ModelProblem1D(system, qoi=qoi)
 
 
 @dataclass
@@ -441,6 +441,8 @@ def run_ml_study(study: StudyConfig, out_dir: Path, quantity: str) -> list:
 def run_grf(study: StudyConfig, out_dir: Path) -> dict:
     """Seeded field samples plus an empirical covariance report."""
     n_samples = study.budgets[-1]
+    if n_samples < 1:
+        raise ConfigError(f"grf needs at least one sample, got {n_samples}")
     if study.seed + n_samples - 1 > 2 ** 64 - 1:
         raise ConfigError(
             f"--seed {study.seed}: {n_samples} samples run past the largest seed 2**64 - 1"

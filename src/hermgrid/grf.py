@@ -60,11 +60,13 @@ def levy_ciesielski(levels: int, t, z) -> float:
                 raise ValueError(f"shift {k} invalid at level {j}")
             flat[2 ** j - 1 + k] = val
     else:
-        flat = np.ascontiguousarray(np.asarray(z, dtype=np.float64))
+        flat = np.asarray(z, dtype=np.float64)
         if flat.size < 2 ** (levels + 1) - 1:
             raise ValueError("coefficient array too short for requested levels")
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    out = _accel.hat_series(np.ascontiguousarray(t_arr), flat, levels, HAT_SCALE)
+    if not np.all(np.isfinite(t_arr)):
+        raise ValueError("t must be finite")
+    out = _accel.hat_series(t_arr, flat, levels, HAT_SCALE)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 

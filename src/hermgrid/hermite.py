@@ -56,7 +56,7 @@ def hermite_eval_all(k_max: int, x) -> np.ndarray:
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    table = _accel.hermite_matrix(np.ascontiguousarray(arr), k_max)
+    table = _accel.hermite_matrix(arr, k_max)
     if np.isscalar(x) or np.ndim(x) == 0:
         return table[0]
     return table

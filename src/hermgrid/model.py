@@ -106,7 +106,6 @@ class ModelProblem1D:
     f: object = _f_one
     F: object = _antiderivative_identity
     qoi: tuple = ("point", 1.0)
-    n_cells: int = 64
     _quad_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def truncated(self, y) -> np.ndarray:
@@ -209,7 +208,7 @@ def fem_solve_1d(problem: ModelProblem1D, y, n_cells: int) -> np.ndarray:
     flux = -float(problem.F(1.0))
     try:
         return _accel.fem_system(a_vals, f_vals, h, flux)
-    except ZeroDivisionError as exc:  # unreachable for positive coefficients
+    except ZeroDivisionError as exc:  # a coefficient that underflows to 0 or is nan
         raise SingularSystem("FEM system is singular") from exc
 
 

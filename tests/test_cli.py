@@ -265,6 +265,19 @@ class TestMainEntry:
             f"sample_{top - 1}.csv", f"sample_{top}.csv"
         ]
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_grf_without_samples_is_config_error(self, tmp_path, capsys, count):
+        out = tmp_path / "out"
+        assert main(["grf", "--out", str(out), f"--budgets={count}"]) == 2
+        assert "at least one sample" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_n_cells_is_unknown_key(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SIN_CFG + "n_cells = 64\n")
+        assert main(["ml-quad", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--budgets", "256"]) == 2
+        assert "unknown key 'n_cells'" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, CONSTANT_CFG)
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -5,6 +5,7 @@ import pytest
 
 from hermgrid.errors import NotPositiveDefinite, UnsupportedSmoothness
 from hermgrid.grf import (
+    HAT_SCALE,
     CovarianceSpec,
     brownian_bridge_kl,
     bspline_cutoff,
@@ -14,6 +15,7 @@ from hermgrid.grf import (
     sample_grf,
     sample_grf_batch,
 )
+from util import hat_series_loop
 
 N_DRAWS = 100_000
 
@@ -78,6 +80,24 @@ class TestBridgeSeries:
         lc = [levy_ciesielski(12, 0.5, {(0, 0): 1.0})]
         assert np.sum(kl ** 2) == pytest.approx(0.25, abs=2e-3)
         assert sum(v * v for v in lc) == pytest.approx(0.25, abs=1e-14)
+
+
+class TestHatSeriesKernel:
+    @pytest.mark.parametrize("levels", [0, 3, 12])
+    def test_bitwise_equal_to_loop(self, levels):
+        rng = np.random.default_rng(levels)
+        dyadic = np.arange(-2 ** 10, 5 * 2 ** 10 + 1) / 2 ** 12  # [-0.25, 1.25]
+        t = np.concatenate([rng.uniform(-0.2, 1.2, 2000), dyadic])
+        z = rng.standard_normal(2 ** (levels + 1) - 1)
+        got = levy_ciesielski(levels, t, z)
+        assert got.tobytes() == hat_series_loop(t, z, levels, HAT_SCALE).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_t(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            levy_ciesielski(3, bad, np.ones(15))
+        with pytest.raises(ValueError, match="finite"):
+            levy_ciesielski(3, np.array([0.5, bad]), np.ones(15))
 
 
 class TestMatern:

@@ -1,9 +1,14 @@
 """Log-Gaussian diffusion model problems and Bayesian integrands."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hermgrid.errors import DegenerateNormalization
+from hermgrid import _accel
+from hermgrid.errors import DegenerateNormalization, SingularSystem
 from hermgrid.indexset import IndexSet, MultiIndex
 from hermgrid.model import (
     BayesSetup,
@@ -19,6 +24,7 @@ from hermgrid.model import (
     posterior_density,
     posterior_expectation,
 )
+from util import fem_system_exact, fem_system_loop
 
 mi = MultiIndex.from_dict
 GL3, GW3 = np.polynomial.legendre.leggauss(3)
@@ -153,6 +159,61 @@ class TestFem:
             h1 = np.sqrt(np.sum(slopes ** 2) / 64.0)
             b_max = np.abs(problem.system.basis_matrix(xs) @ problem.truncated(y)).max()
             assert h1 <= np.exp(b_max) * dual_norm * 1.05
+
+
+def random_fem_inputs(seed, n):
+    """Cell data of a rough log-normal coefficient, a positive load and a flux."""
+    rng = np.random.default_rng(seed)
+    aq = np.exp(rng.normal(0.0, 1.5, (n, 3)))
+    fq = rng.uniform(0.1, 2.0, (n, 3))
+    return aq, fq, 1.0 / n, float(rng.uniform(-2.0, 2.0))
+
+
+def model_fem_inputs(seed, n):
+    """The cell data `fem_solve_1d` assembles for one sine-system draw."""
+    problem = sin_problem(3.0, 8)
+    y = np.random.default_rng(seed).standard_normal(8)
+    flat = ((np.arange(n)[:, None] + _accel._REF_POINTS[None, :]) * (1.0 / n)).ravel()
+    aq = np.exp(problem.system.basis_matrix(flat) @ y).reshape(n, 3)
+    return problem, y, (aq, np.ones((n, 3)), 1.0 / n, -1.0)
+
+
+def relative_error_to_exact(u, exact):
+    scale = max(abs(v) for v in exact)
+    return float(max(abs(Fraction(a) - b) for a, b in zip(u.tolist(), exact)) / scale)
+
+
+class TestFemSystemKernel:
+    # The elimination loop is the less accurate side: on the rough inputs
+    # its own error reaches 5e-13 at 64 cells, so it is compared on the
+    # model problem's inputs and the rough ones go to the exact solve.
+    @given(st.integers(1, 32), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_elimination_loop(self, n, seed):
+        problem, y, inputs = model_fem_inputs(seed, n)
+        got = fem_solve_1d(problem, y, n)
+        want = fem_system_loop(*inputs)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @given(st.integers(1, 64), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_exact_solve(self, n, seed):
+        inputs = random_fem_inputs(seed, n)
+        got = _accel.fem_system(*inputs)
+        assert relative_error_to_exact(got, fem_system_exact(*inputs)) <= 1e-14
+
+    def test_matches_exact_solve_on_model_problem(self):
+        problem, y, inputs = model_fem_inputs(11, 256)
+        exact = fem_system_exact(*inputs)
+        assert relative_error_to_exact(fem_solve_1d(problem, y, 256), exact) <= 1e-14
+
+    def test_vanishing_conductance_is_singular(self):
+        aq = np.ones((4, 3))
+        aq[2] = 0.0
+        with pytest.raises(ZeroDivisionError):
+            _accel.fem_system(aq, np.ones((4, 3)), 0.25, -1.0)
+        with pytest.raises(SingularSystem):
+            fem_solve_1d(constant_problem(0.5), [-2000.0], 8)
 
 
 class TestParametricMaps:

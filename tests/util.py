@@ -2,10 +2,12 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
+from hermgrid._accel import _REF_POINTS, _REF_WEIGHTS
 from hermgrid.cli import bisect_epsilon
 from hermgrid.errors import LevelTooLarge, ThresholdTooSmall
 from hermgrid.indexset import IndexSet, MultiIndex, build_threshold_set
@@ -161,3 +163,106 @@ def scan_threshold_set(surrogate, budget: int, d_max: int) -> IndexSet:
             for dim in range(d_max)
             if nu.incremented(dim) not in selected
         )
+
+
+def fem_system_loop(aq, fq, h, flux):
+    """Loop oracle for `hermgrid._accel.fem_system`: assembly plus elimination.
+
+    Assembles the P1 system cell by cell with the 3-point rule and solves
+    for the interior unknowns by forward elimination on the tridiagonal
+    system and back substitution.
+    """
+    n = aq.shape[0]
+    g = _REF_WEIGHTS.shape[0]
+    s = np.zeros(n)
+    for i in range(n):
+        acc = 0.0
+        for q in range(g):
+            acc += _REF_WEIGHTS[q] * aq[i, q]
+        s[i] = acc / h
+
+    load = np.zeros(n + 1)
+    for i in range(n):
+        for q in range(g):
+            load[i] += h * _REF_WEIGHTS[q] * fq[i, q] * (1.0 - _REF_POINTS[q])
+            load[i + 1] += h * _REF_WEIGHTS[q] * fq[i, q] * _REF_POINTS[q]
+    load[n] += flux
+
+    diag = np.zeros(n)
+    rhs = np.zeros(n)
+    for i in range(n):
+        left = s[i]
+        right = s[i + 1] if i + 1 < n else 0.0
+        diag[i] = left + right
+        rhs[i] = load[i + 1]
+    low = np.zeros(n)
+    for i in range(1, n):
+        low[i] = -s[i]
+
+    for i in range(1, n):
+        if diag[i - 1] == 0.0:
+            raise ZeroDivisionError
+        m = low[i] / diag[i - 1]
+        diag[i] -= m * (-s[i])
+        rhs[i] -= m * rhs[i - 1]
+    u = np.zeros(n + 1)
+    if diag[n - 1] == 0.0:
+        raise ZeroDivisionError
+    u[n] = rhs[n - 1] / diag[n - 1]
+    for i in range(n - 2, -1, -1):
+        u[i + 1] = (rhs[i] + s[i + 1] * u[i + 2]) / diag[i]
+    return u
+
+
+def fem_system_exact(aq, fq, h, flux) -> list:
+    """Exact oracle for `hermgrid._accel.fem_system`, as a list of Fractions.
+
+    Every float input (and the reference rule) is taken at its exact binary
+    value; the same assembly as `fem_system_loop` and the tridiagonal
+    elimination then run in rational arithmetic, with no rounding at all.
+    """
+    n = aq.shape[0]
+    h, flux = Fraction(h), Fraction(flux)
+    points = [Fraction(x) for x in _REF_POINTS]
+    weights = [Fraction(w) for w in _REF_WEIGHTS]
+    s = [sum(w * Fraction(a) for w, a in zip(weights, row)) / h for row in aq.tolist()]
+    load = [Fraction(0)] * (n + 1)
+    for i, row in enumerate(fq.tolist()):
+        for x, w, f in zip(points, weights, row):
+            load[i] += h * w * Fraction(f) * (1 - x)
+            load[i + 1] += h * w * Fraction(f) * x
+    load[n] += flux
+    diag = [s[i] + (s[i + 1] if i + 1 < n else 0) for i in range(n)]
+    rhs = load[1:]
+    for i in range(1, n):
+        m = -s[i] / diag[i - 1]
+        diag[i] += m * s[i]
+        rhs[i] -= m * rhs[i - 1]
+    u = [Fraction(0)] * (n + 1)
+    u[n] = rhs[n - 1] / diag[n - 1]
+    for i in range(n - 2, -1, -1):
+        u[i + 1] = (rhs[i] + s[i + 1] * u[i + 2]) / diag[i]
+    return u
+
+
+def hat_series_loop(t, z, jmax, scale):
+    """Loop oracle for `hermgrid._accel.hat_series`: one point at a time.
+
+    z is flattened level-major: z[2**j - 1 + k] multiplies the hat at
+    level j, shift k.
+    """
+    n = t.shape[0]
+    out = np.zeros(n)
+    for i in range(n):
+        acc = 0.0
+        for j in range(jmax + 1):
+            pos = t[i] * 2.0 ** j
+            k = int(np.floor(pos))
+            if k < 0 or k >= 2 ** j:
+                continue
+            s = pos - k
+            hat = 1.0 - 2.0 * abs(s - 0.5)
+            if hat > 0.0:
+                acc += z[2 ** j - 1 + k] * scale * 2.0 ** (-j / 2.0) * hat
+        out[i] = acc
+    return out
