@@ -54,13 +54,11 @@ class WorkSequence:
         """Total cost of carrying one point through levels 1..level."""
         return sum(self.values[1 : level + 1])
 
-    def floor_level(self, budget: float) -> int:
-        """Largest level whose cost does not exceed ``budget``."""
-        level = 0
-        for l, v in enumerate(self.values):
-            if v <= budget:
-                level = l
-        return level
+    def floor_level(self, budget):
+        """Largest level whose cost does not exceed ``budget``, elementwise
+        (exact while the values stay below 2**53)."""
+        return np.searchsorted(np.asarray(self.values, dtype=np.float64), budget,
+                               side="right") - 1
 
 
 def default_work_sequence(max_level: int, growth_constant: float = 2.0) -> WorkSequence:
@@ -109,6 +107,44 @@ class LevelAllocation:
         return cls(levels, work_sequence)
 
 
+class MemberTable:
+    """The threshold set of ``c_surrogate`` at ``eps``, one row a member.
+
+    Rows follow `IndexSet.sorted_members`.  ``t`` is the acceptance value
+    ``1/c(nu)`` of `build_threshold_set`, ``d`` the weight
+    ``d(nu)**(-1/(1+2 alpha))``, ``points`` the tensor point count
+    ``prod_j (nu_j + 1)`` and ``max_exp`` the largest exponent.  The rows
+    with ``t >= e`` are the threshold set at any ``e >= eps``.
+    """
+
+    def __init__(self, c_surrogate, d_surrogate, q1: float, alpha: float, eps: float,
+                 d_max: int, cap: int = 10_000_000):
+        if not 0.0 < q1 < 2.0:
+            raise ValueError("q1 must lie in (0, 2)")
+        if alpha <= 0:
+            raise ValueError("alpha must be positive")
+        self.eps, self.q1, self.alpha = eps, q1, alpha
+        self.members = build_threshold_set(c_surrogate, eps, d_max, cap=cap).sorted_members
+        exponent = -1.0 / (1.0 + 2.0 * alpha)
+        self.t = np.array([1.0 / c_surrogate(nu) for nu in self.members])
+        self.d = np.array([float(d_surrogate(nu)) ** exponent for nu in self.members])
+        self.points = tuple(_point_factor(nu) for nu in self.members)
+        self.max_exp = np.array([max((e for _, e in nu.entries), default=0)
+                                 for nu in self.members])
+
+    def levels(self, eps: float, work_sequence: WorkSequence) -> tuple:
+        """Rows of the threshold set at ``eps`` and their levels, each the highest
+        whose cost is at most ``eps**(-(1/2 - q1/4)/alpha) * d * S**(1/(2 alpha))``
+        with ``S`` the sum of ``d`` over the rows, in row order."""
+        rows = np.flatnonzero(self.t >= eps)
+        if rows.size == 0:
+            return rows, rows
+        total = sum(self.d[rows].tolist())
+        prefactor = (eps ** (-(0.5 - self.q1 / 4.0) / self.alpha)
+                     * total ** (1.0 / (2.0 * self.alpha)))
+        return rows, work_sequence.floor_level(prefactor * self.d[rows])
+
+
 def construct_levels(
     c_surrogate,
     d_surrogate,
@@ -121,28 +157,15 @@ def construct_levels(
 ) -> LevelAllocation:
     """Allocate discretization levels over the threshold set of ``c_surrogate``.
 
-    Every member nu of the threshold set receives the largest stored level
-    whose cost stays below
-    ``eps**(-(1/2 - q1/4)/alpha) * d_nu**(-1/(1+2 alpha)) * S**(1/(2 alpha))``
-    with ``S`` the sum of ``d_mu**(-1/(1+2 alpha))`` over the set; indices
-    outside the set stay at level 0.
+    Every member of the threshold set receives its `MemberTable.levels`
+    level; indices outside the set stay at level 0.
     """
-    if not 0.0 < q1 < 2.0:
-        raise ValueError("q1 must lie in (0, 2)")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    selected = build_threshold_set(c_surrogate, eps, d_max, cap=cap)
-    if len(selected) == 0:
+    table = MemberTable(c_surrogate, d_surrogate, q1, alpha, eps, d_max, cap)
+    rows, levels = table.levels(eps, work_sequence)
+    if rows.size == 0:
         raise EmptyAllocation(f"threshold {eps} admits no multi-indices")
-    exponent = -1.0 / (1.0 + 2.0 * alpha)
-    d_values = {nu: float(d_surrogate(nu)) ** exponent for nu in selected}
-    total = sum(d_values[nu] for nu in selected)
-    prefactor = eps ** (-(0.5 - q1 / 4.0) / alpha) * total ** (1.0 / (2.0 * alpha))
-    levels = {}
-    for nu in selected:
-        delta = prefactor * d_values[nu]
-        levels[nu] = work_sequence.floor_level(delta)
-    return LevelAllocation(levels, work_sequence)
+    members = (table.members[i] for i in rows.tolist())
+    return LevelAllocation(dict(zip(members, levels.tolist())), work_sequence)
 
 
 def gamma_sets(allocation: LevelAllocation) -> list:

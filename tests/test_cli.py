@@ -1,14 +1,20 @@
 """Study runner: configuration, CSV output, reproducibility, exit codes."""
 
 import filecmp
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermgrid.cli import (
+    _ml_allocation_for_budget,
     bisect_epsilon,
     build_problem,
     fit_rate,
     main,
+    ml_work_cost,
     parse_config,
     point_count,
     resolve_config,
@@ -20,7 +26,11 @@ from hermgrid.cli import (
     threshold_set_for_budget,
 )
 from hermgrid.errors import ConfigError
+from hermgrid.indexset import MultiIndex, surrogate_weight
 from hermgrid.model import ParametricMapFn
+from hermgrid.multilevel import construct_levels, default_work_sequence, work
+
+from util import bisection_ml_allocation, ml_work_oracle, random_product_surrogate
 
 CONSTANT_CFG = "system = constant:0.5\nqoi = point\nx0 = 1.0\n"
 SIN_CFG = (
@@ -77,6 +87,24 @@ class TestConfigParsing:
         study = resolve_config("quad", {"budgets": "10,20"}, 0)
         assert study.budgets == (10, 20)
 
+    @pytest.mark.parametrize("kind", ["quad", "interp", "ml-quad", "ml-interp", "grf"])
+    @pytest.mark.parametrize("budgets", [(0,), (-5, 3)])
+    def test_nonpositive_budgets_rejected(self, tmp_path, capsys, kind, budgets):
+        with pytest.raises(ConfigError):
+            resolve_config(kind, {}, 0, budgets=budgets)
+        out = tmp_path / "out"
+        text = ",".join(str(b) for b in budgets)
+        assert main([kind, "--out", str(out), f"--budgets={text}"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bayes_budgets_are_levels(self, tmp_path):
+        assert resolve_config("bayes", {}, 0, budgets=(0, 2)).budgets == (0, 2)
+        with pytest.raises(ConfigError):
+            resolve_config("bayes", {}, 0, budgets=(-5, 3))
+        assert main(["bayes", "--out", str(tmp_path / "out"), "--budgets=-5,3"]) == 2
+        assert main(["bayes", "--out", str(tmp_path / "ok"), "--budgets=0"]) == 0
+
     def test_eps_grid_validation(self):
         study = resolve_config("quad", {"eps_grid": "1e-2,1e-4"}, 0)
         assert study.eps_grid == (1e-2, 1e-4)
@@ -114,6 +142,102 @@ class TestHelpers:
         for budget in (10, 50, 200):
             selected = threshold_set_for_budget(study, 2, budget)
             assert point_count(selected) <= budget
+
+
+def sin_study(**overrides):
+    cfg = {"system": "sindecay", "r_decay": "3.0", "d_max": "4", "alpha": "1.0"}
+    return resolve_config("ml-quad", {**cfg, **overrides}, 0)
+
+
+def study_surrogate(study, k):
+    family = study.weight_family(k)
+    return lambda nu: surrogate_weight(family, nu)
+
+
+class TestMlBudgetSearch:
+    """The table-priced search against a fresh `construct_levels` per probe."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.floats(0.1, 1.9),
+           st.floats(0.25, 3.0), st.integers(1, 12),
+           st.lists(st.floats(-9.0, 1.0), min_size=1, max_size=8),
+           st.lists(st.integers(0, 34), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_cost_matches_fresh_allocation(self, seed, dims, q1, alpha, top,
+                                           log_eps, picks):
+        surrogate, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
+        sw = default_work_sequence(top)
+        args = (surrogate, q1, alpha, sw, dims, 500)
+        cost, oracle = ml_work_cost(*args), ml_work_oracle(*args)
+        # probes in the given order go above and below the table's eps;
+        # exact reciprocals put a member right on the threshold
+        probes = [10.0 ** x for x in log_eps]
+        reciprocals = [
+            1.0 / surrogate(MultiIndex.from_exponents([p % 7, p // 7][:dims]))
+            for p in picks
+        ]
+        for eps in probes + reciprocals:
+            assert cost(eps) == oracle(eps)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.floats(0.1, 1.9),
+           st.floats(0.25, 3.0), st.lists(st.floats(-9.0, 1.0), min_size=2))
+    @settings(max_examples=50, deadline=None)
+    def test_cost_nonincreasing_in_eps(self, seed, dims, q1, alpha, log_eps):
+        surrogate, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
+        cost = ml_work_cost(surrogate, q1, alpha, default_work_sequence(10), dims, 500)
+        costs = [cost(10.0 ** x) for x in sorted(log_eps)]
+        assert all(b <= a for a, b in zip(costs, costs[1:]))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.floats(0.1, 1.9),
+           st.floats(0.25, 3.0), st.integers(1, 3000))
+    @settings(max_examples=40, deadline=None)
+    def test_bisection_takes_the_oracle_path(self, seed, dims, q1, alpha, budget):
+        surrogate, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
+        sw = default_work_sequence(max(1, int(math.log2(budget))))
+        args = (surrogate, q1, alpha, sw, dims, 300)
+        eps = bisect_epsilon(ml_work_cost(*args), budget)
+        assert eps == bisect_epsilon(ml_work_oracle(*args), budget)
+        assert ml_work_oracle(*args)(eps) <= budget
+
+    @pytest.mark.parametrize("overrides, k, budget", [
+        ({}, 2, 4096),
+        ({}, 2, 16384),
+        ({}, 1, 1024),
+        ({"r_decay": "2.0"}, 2, 4096),
+        ({"system": "blocks:1.0"}, 2, 1024),
+        ({"d_max": "8", "alpha": "0.5"}, 2, 1024),
+        ({"alpha": "2.0", "p": "0.4"}, 2, 4096),
+    ])
+    def test_study_allocation_matches_bisection_oracle(self, overrides, k, budget):
+        study = sin_study(**overrides)
+        alloc, sw = _ml_allocation_for_budget(study, k, budget)
+        expected = bisection_ml_allocation(study_surrogate(study, k), study.q1,
+                                           study.alpha, budget, sw,
+                                           study.weight_family(k).d_max)
+        assert alloc.levels == expected.levels
+
+    def test_bisection_steps_over_one_ulp_window(self):
+        # eps = 6.809245424972145e-12 allocates 15712 <= 16384 cell units;
+        # bisection resolves eps to ~7.5e-11 relative and settles on 15068
+        study = sin_study()
+        alloc, sw = _ml_allocation_for_budget(study, 2, 16384)
+        assert work(alloc) == 15068
+        surrogate = study_surrogate(study, 2)
+        window = construct_levels(surrogate, surrogate, study.q1, study.alpha,
+                                  6.809245424972145e-12, sw, 4)
+        assert work(window) == 15712
+
+    def test_exponent_without_rule_costs_inf(self):
+        surrogate = lambda nu: 1.05 ** nu.order
+        sw = default_work_sequence(6)
+        cost = ml_work_cost(surrogate, 1.0, 1.0, sw, 1)
+        oracle = ml_work_oracle(surrogate, 1.0, 1.0, sw, 1)
+        # member 70 is active at its own threshold; member 60 has a rule
+        assert cost(1.0 / surrogate(MultiIndex.unit(0, 70))) == math.inf
+        assert oracle(1.0 / surrogate(MultiIndex.unit(0, 70))) == math.inf
+        finite = cost(1.0 / surrogate(MultiIndex.unit(0, 60)))
+        assert 0 < finite < math.inf
+        assert finite == oracle(1.0 / surrogate(MultiIndex.unit(0, 60)))
+        assert cost(2.0) == 0
 
 
 class TestQuadStudy:

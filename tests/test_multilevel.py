@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hermgrid.errors import EmptyAllocation
-from hermgrid.indexset import IndexSet, MultiIndex
+from hermgrid.errors import EmptyAllocation, ThresholdTooSmall
+from hermgrid.indexset import IndexSet, MultiIndex, build_threshold_set
 from hermgrid.multilevel import (
     LevelAllocation,
+    MemberTable,
     WorkSequence,
     build_level_index_set,
     build_level_index_set_even,
@@ -20,7 +23,12 @@ from hermgrid.multilevel import (
 )
 from hermgrid.smolyak import interpolate, quadrature
 
-from util import random_downward_closed
+from util import (
+    construct_levels_loop,
+    floor_level_loop,
+    random_downward_closed,
+    random_product_surrogate,
+)
 
 mi = MultiIndex.from_dict
 
@@ -43,6 +51,14 @@ class TestWorkSequence:
         assert sw.floor_level(1.189) == 0
         assert sw.floor_level(2.0) == 1
         assert sw.floor_level(100.0) == 3
+
+    @given(st.integers(1, 30), st.lists(st.floats(0.0, 2.0 ** 32), max_size=20))
+    def test_floor_level_matches_loop(self, top, budgets):
+        sw = default_work_sequence(top)
+        edges = [float(v) for v in sw.values] + [float(np.nextafter(v, 0)) for v in sw.values[1:]]
+        budgets = np.array(budgets + edges)
+        expected = [floor_level_loop(sw.values, b) for b in budgets.tolist()]
+        assert sw.floor_level(budgets).tolist() == expected
 
 
 class TestConstructLevels:
@@ -89,6 +105,63 @@ class TestConstructLevels:
             assert gamma.downward_closed
         for first, second in zip(gammas, gammas[1:]):
             assert set(second.members) <= set(first.members)
+
+
+class TestMemberTable:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.floats(0.1, 1.9),
+           st.floats(0.25, 3.0), st.floats(-7.0, 0.3), st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_construct_levels_matches_loop_oracle(self, seed, dims, q1, alpha,
+                                                  log_eps, top):
+        rng = np.random.default_rng(seed)
+        c, _, _ = random_product_surrogate(rng, dims)
+        d, _, _ = random_product_surrogate(rng, dims)
+        args = (c, d, q1, alpha, 10.0 ** log_eps, default_work_sequence(top), dims, 3000)
+        try:
+            expected = construct_levels_loop(*args)
+        except (EmptyAllocation, ThresholdTooSmall) as exc:
+            with pytest.raises(type(exc)):
+                construct_levels(*args)
+            return
+        alloc = construct_levels(*args)
+        assert alloc.levels == expected.levels
+        assert list(alloc.levels) == list(expected.levels)
+
+    def test_weight_sum_in_member_order(self):
+        # weights 1, 1e-16, 1e-16, 1e-16 sum to 1.0 in member order and to
+        # 1 + 2**-52 backwards; at eps just above 1/4 that moves the empty
+        # index across the level-1 cost 2
+        c = lambda nu: 1.5 ** nu.order
+        d = lambda nu: 1.0 if nu.order == 0 else 1e32
+        sw = default_work_sequence(3)
+        eps = float(np.nextafter(0.25, 1.0))
+        expected = construct_levels_loop(c, d, 1.0, 0.5, eps, sw, 1)
+        assert len(expected.levels) == 0
+        assert construct_levels(c, d, 1.0, 0.5, eps, sw, 1).levels == expected.levels
+
+    def test_rows_above_threshold_form_smaller_sets(self):
+        c, _, _ = random_product_surrogate(np.random.default_rng(5), 3)
+        table = MemberTable(c, c, 1.0, 1.0, 1e-4, 3)
+        sw = default_work_sequence(8)
+        for eps in (1e-4, 1e-3, float(table.t[7]), 0.5, 2.0):
+            rows, levels = table.levels(eps, sw)
+            assert all(table.t[rows] >= eps)
+            if rows.size == 0:
+                with pytest.raises(EmptyAllocation):
+                    construct_levels(c, c, 1.0, 1.0, eps, sw, 3)
+                continue
+            alloc = construct_levels(c, c, 1.0, 1.0, eps, sw, 3)
+            assert {table.members[i] for i in rows} == set(
+                build_threshold_set(c, eps, 3).members
+            )
+            assert {table.members[i]: l for i, l in zip(rows, levels) if l} == alloc.levels
+
+    def test_validation(self):
+        c = lambda nu: 2.0 ** nu.order
+        with pytest.raises(ValueError):
+            MemberTable(c, c, 2.0, 1.0, 0.1, 2)
+        with pytest.raises(ValueError):
+            MemberTable(c, c, 1.0, 0.0, 0.1, 2)
 
 
 class TestGammaSets:

@@ -9,8 +9,10 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from hermgrid._accel import _REF_POINTS, _REF_WEIGHTS
 from hermgrid.cli import bisect_epsilon
-from hermgrid.errors import LevelTooLarge, ThresholdTooSmall
+from hermgrid.errors import EmptyAllocation, LevelTooLarge, ThresholdTooSmall
+from hermgrid.hermite import MAX_LEVEL
 from hermgrid.indexset import IndexSet, MultiIndex, build_threshold_set
+from hermgrid.multilevel import LevelAllocation, construct_levels, work
 from hermgrid.smolyak import evaluation_point_count
 
 
@@ -163,6 +165,67 @@ def scan_threshold_set(surrogate, budget: int, d_max: int) -> IndexSet:
             for dim in range(d_max)
             if nu.incremented(dim) not in selected
         )
+
+
+def floor_level_loop(values, budget: float) -> int:
+    """Loop oracle for `WorkSequence.floor_level` on one budget."""
+    level = 0
+    for l, v in enumerate(values):
+        if v <= budget:
+            level = l
+    return level
+
+
+def construct_levels_loop(c_surrogate, d_surrogate, q1, alpha, eps, work_sequence,
+                          d_max, cap=10_000_000) -> LevelAllocation:
+    """Loop oracle for `construct_levels`: one dict entry per member.
+
+    Sums the weights over the set in `IndexSet` iteration order and floors
+    each member's cost bound with `floor_level_loop`.
+    """
+    selected = build_threshold_set(c_surrogate, eps, d_max, cap=cap)
+    if len(selected) == 0:
+        raise EmptyAllocation(f"threshold {eps} admits no multi-indices")
+    exponent = -1.0 / (1.0 + 2.0 * alpha)
+    d_values = {nu: float(d_surrogate(nu)) ** exponent for nu in selected}
+    total = sum(d_values[nu] for nu in selected)
+    prefactor = eps ** (-(0.5 - q1 / 4.0) / alpha) * total ** (1.0 / (2.0 * alpha))
+    levels = {
+        nu: floor_level_loop(work_sequence.values, prefactor * d_values[nu])
+        for nu in selected
+    }
+    return LevelAllocation(levels, work_sequence)
+
+
+def ml_work_oracle(surrogate, q1, alpha, work_sequence, d_max, cap=10_000_000):
+    """Slow oracle for `hermgrid.cli.ml_work_cost`: a fresh allocation per eps."""
+
+    def cost(eps):
+        try:
+            alloc = construct_levels(surrogate, surrogate, q1, alpha, eps,
+                                     work_sequence, d_max, cap)
+        except EmptyAllocation:
+            return 0
+        except ThresholdTooSmall:
+            return math.inf
+        if max((e for nu in alloc.levels for _, e in nu.entries), default=0) > MAX_LEVEL:
+            return math.inf
+        return work(alloc)
+
+    return cost
+
+
+def bisection_ml_allocation(surrogate, q1, alpha, budget, work_sequence, d_max,
+                            cap=10_000_000):
+    """Slow oracle for `hermgrid.cli.ml_allocation_for_budget`: 40 eps
+    bisections, each probe a fresh `construct_levels` call."""
+    eps = bisect_epsilon(ml_work_oracle(surrogate, q1, alpha, work_sequence, d_max, cap),
+                         budget)
+    try:
+        return construct_levels(surrogate, surrogate, q1, alpha, eps, work_sequence,
+                                d_max, cap)
+    except EmptyAllocation:
+        return None
 
 
 def fem_system_loop(aq, fq, h, flux):
