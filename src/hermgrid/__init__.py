@@ -11,7 +11,6 @@ from .hermite import (
     tensor_hermite_eval,
 )
 from .indexset import (
-    EMPTY_INDEX,
     IndexSet,
     MultiIndex,
     WeightFamily,
@@ -23,13 +22,9 @@ from .indexset import (
     surrogate_weight,
 )
 from .smolyak import (
-    CombinationExpansion,
     HermitePolynomial,
-    SparseGrid,
     combination_coeffs,
-    interpolant_eval,
     interpolate,
-    l2_norm,
     largest_threshold_set,
     quadrature,
     sparse_grid_points,
@@ -39,7 +34,6 @@ from .multilevel import (
     LevelAllocation,
     WorkSequence,
     build_level_index_set,
-    build_level_index_set_even,
     construct_levels,
     default_work_sequence,
     gamma_sets,

@@ -104,14 +104,18 @@ def build_problem(cfg: dict) -> ModelProblem1D:
     system_spec = cfg.get("system", "constant:0.5")
     name, _, arg = system_spec.partition(":")
     d_max = _get_int(cfg, "d_max", 16)
-    if name == "constant":
-        system = RepresentationSystem.constant_mode(float(arg) if arg else 0.5)
-    elif name == "sindecay":
-        system = RepresentationSystem.sin_decay(_get_float(cfg, "r_decay", 3.0), d_max)
-    elif name == "blocks":
-        system = RepresentationSystem.blocks(d_max, float(arg) if arg else 1.0)
-    else:
-        raise ConfigError(f"key 'system': unknown system {system_spec!r}")
+    try:
+        if name == "constant":
+            system = RepresentationSystem.constant_mode(float(arg) if arg else 0.5)
+        elif name == "sindecay":
+            system = RepresentationSystem.sin_decay(_get_float(cfg, "r_decay", 3.0), d_max)
+        elif name == "blocks":
+            system = RepresentationSystem.blocks(d_max, float(arg) if arg else 1.0)
+        else:
+            raise ConfigError(f"key 'system': unknown system {system_spec!r}")
+    except ValueError as exc:
+        key = "r_decay" if name == "sindecay" else "system"
+        raise ConfigError(f"key {key!r}: {exc}") from exc
     if cfg.get("f", "one") != "one":
         raise ConfigError("key 'f': only the constant load 'one' is supported")
     qoi_kind = cfg.get("qoi", "point")
@@ -182,6 +186,14 @@ def resolve_config(kind: str, cfg: dict, seed: int, budgets=None) -> StudyConfig
     p = _get_float(cfg, "p", 0.5)
     if not 0.0 < p < 1.0:
         raise ConfigError("key 'p': must lie in (0, 1)")
+    q1 = _get_float(cfg, "q1", p / (1.0 - p))
+    alpha = _get_float(cfg, "alpha", 1.0)
+    if kind in ("ml-quad", "ml-interp"):
+        if not 0.0 < q1 < 2.0:
+            derived = "" if "q1" in cfg else f" (the default p/(1-p) at p = {p})"
+            raise ConfigError(f"key 'q1': must lie in (0, 2), got {q1}{derived}")
+        if not alpha > 0.0:
+            raise ConfigError(f"key 'alpha': must be positive, got {alpha}")
     return StudyConfig(
         kind=kind,
         problem=problem,
@@ -190,8 +202,8 @@ def resolve_config(kind: str, cfg: dict, seed: int, budgets=None) -> StudyConfig
         r=_get_int(cfg, "r", 12),
         tau=_get_float(cfg, "tau", 3.0),
         K=_get_float(cfg, "K", 1.0),
-        q1=_get_float(cfg, "q1", p / (1.0 - p)),
-        alpha=_get_float(cfg, "alpha", 1.0),
+        q1=q1,
+        alpha=alpha,
         budgets=budgets,
         seed=seed,
         eps_grid=eps_grid,
@@ -200,11 +212,6 @@ def resolve_config(kind: str, cfg: dict, seed: int, budgets=None) -> StudyConfig
 
 
 # -- shared numerics --------------------------------------------------------
-
-def point_count(index_set: IndexSet) -> int:
-    """Distinct evaluation nodes of the Smolyak operators on the set."""
-    return evaluation_point_count(index_set)
-
 
 def bisect_epsilon(cost, budget: float, lo: float = 1e-30, hi: float = 1e6,
                    iters: int = 40) -> float:
@@ -307,7 +314,8 @@ def _reference_average(study: StudyConfig, target, dense_budget: int):
     if analytic_ok and mode in ("auto", "analytic"):
         return expected_qoi_oracle(problem, problem.qoi[1]), "analytic"
     ref_set = threshold_set_for_budget(study, 2, dense_budget)
-    return float(quadrature(ref_set, target)[0]), f"dense-{point_count(ref_set)}-points"
+    value = float(quadrature(ref_set, target)[0])
+    return value, f"dense-{evaluation_point_count(ref_set)}-points"
 
 
 def run_quad_study(study: StudyConfig, out_dir: Path, target=None,
@@ -331,7 +339,7 @@ def run_quad_study(study: StudyConfig, out_dir: Path, target=None,
     for selected in _study_sets(study, 2):
         if len(selected) == 0:
             continue
-        n = point_count(selected)
+        n = evaluation_point_count(selected)
         value = float(quadrature(selected, target)[0])
         err = abs(value - reference)
         ns.append(n)
@@ -356,9 +364,10 @@ def run_interp_study(study: StudyConfig, out_dir: Path) -> list:
             continue
         poly = interpolate(selected, target)
         err = reference.minus(poly).l2_norm()
-        rows.append([point_count(selected), err])
+        rows.append([evaluation_point_count(selected), err])
     write_csv(out_dir / "interp.csv", ("n_points", "l2_error"), rows)
-    write_meta(out_dir, study, {"reference": f"interpolant-{point_count(ref_set)}-points"})
+    label = f"interpolant-{evaluation_point_count(ref_set)}-points"
+    write_meta(out_dir, study, {"reference": label})
     return rows
 
 
@@ -414,7 +423,7 @@ def run_ml_study(study: StudyConfig, out_dir: Path, quantity: str) -> list:
     else:
         ref_set = threshold_set_for_budget(study, 1, 2048)
         reference = interpolate(ref_set, exact_map)
-        ref_label = f"interpolant-{point_count(ref_set)}-points"
+        ref_label = f"interpolant-{evaluation_point_count(ref_set)}-points"
 
     if study.eps_grid:
         family = study.weight_family(k)
@@ -461,18 +470,21 @@ def run_grf(study: StudyConfig, out_dir: Path) -> dict:
     cfg = study.raw
     kind = cfg.get("cov", "exponential")
     corr_length = _get_float(cfg, "corr_length", 1.0)
-    if kind == "exponential":
-        spec = CovarianceSpec.exponential(corr_length)
-    elif kind == "matern":
-        spec = CovarianceSpec.matern(corr_length, _get_float(cfg, "smoothness", 0.5))
-    else:
-        raise ConfigError(f"key 'cov': unknown covariance {kind!r}")
     m = _get_int(cfg, "grid_m", 64)
     ell = _get_float(cfg, "ell", 2.0)
     cutoff = None
     if "kappa" in cfg:
         cutoff = (_get_float(cfg, "kappa", 2.0), _get_int(cfg, "spline_order", 1))
-    plan = circulant_embed_1d(spec, m, ell, cutoff=cutoff)
+    try:
+        if kind == "exponential":
+            spec = CovarianceSpec.exponential(corr_length)
+        elif kind == "matern":
+            spec = CovarianceSpec.matern(corr_length, _get_float(cfg, "smoothness", 0.5))
+        else:
+            raise ConfigError(f"key 'cov': unknown covariance {kind!r}")
+        plan = circulant_embed_1d(spec, m, ell, cutoff=cutoff)
+    except ValueError as exc:
+        raise ConfigError(f"covariance or grid keys: {exc}") from exc
     if not plan.positive:
         suggested = 2.0 * ell
         raise HermgridError(
@@ -518,7 +530,7 @@ def run_bayes(study: StudyConfig, out_dir: Path) -> list:
         estimate = posterior_expectation(setup, phi, selected)
         rows.append([
             level,
-            point_count(selected),
+            evaluation_point_count(selected),
             float(estimate.mean[0]),
             abs(float(estimate.mean[0]) - 0.5),
             estimate.normalization,

@@ -37,12 +37,6 @@ def brownian_bridge_kl(n_modes: int, horizon: float, t, z) -> float:
 HAT_SCALE = 0.5
 
 
-def hat_function(s) -> np.ndarray:
-    """Triangular bump ``max(1 - 2|s - 1/2|, 0)`` supported on (0, 1)."""
-    s = np.asarray(s, dtype=np.float64)
-    return np.maximum(1.0 - 2.0 * np.abs(s - 0.5), 0.0)
-
-
 def levy_ciesielski(levels: int, t, z) -> float:
     """Piecewise-linear bridge value from dyadic hat contributions.
 
@@ -97,7 +91,6 @@ class CovarianceSpec:
     kind: str
     corr_length: float = 1.0
     smoothness: float = 0.5
-    evaluator: object = None
 
     @classmethod
     def exponential(cls, corr_length: float) -> "CovarianceSpec":
@@ -108,20 +101,10 @@ class CovarianceSpec:
         matern_cov(0.0, corr_length, smoothness)  # reject unsupported values now
         return cls("matern", corr_length, smoothness)
 
-    @classmethod
-    def custom(cls, evaluator) -> "CovarianceSpec":
-        if abs(float(evaluator(0.0)) - 1.0) > 1e-12:
-            raise ValueError("custom kernel must satisfy rho(0) = 1")
-        return cls("custom", evaluator=evaluator)
-
     def rho(self, x):
         if self.kind == "exponential":
             return matern_cov(x, self.corr_length, 0.5)
-        if self.kind == "matern":
-            return matern_cov(x, self.corr_length, self.smoothness)
-        x_arr = np.asarray(x, dtype=np.float64)
-        out = np.vectorize(self.evaluator, otypes=[np.float64])(x_arr)
-        return float(out) if np.ndim(x) == 0 else out
+        return matern_cov(x, self.corr_length, self.smoothness)
 
 
 def bspline_cutoff(t, kappa: float, order: int):

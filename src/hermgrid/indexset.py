@@ -84,13 +84,6 @@ class MultiIndex:
         mine = dict(self.entries)
         return all(mine.get(d, 0) >= e for d, e in other.entries)
 
-    def dense(self, length: int) -> np.ndarray:
-        out = np.zeros(length, dtype=np.int64)
-        for d, e in self.entries:
-            if d < length:
-                out[d] = e
-        return out
-
     def sort_key(self):
         return (self.order, self.entries)
 
@@ -109,9 +102,6 @@ class MultiIndex:
             dim, _, exp = token.partition(":")
             pairs.append((int(dim), int(exp)))
         return cls(tuple(sorted(pairs)))
-
-
-EMPTY_INDEX = MultiIndex()
 
 
 class IndexSet:
@@ -155,9 +145,6 @@ class IndexSet:
 
     def __repr__(self):
         return f"IndexSet({len(self._members)} members)"
-
-    def union(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(self._members | other._members)
 
     def to_lines(self) -> str:
         """One multi-index per line as space-separated dim:exp pairs."""

@@ -35,7 +35,6 @@ class RepresentationSystem:
     d_max: int
     decay: float = 0.0
     amplitude: float = 1.0
-    evaluator: object = None
 
     @classmethod
     def sin_decay(cls, decay: float, d_max: int) -> "RepresentationSystem":
@@ -54,12 +53,9 @@ class RepresentationSystem:
     @classmethod
     def blocks(cls, d_max: int, amplitude: float = 1.0) -> "RepresentationSystem":
         """Indicator blocks of an equispaced partition of (0, 1)."""
+        if amplitude <= 0:
+            raise ValueError("amplitude must be positive")
         return cls("blocks", d_max, amplitude=amplitude)
-
-    @classmethod
-    def custom(cls, evaluator, sup_norms) -> "RepresentationSystem":
-        sup = np.asarray(sup_norms, dtype=np.float64)
-        return cls("custom", sup.size, evaluator=(evaluator, sup))
 
     def basis_matrix(self, x) -> np.ndarray:
         """Values ``psi_j(x_i)`` with shape (len(x), d_max)."""
@@ -69,15 +65,9 @@ class RepresentationSystem:
             return np.sin(np.multiply.outer(x, j) * np.pi) * j ** (-self.decay)
         if self.kind == "constant":
             return np.full((x.size, 1), self.amplitude)
-        if self.kind == "blocks":
-            out = np.zeros((x.size, self.d_max))
-            idx = np.clip((x * self.d_max).astype(int), 0, self.d_max - 1)
-            out[np.arange(x.size), idx] = self.amplitude
-            return out
-        fn, _ = self.evaluator
-        out = np.empty((x.size, self.d_max))
-        for j in range(self.d_max):
-            out[:, j] = [fn(j, xi) for xi in x]
+        out = np.zeros((x.size, self.d_max))
+        idx = np.clip((x * self.d_max).astype(int), 0, self.d_max - 1)
+        out[np.arange(x.size), idx] = self.amplitude
         return out
 
     @property
@@ -85,9 +75,7 @@ class RepresentationSystem:
         """Per-mode uniform norms; the decay vector of the weight families."""
         if self.kind == "sin":
             return np.arange(1, self.d_max + 1, dtype=np.float64) ** (-self.decay)
-        if self.kind in ("constant", "blocks"):
-            return np.full(self.d_max, self.amplitude)
-        return self.evaluator[1]
+        return np.full(self.d_max, self.amplitude)
 
 
 def _f_one(x):

@@ -308,12 +308,3 @@ def build_level_index_set(
         raise ThresholdTooSmall(f"level-index set exceeded cap of {cap} pairs")
     pairs.sort(key=lambda kn: (kn[0], kn[1].sort_key()))
     return tuple(pairs)
-
-
-def build_level_index_set_even(
-    xi, sigma1, sigma2, q1, q2, alpha, d_max, cap=10_000_000
-) -> tuple:
-    """`build_level_index_set` restricted to all-even multi-indices."""
-    return build_level_index_set(
-        xi, sigma1, sigma2, q1, q2, alpha, d_max, cap=cap, even_only=True
-    )

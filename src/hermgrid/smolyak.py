@@ -18,25 +18,12 @@ from .hermite import MAX_LEVEL, gauss_hermite_rule, hermite_eval_all
 from .indexset import IndexSet, MultiIndex
 
 
-class CombinationExpansion:
-    """Nonzero signed coefficients of the telescoped tensor-operator sum."""
-
-    def __init__(self, terms: dict, source: IndexSet):
-        self.terms = dict(terms)
-        self.source = source
-
-    def __len__(self):
-        return len(self.terms)
-
-    def items_sorted(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-
-
-def combination_coeffs(index_set: IndexSet) -> CombinationExpansion:
+def combination_coeffs(index_set: IndexSet) -> dict:
     """Signed counts ``sum_{e in {0,1}^inf, nu+e in set} (-1)**|e|`` per member.
 
-    Terms with coefficient 0 are omitted.  Requires a nonempty downward
-    closed set (coefficients vanish automatically outside it).
+    Terms with coefficient 0 are omitted; the rest come in
+    `MultiIndex.sort_key` order.  Requires a nonempty downward closed set
+    (coefficients vanish automatically outside it).
     """
     _require_admissible(index_set)
     acc = {}
@@ -49,27 +36,8 @@ def combination_coeffs(index_set: IndexSet) -> CombinationExpansion:
                     nu = nu.decremented(dim)
             sign = -1 if sum(picks) % 2 else 1
             acc[nu] = acc.get(nu, 0) + sign
-    return CombinationExpansion(
-        {nu: c for nu, c in acc.items() if c != 0}, index_set
-    )
-
-
-class SparseGrid:
-    """Interpolation points of a Smolyak operator.
-
-    ``points`` is the union of all tensor grids of the generating set;
-    ``evaluation_points`` restricts the union to tensor grids with nonzero
-    combination coefficient, which is exactly where the operators evaluate
-    the target function (and what the point-count bound refers to).
-    """
-
-    def __init__(self, points, evaluation_points, provenance: IndexSet):
-        self.points = points
-        self.evaluation_points = evaluation_points
-        self.provenance = provenance
-
-    def __len__(self):
-        return len(self.points)
+    return {nu: acc[nu] for nu in sorted((nu for nu, c in acc.items() if c),
+                                         key=MultiIndex.sort_key)}
 
 
 def _require_admissible(index_set: IndexSet):
@@ -96,20 +64,28 @@ def _tensor_point_keys(entries):
     return keys
 
 
-def _key_to_vector(key, dim_count) -> np.ndarray:
-    y = np.zeros(max(dim_count, 1))
-    for d, v in key:
-        y[d] = v
-    return y
+def _grid(index_set: IndexSet):
+    """The signed terms of the Smolyak operators on the set and their nodes.
+
+    Returns `combination_coeffs`, each term's rows among the sorted
+    distinct nodes of the grids with nonzero coefficient (in the C order
+    of the term's tensor grid), and those nodes as an
+    ``(n, max(dimension, 1))`` array with inactive coordinates 0.
+    """
+    terms = combination_coeffs(index_set)
+    term_keys = [_tensor_point_keys(nu.entries) for nu in terms]
+    keys = sorted(set().union(*term_keys))
+    row = {key: i for i, key in enumerate(keys)}
+    nodes = np.zeros((len(keys), max(index_set.dimension(), 1)))
+    for i, key in enumerate(keys):
+        for d, v in key:
+            nodes[i, d] = v
+    return terms, [[row[key] for key in ks] for ks in term_keys], nodes
 
 
 def evaluation_point_count(index_set: IndexSet) -> int:
-    """Number of distinct nodes the operators evaluate on (cheap count)."""
-    expansion = combination_coeffs(index_set)
-    keys = set()
-    for nu in expansion.terms:
-        keys.update(_tensor_point_keys(nu.entries))
-    return len(keys)
+    """Number of distinct nodes the operators evaluate on."""
+    return len(_grid(index_set)[2])
 
 
 def largest_threshold_set(surrogate, budget: int, d_max: int) -> IndexSet:
@@ -168,23 +144,14 @@ def largest_threshold_set(surrogate, budget: int, d_max: int) -> IndexSet:
     return IndexSet(MultiIndex.from_exponents(m) for m in members[:best])
 
 
-def sparse_grid_points(index_set: IndexSet) -> SparseGrid:
-    """Distinct interpolation points generated by an index set."""
-    if len(index_set) == 0:
-        raise EmptyIndexSet("grid requires a nonempty index set")
-    expansion = combination_coeffs(index_set) if index_set.downward_closed else None
-    dim_count = index_set.dimension()
-    all_keys = {}
-    eval_keys = {}
-    for nu in index_set:
-        active = expansion is not None and nu in expansion.terms
-        for key in _tensor_point_keys(nu.entries):
-            all_keys.setdefault(key, None)
-            if active or expansion is None:
-                eval_keys.setdefault(key, None)
-    points = tuple(_key_to_vector(k, dim_count) for k in sorted(all_keys))
-    eval_points = tuple(_key_to_vector(k, dim_count) for k in sorted(eval_keys))
-    return SparseGrid(points, eval_points, index_set)
+def sparse_grid_points(index_set: IndexSet) -> np.ndarray:
+    """Evaluation points of the operators, one row per distinct node.
+
+    These are the nodes of the tensor grids with nonzero combination
+    coefficient, in the order `quadrature` and `interpolate` evaluate
+    them; `evaluation_point_count` is their number.
+    """
+    return _grid(index_set)[2]
 
 
 class HermitePolynomial:
@@ -206,9 +173,6 @@ class HermitePolynomial:
         if hit is None:
             return np.zeros(self.output_dim)
         return hit
-
-    def support(self) -> IndexSet:
-        return IndexSet(self.coefficients.keys())
 
     def items_sorted(self):
         return sorted(self.coefficients.items(), key=lambda kv: kv[0].sort_key())
@@ -238,11 +202,6 @@ class HermitePolynomial:
         for coeff in self.coefficients.values():
             total += float(np.dot(coeff, coeff))
         return np.sqrt(total)
-
-    def scaled(self, factor: float) -> "HermitePolynomial":
-        return HermitePolynomial(
-            {nu: factor * c for nu, c in self.coefficients.items()}, self.output_dim
-        )
 
     def plus(self, other: "HermitePolynomial", sign: float = 1.0) -> "HermitePolynomial":
         if other.output_dim != self.output_dim:
@@ -294,36 +253,12 @@ def _projection_matrix(level: int) -> np.ndarray:
     return (table * rule.weights[:, None]).T
 
 
-class _GridEvaluation:
-    """Shared per-operator evaluation cache: one call of u per distinct point."""
-
-    def __init__(self, index_set: IndexSet, u, dim_count=None):
-        _require_admissible(index_set)
-        self.expansion = combination_coeffs(index_set)
-        self.dim_count = index_set.dimension() if dim_count is None else dim_count
-        keys = {}
-        per_term_keys = {}
-        for nu, _ in self.expansion.items_sorted():
-            term_keys = _tensor_point_keys(nu.entries)
-            per_term_keys[nu] = term_keys
-            for key in term_keys:
-                keys.setdefault(key, None)
-        self.key_rows = {key: i for i, key in enumerate(sorted(keys))}
-        self.per_term_keys = per_term_keys
-        values = []
-        for key in sorted(keys):
-            val = np.atleast_1d(
-                np.asarray(u(_key_to_vector(key, self.dim_count)), dtype=np.float64)
-            )
-            values.append(val)
-        self.values = np.vstack(values) if values else np.zeros((0, 1))
-        self.output_dim = self.values.shape[1]
-
-    def value_tensor(self, nu: MultiIndex) -> np.ndarray:
-        """Values of u on the tensor grid of nu, shaped by local exponents."""
-        rows = [self.key_rows[key] for key in self.per_term_keys[nu]]
-        shape = tuple(exp + 1 for _, exp in nu.entries)
-        return self.values[rows].reshape(shape + (self.output_dim,))
+def _evaluate(index_set: IndexSet, u):
+    """`_grid` with the nodes replaced by the values of ``u`` on them, one
+    call of ``u`` per node, as an (n, outputs) array."""
+    terms, rows, nodes = _grid(index_set)
+    values = np.vstack([np.atleast_1d(np.asarray(u(y), dtype=np.float64)) for y in nodes])
+    return terms, rows, values
 
 
 def interpolate(index_set: IndexSet, u) -> HermitePolynomial:
@@ -332,15 +267,15 @@ def interpolate(index_set: IndexSet, u) -> HermitePolynomial:
     ``u`` maps a real parameter vector (length = active dimension count of
     the set, padded with zeros) to an output-space vector or scalar.
     """
-    grid = _GridEvaluation(index_set, u)
+    terms, rows, values = _evaluate(index_set, u)
     acc = {}
-    for nu, sigma in grid.expansion.items_sorted():
-        tensor = grid.value_tensor(nu)
+    for (nu, sigma), term_rows in zip(terms.items(), rows):
+        shape = tuple(exp + 1 for _, exp in nu.entries)
+        tensor = values[term_rows].reshape(shape + values.shape[1:])
         for axis, (_, exp) in enumerate(nu.entries):
             proj = _projection_matrix(exp)
             tensor = np.moveaxis(np.tensordot(proj, tensor, axes=(1, axis)), 0, axis)
         dims = nu.support
-        shape = tensor.shape[:-1]
         for local in np.ndindex(*shape):
             mu = MultiIndex(
                 tuple((d, int(e)) for d, e in zip(dims, local) if e != 0)
@@ -350,12 +285,7 @@ def interpolate(index_set: IndexSet, u) -> HermitePolynomial:
                 acc[mu] = acc[mu] + contrib
             else:
                 acc[mu] = contrib.copy()
-    return HermitePolynomial(acc, grid.output_dim)
-
-
-def interpolant_eval(poly: HermitePolynomial, y) -> np.ndarray:
-    """Evaluate an interpolant at a parameter vector."""
-    return poly.eval(y)
+    return HermitePolynomial(acc, values.shape[1])
 
 
 def quadrature(index_set: IndexSet, u) -> np.ndarray:
@@ -365,17 +295,11 @@ def quadrature(index_set: IndexSet, u) -> np.ndarray:
     exact for monomials whose index lies in the set or carries no exponent
     equal to 1.
     """
-    grid = _GridEvaluation(index_set, u)
-    out = np.zeros(grid.output_dim)
-    for nu, sigma in grid.expansion.items_sorted():
-        tensor = grid.value_tensor(nu)
-        flat = tensor.reshape(-1, grid.output_dim)
+    terms, rows, values = _evaluate(index_set, u)
+    out = np.zeros(values.shape[1])
+    for (nu, sigma), term_rows in zip(terms.items(), rows):
         w = np.ones(1)
         for _, exp in nu.entries:
             w = np.multiply.outer(w, gauss_hermite_rule(exp).weights).ravel()
-        out += sigma * (w @ flat)
+        out += sigma * (w @ values[term_rows])
     return out
-
-
-def l2_norm(poly: HermitePolynomial) -> float:
-    return poly.l2_norm()

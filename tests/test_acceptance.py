@@ -19,7 +19,7 @@ import pytest
 import hermgrid as hg
 from hermgrid.cli import (
     main,
-    point_count,
+    evaluation_point_count,
     resolve_config,
     run_quad_study,
     _ml_allocation_for_budget,
@@ -223,7 +223,7 @@ def test_criterion_07_analytic_quadrature_convergence():
     points_used = None
     for level in range(15):
         selected = ladder(level)
-        points_used = point_count(selected)
+        points_used = evaluation_point_count(selected)
         if points_used > 15:
             break
         error = abs(float(hg.quadrature(selected, target)[0]) - reference)
@@ -295,7 +295,7 @@ def test_criterion_09_multilevel_vs_single_level(tmp_path):
             if len(selected) == 0:
                 return 0
             try:
-                return point_count(selected) * per_node
+                return evaluation_point_count(selected) * per_node
             except LevelTooLarge:
                 return math.inf
 

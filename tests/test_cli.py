@@ -12,11 +12,11 @@ from hermgrid.cli import (
     _ml_allocation_for_budget,
     bisect_epsilon,
     build_problem,
+    evaluation_point_count,
     fit_rate,
     main,
     ml_work_cost,
     parse_config,
-    point_count,
     resolve_config,
     run_bayes,
     run_grf,
@@ -141,7 +141,7 @@ class TestHelpers:
         study = resolve_config("quad", {"system": "sindecay", "d_max": "4"}, 0)
         for budget in (10, 50, 200):
             selected = threshold_set_for_budget(study, 2, budget)
-            assert point_count(selected) <= budget
+            assert evaluation_point_count(selected) <= budget
 
 
 def sin_study(**overrides):
@@ -395,6 +395,37 @@ class TestMainEntry:
         assert main(["grf", "--out", str(out), f"--budgets={count}"]) == 2
         assert "at least one sample" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("kind, text, named", [
+        ("ml-quad", "q1 = 3\n", "key 'q1'"),
+        ("ml-interp", "q1 = 0\n", "key 'q1'"),
+        ("ml-quad", "p = 0.7\n", "key 'q1'"),
+        ("ml-quad", "alpha = -1\n", "key 'alpha'"),
+        ("ml-interp", "alpha = 0\n", "key 'alpha'"),
+        ("quad", "system = sindecay\nr_decay = 1\n", "key 'r_decay'"),
+        ("quad", "system = constant:-1\n", "key 'system'"),
+        ("quad", "system = constant:abc\n", "key 'system'"),
+        ("quad", "system = blocks:0\n", "key 'system'"),
+        ("grf", "ell = 0.3\n", "2 * ell * m"),
+        ("grf", "grid_m = 0\n", "grid size m"),
+        ("grf", "corr_length = -1\n", "correlation length"),
+        ("grf", "kappa = 0.5\n", "kappa"),
+    ], ids=["q1-3", "q1-0", "p-0.7", "alpha-neg", "alpha-0", "r_decay-1", "constant-neg",
+            "constant-abc", "blocks-0", "ell-0.3", "grid_m-0", "corr_length-neg",
+            "kappa-0.5"])
+    def test_rejected_values_are_config_errors(self, tmp_path, capsys, kind, text, named):
+        cfg = write_cfg(tmp_path, text)
+        assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--budgets", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and named in err
+
+    @pytest.mark.parametrize("text", ["p = 0.7\n", "q1 = 3\n", "alpha = -1\n"],
+                             ids=["p-0.7", "q1-3", "alpha-neg"])
+    def test_quad_ignores_multilevel_keys(self, tmp_path, text):
+        cfg = write_cfg(tmp_path, CONSTANT_CFG + text)
+        assert main(["quad", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--budgets", "3,5"]) == 0
 
     def test_n_cells_is_unknown_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SIN_CFG + "n_cells = 64\n")

@@ -12,7 +12,6 @@ from hermgrid.multilevel import (
     MemberTable,
     WorkSequence,
     build_level_index_set,
-    build_level_index_set_even,
     construct_levels,
     default_work_sequence,
     gamma_sets,
@@ -292,7 +291,7 @@ class TestLevelIndexSets:
 
     def test_even_restriction(self):
         sigma = lambda nu: 2.0 ** nu.order
-        got = build_level_index_set_even(8.0, sigma, sigma, 1.0, 1.0, 0.4, 1)
+        got = build_level_index_set(8.0, sigma, sigma, 1.0, 1.0, 0.4, 1, even_only=True)
         assert all(all(e % 2 == 0 for _, e in nu.entries) for _, nu in got)
         expected = {(k, e) for k in range(4) for e in (0, 2) if 2.0 ** k * 2.0 ** e <= 8.0}
         assert {(k, nu.exponent(0)) for k, nu in got} == expected

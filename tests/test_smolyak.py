@@ -15,9 +15,7 @@ from hermgrid.smolyak import (
     HermitePolynomial,
     combination_coeffs,
     evaluation_point_count,
-    interpolant_eval,
     interpolate,
-    l2_norm,
     largest_threshold_set,
     quadrature,
     sparse_grid_points,
@@ -46,23 +44,23 @@ def ladder(n, dim=0):
 
 class TestCombination:
     def test_single_member(self):
-        terms = combination_coeffs(IndexSet([MultiIndex()])).terms
+        terms = combination_coeffs(IndexSet([MultiIndex()]))
         assert terms == {MultiIndex(): 1}
 
     def test_univariate_ladder_telescopes(self):
-        terms = combination_coeffs(ladder(2)).terms
+        terms = combination_coeffs(ladder(2))
         assert terms == {mi({0: 2}): 1}
 
     def test_cross(self):
         lam = IndexSet([MultiIndex(), mi({0: 1}), mi({1: 1})])
-        terms = combination_coeffs(lam).terms
+        terms = combination_coeffs(lam)
         assert terms == {MultiIndex(): -1, mi({0: 1}): 1, mi({1: 1}): 1}
 
     def test_coefficients_sum_to_one(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             lam = random_downward_closed(rng, 3, 20)
-            assert sum(combination_coeffs(lam).terms.values()) == 1
+            assert sum(combination_coeffs(lam).values()) == 1
 
     def test_requires_downward_closed_nonempty(self):
         with pytest.raises(NotDownwardClosed):
@@ -74,27 +72,64 @@ class TestCombination:
 class TestSparseGrid:
     def test_origin_only(self):
         grid = sparse_grid_points(IndexSet([MultiIndex()]))
-        assert len(grid.points) == 1
-        np.testing.assert_array_equal(grid.points[0], [0.0])
+        np.testing.assert_array_equal(grid, [[0.0]])
 
-    def test_union_vs_evaluation_points(self):
+    def test_evaluation_points_skip_cancelled_grids(self):
+        # the level-0 grid {0} cancels in {0, 1}; ladder(2) keeps only level 2
         grid = sparse_grid_points(ladder(1))
-        assert sorted(float(p[0]) for p in grid.points) == pytest.approx([-1.0, 0.0, 1.0])
-        assert sorted(float(p[0]) for p in grid.evaluation_points) == pytest.approx([-1.0, 1.0])
-
-    def test_five_point_union(self):
+        assert grid.shape == (2, 1)
+        assert sorted(float(p[0]) for p in grid) == pytest.approx([-1.0, 1.0])
         grid = sparse_grid_points(ladder(2))
-        got = sorted(float(p[0]) for p in grid.points)
-        expected = sorted([0.0, -1.0, 1.0, -np.sqrt(3), np.sqrt(3)])
-        np.testing.assert_allclose(got, expected, atol=1e-14)
+        np.testing.assert_allclose(sorted(grid[:, 0]), [-np.sqrt(3), 0.0, np.sqrt(3)],
+                                   atol=1e-14)
 
     def test_point_count_bound(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             lam = random_downward_closed(rng, 3, 20)
-            expansion = combination_coeffs(lam)
-            bound = sum(degree_weight(nu, 1.0, 1.0) for nu in expansion.terms)
+            bound = sum(degree_weight(nu, 1.0, 1.0) for nu in combination_coeffs(lam))
             assert evaluation_point_count(lam) <= bound + 1e-9
+
+    def test_nodes_are_the_distinct_nodes_of_the_signed_grids(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            lam = random_downward_closed(rng, 3, 20)
+            nodes = sparse_grid_points(lam)
+            expected = set()
+            for nu in combination_coeffs(lam):
+                rules = [gauss_hermite_rule(e).nodes for _, e in nu.entries]
+                for combo in itertools.product(*rules):
+                    point = np.zeros(nodes.shape[1])
+                    point[list(nu.support)] = combo
+                    expected.add(tuple(point))
+            assert len(nodes) == len(expected) == evaluation_point_count(lam)
+            assert {tuple(row) for row in nodes} == expected
+
+    @pytest.mark.parametrize("operator", [quadrature, interpolate])
+    def test_one_call_per_node_in_row_order(self, operator):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            lam = random_downward_closed(rng, 3, 20)
+            calls = []
+
+            def u(y):
+                calls.append(np.array(y))
+                return float(np.sum(y))
+
+            operator(lam, u)
+            assert len(calls) == evaluation_point_count(lam)
+            np.testing.assert_array_equal(np.array(calls), sparse_grid_points(lam))
+
+    def test_terms_in_sort_key_order_without_zeros(self):
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            terms = combination_coeffs(random_downward_closed(rng, 3, 20))
+            keys = [nu.sort_key() for nu in terms]
+            assert keys == sorted(keys) and 0 not in terms.values()
+
+    def test_points_require_downward_closed(self):
+        with pytest.raises(NotDownwardClosed):
+            sparse_grid_points(IndexSet([MultiIndex(), mi({0: 1, 1: 1})]))
 
 
 def sindecay_surrogate(d_max):
@@ -165,7 +200,7 @@ class TestInterpolate:
         assert poly.coefficient(MultiIndex())[0] == pytest.approx(1.0, abs=1e-12)
         assert poly.coefficient(mi({0: 2}))[0] == pytest.approx(np.sqrt(2), rel=1e-12)
         assert abs(poly.coefficient(mi({0: 1}))[0]) < 1e-14
-        assert interpolant_eval(poly, [2.0])[0] == pytest.approx(4.0, rel=1e-12)
+        assert poly.eval([2.0])[0] == pytest.approx(4.0, rel=1e-12)
 
     def test_truncation_error_against_dense_quadrature(self):
         # distance of H_3 to its degree-2 interpolant, measured two ways
@@ -191,7 +226,7 @@ class TestInterpolate:
         for _ in range(20):
             y = rng.uniform(-3, 3, 2)
             direct = 0.0
-            for nu, sigma in expansion.terms.items():
+            for nu, sigma in expansion.items():
                 axes = [gauss_hermite_rule(e).nodes for _, e in nu.entries]
                 term = 0.0
                 for combo in itertools.product(*[range(a.size) for a in axes]):
@@ -230,16 +265,16 @@ class TestInterpolate:
         )
         np.testing.assert_allclose(poly.eval([1.5]), [2.25, 2.0], rtol=1e-12)
 
-    def test_interpolant_eval_examples(self):
-        assert interpolant_eval(
-            HermitePolynomial({MultiIndex(): np.array([2.5])}, 1), [9.9]
+    def test_eval_examples(self):
+        assert HermitePolynomial({MultiIndex(): np.array([2.5])}, 1).eval(
+            [9.9]
         )[0] == pytest.approx(2.5)
         poly = HermitePolynomial(
             {mi({0: 2}): np.array([np.sqrt(2)]), MultiIndex(): np.array([1.0])}, 1
         )
-        assert interpolant_eval(poly, [2.0])[0] == pytest.approx(4.0)
+        assert poly.eval([2.0])[0] == pytest.approx(4.0)
         lin = HermitePolynomial({mi({0: 1}): np.array([1.0])}, 1)
-        assert interpolant_eval(lin, [-1.5])[0] == pytest.approx(-1.5)
+        assert lin.eval([-1.5])[0] == pytest.approx(-1.5)
 
 
 class TestQuadrature:
@@ -277,12 +312,12 @@ class TestQuadrature:
 
 class TestNorms:
     def test_examples(self):
-        assert l2_norm(HermitePolynomial({MultiIndex(): np.array([3.0])}, 1)) == 3.0
+        assert HermitePolynomial({MultiIndex(): np.array([3.0])}, 1).l2_norm() == 3.0
         poly = HermitePolynomial(
             {MultiIndex(): np.array([1.0]), mi({0: 2}): np.array([np.sqrt(2)])}, 1
         )
-        assert l2_norm(poly) == pytest.approx(np.sqrt(3.0), rel=1e-14)
-        assert l2_norm(zero_polynomial()) == 0.0
+        assert poly.l2_norm() == pytest.approx(np.sqrt(3.0), rel=1e-14)
+        assert zero_polynomial().l2_norm() == 0.0
 
     def test_interpolant_norm_bounded_by_degree_weight(self):
         rng = np.random.default_rng(41)
