@@ -12,6 +12,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
     EmptyAllocation,
     HermgridError,
     ThresholdTooSmall,
+    UnsupportedSmoothness,
 )
 from .grf import CovarianceSpec, circulant_embed_1d, sample_grf
 from .hermite import MAX_LEVEL
@@ -42,6 +44,7 @@ from .multilevel import (
     ml_quadrature,
     work,
 )
+from .smolyak import _shared
 from .smolyak import evaluation_point_count, interpolate, largest_threshold_set, quadrature
 
 _PROBLEM_KEYS = {"system", "r_decay", "d_max", "f", "qoi", "x0"}
@@ -104,6 +107,8 @@ def build_problem(cfg: dict) -> ModelProblem1D:
     system_spec = cfg.get("system", "constant:0.5")
     name, _, arg = system_spec.partition(":")
     d_max = _get_int(cfg, "d_max", 16)
+    if d_max < 1 and name in ("sindecay", "blocks"):
+        raise ConfigError(f"key 'd_max': must be at least 1, got {d_max}")
     try:
         if name == "constant":
             system = RepresentationSystem.constant_mode(float(arg) if arg else 0.5)
@@ -149,11 +154,14 @@ class StudyConfig:
     def weight_family(self, k: int) -> WeightFamily:
         b = self.problem.system.sup_norms
         xi = self.xi
-        if xi == 0.0:
-            norm_p = float(np.sum(b ** self.p)) ** (1.0 / self.p)
-            xi = 4.0 * math.sqrt(math.factorial(self.r)) * norm_p
-        return WeightFamily(b=b, p=self.p, xi=xi, r=self.r, tau=self.tau,
-                            k=k, K=self.K)
+        try:
+            if xi == 0.0:
+                norm_p = float(np.sum(b ** self.p)) ** (1.0 / self.p)
+                xi = 4.0 * math.sqrt(math.factorial(self.r)) * norm_p
+            return WeightFamily(b=b, p=self.p, xi=xi, r=self.r, tau=self.tau,
+                                k=k, K=self.K)
+        except ValueError as exc:
+            raise ConfigError(f"weight keys r, tau, K, xi: {exc}") from exc
 
 
 def resolve_config(kind: str, cfg: dict, seed: int, budgets=None) -> StudyConfig:
@@ -330,6 +338,7 @@ def run_quad_study(study: StudyConfig, out_dir: Path, target=None,
     problem = study.problem
     if target is None:
         target = as_parametric_map(problem, ("exact",))
+    target = _shared(target)  # one value per node for the reference and every row
     if reference is not None:
         ref_label = "caller-supplied"
     else:
@@ -355,7 +364,7 @@ def run_quad_study(study: StudyConfig, out_dir: Path, target=None,
 def run_interp_study(study: StudyConfig, out_dir: Path) -> list:
     """Single-level interpolation error (Gaussian L2, via coefficients)."""
     problem = study.problem
-    target = as_parametric_map(problem, ("exact",))
+    target = _shared(as_parametric_map(problem, ("exact",)))
     ref_set = threshold_set_for_budget(study, 1, 4 * study.budgets[-1])
     reference = interpolate(ref_set, target)
     rows = []
@@ -441,11 +450,11 @@ def run_ml_study(study: StudyConfig, out_dir: Path, quantity: str) -> list:
         pairs = [_ml_allocation_for_budget(study, k, budget)
                  for budget in study.budgets]
     rows = []
+    fem = cache(lambda cells: _shared(as_parametric_map(problem, ("fem", cells))))
     for alloc, sw in pairs:
         if alloc is None or alloc.max_level == 0:
             continue
-        levels = [as_parametric_map(problem, ("fem", sw.values[j]))
-                  for j in range(1, alloc.max_level + 1)]
+        levels = [fem(cells) for cells in sw.values[1:alloc.max_level + 1]]
         spent = work(alloc)
         if quantity == "quad":
             value = float(ml_quadrature(alloc, levels)[0])
@@ -483,7 +492,7 @@ def run_grf(study: StudyConfig, out_dir: Path) -> dict:
         else:
             raise ConfigError(f"key 'cov': unknown covariance {kind!r}")
         plan = circulant_embed_1d(spec, m, ell, cutoff=cutoff)
-    except ValueError as exc:
+    except (ValueError, UnsupportedSmoothness) as exc:
         raise ConfigError(f"covariance or grid keys: {exc}") from exc
     if not plan.positive:
         suggested = 2.0 * ell

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import EmptyAllocation, ThresholdTooSmall
 from .indexset import IndexSet, MultiIndex, build_threshold_set
-from .smolyak import HermitePolynomial, interpolate, quadrature, zero_polynomial
+from .smolyak import HermitePolynomial, _shared, interpolate, quadrature, zero_polynomial
 
 
 @dataclass(frozen=True)
@@ -203,8 +203,8 @@ def work_level_major(allocation: LevelAllocation) -> int:
 def ml_interpolate(allocation: LevelAllocation, u_levels) -> HermitePolynomial:
     """Telescoped multilevel interpolant over the allocation's nested sets.
 
-    ``u_levels[j-1]`` is the level-j approximation of the target map; the
-    term for the empty set above the top level is the zero operator.
+    ``u_levels[j-1]``, the level-j approximation of the target map, is called
+    once per node of its two sets; the empty set above the top level is 0.
     """
     top = allocation.max_level
     if top == 0:
@@ -214,16 +214,17 @@ def ml_interpolate(allocation: LevelAllocation, u_levels) -> HermitePolynomial:
     gammas = gamma_sets(allocation)
     result = None
     for j in range(1, top + 1):
-        term = interpolate(gammas[j - 1], u_levels[j - 1])
+        u = _shared(u_levels[j - 1])
+        term = interpolate(gammas[j - 1], u)
         if j < top and len(gammas[j]) > 0:
-            term = term.minus(interpolate(gammas[j], u_levels[j - 1]))
+            term = term.minus(interpolate(gammas[j], u))
         result = term if result is None else result.plus(term)
     return result
 
 
 def ml_quadrature(allocation: LevelAllocation, u_levels) -> np.ndarray:
     """Telescoped multilevel quadrature; matches the constant coefficient of
-    `ml_interpolate` on the same inputs."""
+    `ml_interpolate` on the same inputs and calls each level map as often."""
     top = allocation.max_level
     if top == 0:
         return np.zeros(1)
@@ -232,9 +233,10 @@ def ml_quadrature(allocation: LevelAllocation, u_levels) -> np.ndarray:
     gammas = gamma_sets(allocation)
     result = None
     for j in range(1, top + 1):
-        term = quadrature(gammas[j - 1], u_levels[j - 1])
+        u = _shared(u_levels[j - 1])
+        term = quadrature(gammas[j - 1], u)
         if j < top and len(gammas[j]) > 0:
-            term = term - quadrature(gammas[j], u_levels[j - 1])
+            term = term - quadrature(gammas[j], u)
         result = term if result is None else result + term
     return result
 

@@ -5,15 +5,23 @@ Gauss-Hermite interpolants and stored in the tensor Hermite basis, so the
 Gaussian-weighted L2 norm of any interpolant is the Euclidean norm of its
 coefficients.  Quadrature is the weighted node sum with the same signed
 combination (equivalently the constant coefficient of the interpolant).
+
+A nonzero Gauss-Hermite node is fixed by (dim, level, index), and the
+level-l rule holds 0 exactly when l is even.  So grid nu holds the node
+patterns (S, nu|_S), S every odd-exponent dimension of supp nu plus any
+subset of the even ones; the distinct-node count sums, over the distinct
+patterns of the grids with nonzero coefficient, prod_{j in S} (nu_j + 1 -
+[nu_j even]).  The studies evaluate each map once per node and fidelity.
 """
 
 import heapq
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyIndexSet, NotDownwardClosed
+from .errors import EmptyIndexSet, LevelTooLarge, NotDownwardClosed
 from .hermite import MAX_LEVEL, gauss_hermite_rule, hermite_eval_all
 from .indexset import IndexSet, MultiIndex
 
@@ -28,16 +36,12 @@ def combination_coeffs(index_set: IndexSet) -> dict:
     _require_admissible(index_set)
     acc = {}
     for mu in index_set:
-        support = mu.support
-        for picks in itertools.product((0, 1), repeat=len(support)):
-            nu = mu
-            for dim, used in zip(support, picks):
-                if used:
-                    nu = nu.decremented(dim)
-            sign = -1 if sum(picks) % 2 else 1
-            acc[nu] = acc.get(nu, 0) + sign
-    return {nu: acc[nu] for nu in sorted((nu for nu, c in acc.items() if c),
-                                         key=MultiIndex.sort_key)}
+        for picks in itertools.product((0, 1), repeat=len(mu.entries)):
+            nu = tuple((d, e - used) for (d, e), used in zip(mu.entries, picks) if e - used)
+            acc[nu] = acc.get(nu, 0) + (-1 if sum(picks) % 2 else 1)
+    terms = sorted((nu for nu, c in acc.items() if c),
+                   key=lambda nu: (sum(e for _, e in nu), nu))
+    return {MultiIndex(nu): acc[nu] for nu in terms}
 
 
 def _require_admissible(index_set: IndexSet):
@@ -47,45 +51,34 @@ def _require_admissible(index_set: IndexSet):
         raise NotDownwardClosed("operator requires a downward closed index set")
 
 
-def _tensor_point_keys(entries):
-    """Keys of a tensor grid: sorted (dim, node) pairs, zeros dropped.
-
-    ``entries`` are the (dim, exp) pairs of the multi-index.  Nodes come
-    from the shared per-level rule cache, so equal nodes across
-    multi-indices are bitwise identical and deduplicate exactly.
-    """
-    axes = []
-    for dim, exp in entries:
-        nodes = gauss_hermite_rule(exp).nodes
-        axes.append([(dim, float(v)) for v in nodes])
-    keys = []
-    for combo in itertools.product(*axes):
-        keys.append(tuple((d, v) for d, v in combo if v != 0.0))
-    return keys
+def _tensor_nodes(nu: MultiIndex, width: int) -> np.ndarray:
+    """Nodes of the tensor grid of ``nu`` in C order, ``width`` coordinates a
+    row (inactive ones 0), bitwise equal across grids: rules come from one cache."""
+    axes = [gauss_hermite_rule(e).nodes.tolist() for _, e in nu.entries]
+    nodes = np.zeros((math.prod(map(len, axes)), width))
+    nodes[:, list(nu.support)] = list(itertools.product(*axes))
+    return nodes
 
 
-def _grid(index_set: IndexSet):
-    """The signed terms of the Smolyak operators on the set and their nodes.
+def _patterns(entries):
+    """Node patterns of the tensor grid with these (dim, exp) entries: the
+    (dim, level) pairs of a node's nonzero coordinates, that is every odd
+    entry plus any subset of the even ones."""
+    choices = [((d, e),) if e % 2 else ((d, e), None) for d, e in entries]
+    return [tuple(p for p in combo if p) for combo in itertools.product(*choices)]
 
-    Returns `combination_coeffs`, each term's rows among the sorted
-    distinct nodes of the grids with nonzero coefficient (in the C order
-    of the term's tensor grid), and those nodes as an
-    ``(n, max(dimension, 1))`` array with inactive coordinates 0.
-    """
-    terms = combination_coeffs(index_set)
-    term_keys = [_tensor_point_keys(nu.entries) for nu in terms]
-    keys = sorted(set().union(*term_keys))
-    row = {key: i for i, key in enumerate(keys)}
-    nodes = np.zeros((len(keys), max(index_set.dimension(), 1)))
-    for i, key in enumerate(keys):
-        for d, v in key:
-            nodes[i, d] = v
-    return terms, [[row[key] for key in ks] for ks in term_keys], nodes
+
+def _pattern_size(pattern) -> int:
+    """Number of nodes with this pattern: the nonzero nodes of each level."""
+    return math.prod(e + e % 2 for _, e in pattern)
 
 
 def evaluation_point_count(index_set: IndexSet) -> int:
-    """Number of distinct nodes the operators evaluate on."""
-    return len(_grid(index_set)[2])
+    """Number of distinct nodes the operators evaluate on, counted by pattern."""
+    terms = combination_coeffs(index_set)
+    if any(e > MAX_LEVEL for nu in terms for _, e in nu.entries):
+        raise LevelTooLarge(f"an exponent exceeds the configured maximum level {MAX_LEVEL}")
+    return sum(map(_pattern_size, set().union(*(_patterns(nu.entries) for nu in terms))))
 
 
 def largest_threshold_set(surrogate, budget: int, d_max: int) -> IndexSet:
@@ -94,7 +87,7 @@ def largest_threshold_set(surrogate, budget: int, d_max: int) -> IndexSet:
     Walks the nested threshold family once, best-first in increasing
     surrogate value (a child enters the heap once all its backward
     neighbours are in), and keeps the combination coefficients and a
-    reference count of the evaluation-node keys up to date, so the node
+    reference count of the grids' node patterns up to date, so the node
     count of every prefix equals `evaluation_point_count`.  Values within a
     relative 1e-12 of a group's first value, and tied children pushed
     meanwhile, join that group; only group boundaries are candidate sets.
@@ -104,16 +97,8 @@ def largest_threshold_set(surrogate, budget: int, d_max: int) -> IndexSet:
     """
     origin = (0,) * d_max
     heap = [(surrogate(MultiIndex()), origin)]
-    members, coeffs, nodes = [], {}, {}
-    best = 0
-
-    def count_nodes(mu, step):
-        for key in _tensor_point_keys([(j, e) for j, e in enumerate(mu) if e]):
-            total = nodes.get(key, 0) + step
-            if total:
-                nodes[key] = total
-            else:
-                del nodes[key]
+    members, coeffs, patterns = [], {}, {}
+    nodes = best = 0
 
     while heap and len(members) <= budget:
         bound = heap[0][0] * (1.0 + 1e-12)
@@ -131,7 +116,12 @@ def largest_threshold_set(surrogate, budget: int, d_max: int) -> IndexSet:
                 old = coeffs.get(mu, 0)
                 coeffs[mu] = new = old + (-1) ** sum(picks)
                 if not old or not new:
-                    count_nodes(mu, 1 if new else -1)
+                    step = 1 if new else -1
+                    for p in _patterns([(j, e) for j, e in enumerate(mu) if e]):
+                        refs = patterns.get(p, 0)
+                        patterns[p] = refs + step
+                        if not refs or not refs + step:  # the pattern came or went
+                            nodes += step * _pattern_size(p)
             for j in range(d_max):
                 child = nu[:j] + (nu[j] + 1,) + nu[j + 1:]
                 if all(child[:i] + (child[i] - 1,) + child[i + 1:] in coeffs
@@ -139,7 +129,7 @@ def largest_threshold_set(surrogate, budget: int, d_max: int) -> IndexSet:
                     heapq.heappush(
                         heap, (surrogate(MultiIndex.from_exponents(child)), child)
                     )
-        if len(nodes) <= budget:
+        if nodes <= budget:
             best = len(members)
     return IndexSet(MultiIndex.from_exponents(m) for m in members[:best])
 
@@ -148,10 +138,17 @@ def sparse_grid_points(index_set: IndexSet) -> np.ndarray:
     """Evaluation points of the operators, one row per distinct node.
 
     These are the nodes of the tensor grids with nonzero combination
-    coefficient, in the order `quadrature` and `interpolate` evaluate
+    coefficient, in the order `quadrature` and `interpolate` first evaluate
     them; `evaluation_point_count` is their number.
     """
-    return _grid(index_set)[2]
+    points = []
+
+    def record(y):
+        points.append(y)
+        return 0.0
+
+    _evaluate(index_set, record)
+    return np.array(points)
 
 
 class HermitePolynomial:
@@ -253,12 +250,29 @@ def _projection_matrix(level: int) -> np.ndarray:
     return (table * rule.weights[:, None]).T
 
 
+def _shared(u):
+    """``u`` as a float array, called once per distinct node: values are kept
+    by the node's nonzero (dim, coordinate) pairs, whatever the padding."""
+    values = {}
+
+    def shared(y):
+        key = tuple((j, v) for j, v in enumerate(y.tolist()) if v)
+        hit = values.get(key)
+        if hit is None:
+            hit = values[key] = np.atleast_1d(np.asarray(u(y), dtype=np.float64))
+        return hit
+
+    return shared
+
+
 def _evaluate(index_set: IndexSet, u):
-    """`_grid` with the nodes replaced by the values of ``u`` on them, one
-    call of ``u`` per node, as an (n, outputs) array."""
-    terms, rows, nodes = _grid(index_set)
-    values = np.vstack([np.atleast_1d(np.asarray(u(y), dtype=np.float64)) for y in nodes])
-    return terms, rows, values
+    """The signed terms of the operators on the set (`combination_coeffs`)
+    and the values of ``u`` on each term's tensor grid in C order, one
+    (nodes, outputs) array a term; ``u`` is called once per distinct node."""
+    terms = combination_coeffs(index_set)
+    width = max(index_set.dimension(), 1)
+    u = _shared(u)
+    return terms, [np.vstack([u(y) for y in _tensor_nodes(nu, width)]) for nu in terms]
 
 
 def interpolate(index_set: IndexSet, u) -> HermitePolynomial:
@@ -267,11 +281,11 @@ def interpolate(index_set: IndexSet, u) -> HermitePolynomial:
     ``u`` maps a real parameter vector (length = active dimension count of
     the set, padded with zeros) to an output-space vector or scalar.
     """
-    terms, rows, values = _evaluate(index_set, u)
+    terms, values = _evaluate(index_set, u)
     acc = {}
-    for (nu, sigma), term_rows in zip(terms.items(), rows):
+    for (nu, sigma), term_values in zip(terms.items(), values):
         shape = tuple(exp + 1 for _, exp in nu.entries)
-        tensor = values[term_rows].reshape(shape + values.shape[1:])
+        tensor = term_values.reshape(shape + term_values.shape[1:])
         for axis, (_, exp) in enumerate(nu.entries):
             proj = _projection_matrix(exp)
             tensor = np.moveaxis(np.tensordot(proj, tensor, axes=(1, axis)), 0, axis)
@@ -285,7 +299,7 @@ def interpolate(index_set: IndexSet, u) -> HermitePolynomial:
                 acc[mu] = acc[mu] + contrib
             else:
                 acc[mu] = contrib.copy()
-    return HermitePolynomial(acc, values.shape[1])
+    return HermitePolynomial(acc, values[0].shape[1])
 
 
 def quadrature(index_set: IndexSet, u) -> np.ndarray:
@@ -295,11 +309,11 @@ def quadrature(index_set: IndexSet, u) -> np.ndarray:
     exact for monomials whose index lies in the set or carries no exponent
     equal to 1.
     """
-    terms, rows, values = _evaluate(index_set, u)
-    out = np.zeros(values.shape[1])
-    for (nu, sigma), term_rows in zip(terms.items(), rows):
+    terms, values = _evaluate(index_set, u)
+    out = np.zeros(values[0].shape[1])
+    for (nu, sigma), term_values in zip(terms.items(), values):
         w = np.ones(1)
         for _, exp in nu.entries:
             w = np.multiply.outer(w, gauss_hermite_rule(exp).weights).ravel()
-        out += sigma * (w @ values[term_rows])
+        out += sigma * (w @ term_values)
     return out

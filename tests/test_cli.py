@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermgrid import cli
 from hermgrid.cli import (
     _ml_allocation_for_budget,
     bisect_epsilon,
@@ -27,8 +28,9 @@ from hermgrid.cli import (
 )
 from hermgrid.errors import ConfigError
 from hermgrid.indexset import MultiIndex, surrogate_weight
-from hermgrid.model import ParametricMapFn
+from hermgrid.model import ParametricMapFn, as_parametric_map
 from hermgrid.multilevel import construct_levels, default_work_sequence, work
+from hermgrid.smolyak import sparse_grid_points
 
 from util import bisection_ml_allocation, ml_work_oracle, random_product_surrogate
 
@@ -334,6 +336,48 @@ class TestMlStudy:
         assert sum(b < a for a, b in zip(errors, errors[1:])) >= 2
 
 
+class TestOneCallPerNodeAndFidelity:
+    """Within a study every map is called once per distinct node: the
+    reference and the rows share the exact map, and the budget rows share
+    one FEM map per mesh size."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+
+        def counted(problem, fidelity):
+            inner = as_parametric_map(problem, fidelity)
+
+            def fn(y):
+                made.append((fidelity, tuple((j, v) for j, v in enumerate(y.tolist()) if v)))
+                return inner(y)
+
+            return ParametricMapFn(fn, inner.output_dim, inner.cost, inner.label)
+
+        monkeypatch.setattr(cli, "as_parametric_map", counted)
+        return made
+
+    @pytest.mark.parametrize("kind", ["ml-quad", "ml-interp"])
+    def test_ml_study(self, tmp_path, calls, kind):
+        study = resolve_config(kind, sin_study().raw, 0, budgets=(1024, 4096, 16384))
+        run_ml_study(study, tmp_path, "quad" if kind == "ml-quad" else "interp")
+        fem = [call for call in calls if call[0][0] == "fem"]
+        assert len({call[0] for call in fem}) >= 3
+        assert len(fem) == len(set(fem))
+
+    @pytest.mark.parametrize("kind, run", [("quad", run_quad_study),
+                                           ("interp", run_interp_study)])
+    def test_single_level_study(self, tmp_path, calls, kind, run):
+        study = resolve_config(kind, {"system": "sindecay", "d_max": "6"}, 0,
+                               budgets=(25, 50, 100))
+        run(study, tmp_path)
+        k = 2 if kind == "quad" else 1
+        sets = [threshold_set_for_budget(study, k, b) for b in (25, 50, 100, 400)]
+        nodes = {tuple((j, v) for j, v in enumerate(y.tolist()) if v)
+                 for selected in sets for y in sparse_grid_points(selected)}
+        assert len(calls) == len(set(calls)) == len(nodes)
+
+
 class TestGrfStudy:
     def test_report_and_sample_files(self, tmp_path):
         study = resolve_config(
@@ -410,9 +454,15 @@ class TestMainEntry:
         ("grf", "grid_m = 0\n", "grid size m"),
         ("grf", "corr_length = -1\n", "correlation length"),
         ("grf", "kappa = 0.5\n", "kappa"),
+        ("quad", "r = 2\n", "r must exceed max(tau, k)"),
+        ("quad", "tau = -1\n", "tau nonnegative"),
+        ("quad", "K = 0\n", "K must be positive"),
+        ("quad", "xi = -1\n", "xi, K must be positive"),
+        ("quad", "system = sindecay\nd_max = 0\n", "key 'd_max'"),
+        ("grf", "cov = matern\nsmoothness = 1.0\n", "smoothness 1.0"),
     ], ids=["q1-3", "q1-0", "p-0.7", "alpha-neg", "alpha-0", "r_decay-1", "constant-neg",
             "constant-abc", "blocks-0", "ell-0.3", "grid_m-0", "corr_length-neg",
-            "kappa-0.5"])
+            "kappa-0.5", "r-2", "tau-neg", "K-0", "xi-neg", "d_max-0", "smoothness-1.0"])
     def test_rejected_values_are_config_errors(self, tmp_path, capsys, kind, text, named):
         cfg = write_cfg(tmp_path, text)
         assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out"),

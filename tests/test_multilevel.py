@@ -20,7 +20,7 @@ from hermgrid.multilevel import (
     work,
     work_level_major,
 )
-from hermgrid.smolyak import interpolate, quadrature
+from hermgrid.smolyak import interpolate, quadrature, sparse_grid_points
 
 from util import (
     construct_levels_loop,
@@ -228,6 +228,67 @@ class TestTelescoping:
         q = ml_quadrature(alloc, maps)
         p = ml_interpolate(alloc, maps)
         assert abs(q[0] - p.coefficient(MultiIndex())[0]) <= 1e-12
+
+
+def node_key(y):
+    """A node's nonzero (dim, coordinate) pairs: its identity at any padding."""
+    return tuple((j, v) for j, v in enumerate(np.asarray(y, dtype=float).tolist()) if v)
+
+
+class TestSharedLevelValues:
+    """Each level map is called once per distinct node of the two sets it
+    serves, and the sums equal the unshared telescoped sums bit for bit."""
+
+    def build(self, seed):
+        lam = random_downward_closed(np.random.default_rng(seed), 3, 25)
+        levels = {nu: max(1, 4 - nu.order) for nu in lam}  # nested gammas
+        alloc = LevelAllocation(levels, default_work_sequence(4))
+        calls = [[] for _ in range(alloc.max_level)]
+
+        def level_map(j):
+            def u(y):
+                calls[j].append(node_key(y))
+                return [np.exp(0.3 * np.sum(y)) + j, float(y[0]) ** 2 / (j + 1)]
+            return u
+
+        return alloc, [level_map(j) for j in range(alloc.max_level)], calls
+
+    def check_calls(self, alloc, calls):
+        gammas = gamma_sets(alloc)
+        for j, made in enumerate(calls):
+            served = [g for g in gammas[j:j + 2] if len(g)]
+            nodes = {node_key(y) for g in served for y in sparse_grid_points(g)}
+            assert len(made) == len(set(made)) and set(made) == nodes
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_quadrature(self, seed):
+        alloc, maps, calls = self.build(seed)
+        got = ml_quadrature(alloc, maps)
+        self.check_calls(alloc, calls)
+        gammas, top = gamma_sets(alloc), alloc.max_level
+        want = None
+        for j in range(1, top + 1):
+            term = quadrature(gammas[j - 1], maps[j - 1])
+            if j < top and len(gammas[j]) > 0:
+                term = term - quadrature(gammas[j], maps[j - 1])
+            want = term if want is None else want + term
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_interpolate(self, seed):
+        alloc, maps, calls = self.build(seed)
+        got = ml_interpolate(alloc, maps)
+        self.check_calls(alloc, calls)
+        gammas, top = gamma_sets(alloc), alloc.max_level
+        want = None
+        for j in range(1, top + 1):
+            term = interpolate(gammas[j - 1], maps[j - 1])
+            if j < top and len(gammas[j]) > 0:
+                term = term.minus(interpolate(gammas[j], maps[j - 1]))
+            want = term if want is None else want.plus(term)
+        assert got.coefficients.keys() == want.coefficients.keys()
+        for nu, coeff in want.coefficients.items():
+            np.testing.assert_array_equal(got.coefficients[nu], coeff)
 
 
 class TestWork:

@@ -4,11 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hermgrid.cli import resolve_config
-from hermgrid.errors import EmptyIndexSet, NotDownwardClosed
+from hermgrid.errors import EmptyIndexSet, LevelTooLarge, NotDownwardClosed
 from hermgrid.hermite import MAX_LEVEL, gauss_hermite_rule, hermite_eval
 from hermgrid.indexset import IndexSet, MultiIndex, degree_weight, surrogate_weight
 from hermgrid.smolyak import (
@@ -24,6 +24,7 @@ from hermgrid.smolyak import (
 
 from util import (
     bisection_threshold_set,
+    listed_point_count,
     monomial_map,
     pad,
     random_downward_closed,
@@ -130,6 +131,46 @@ class TestSparseGrid:
     def test_points_require_downward_closed(self):
         with pytest.raises(NotDownwardClosed):
             sparse_grid_points(IndexSet([MultiIndex(), mi({0: 1, 1: 1})]))
+
+
+class TestPatternCount:
+    def test_zero_node_exactly_at_even_levels_and_nonzero_nodes_distinct(self):
+        # so a nonzero node is fixed by (dim, level, index) and 0 is shared
+        seen = set()
+        for level in range(MAX_LEVEL + 1):
+            nodes = gauss_hermite_rule(level).nodes.tolist()
+            assert nodes.count(0.0) == (level % 2 == 0)
+            nonzero = [v for v in nodes if v != 0.0]
+            assert len(set(nonzero)) == len(nonzero) and seen.isdisjoint(nonzero)
+            seen.update(nonzero)
+        assert len(seen) == 2112
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 40))
+    @example(0, 1, 40)  # the ladder to level 34: even and odd levels
+    @example(1, 2, 30)  # even and odd exponents together in 2-d grids
+    @settings(max_examples=100, deadline=None)
+    def test_matches_listing_oracle(self, seed, dims, size):
+        lam = random_downward_closed(np.random.default_rng(seed), dims, size)
+        count = evaluation_point_count(lam)
+        assert count == listed_point_count(lam) == len(sparse_grid_points(lam))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 150))
+    @settings(max_examples=40, deadline=None)
+    def test_walk_matches_listing_scan(self, seed, dims, budget):
+        surrogate, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
+        assert largest_threshold_set(surrogate, budget, dims) == scan_threshold_set(
+            surrogate, budget, dims, count=listed_point_count
+        )
+
+    def test_level_above_max_raises(self):
+        assert evaluation_point_count(ladder(MAX_LEVEL)) == listed_point_count(
+            ladder(MAX_LEVEL)
+        )
+        with pytest.raises(LevelTooLarge):
+            evaluation_point_count(ladder(MAX_LEVEL + 1))
+        cross = IndexSet(ladder(MAX_LEVEL + 1).members | {mi({1: 1})})
+        with pytest.raises(LevelTooLarge):
+            evaluation_point_count(cross)
 
 
 def sindecay_surrogate(d_max):

@@ -10,10 +10,10 @@ from numpy.polynomial.hermite_e import hermegauss
 from hermgrid._accel import _REF_POINTS, _REF_WEIGHTS
 from hermgrid.cli import bisect_epsilon
 from hermgrid.errors import EmptyAllocation, LevelTooLarge, ThresholdTooSmall
-from hermgrid.hermite import MAX_LEVEL
+from hermgrid.hermite import MAX_LEVEL, gauss_hermite_rule
 from hermgrid.indexset import IndexSet, MultiIndex, build_threshold_set
 from hermgrid.multilevel import LevelAllocation, construct_levels, work
-from hermgrid.smolyak import evaluation_point_count
+from hermgrid.smolyak import combination_coeffs, evaluation_point_count
 
 
 def gaussian_moment(degree: int) -> float:
@@ -121,6 +121,23 @@ def gauss_hermite_ratio(n_points: int, phi, density):
     return float(weights @ (phi(nodes) * values)) / normalization, normalization
 
 
+def listed_point_count(index_set: IndexSet) -> int:
+    """Listing oracle for `evaluation_point_count`: every node of every grid
+    with nonzero combination coefficient, counted once.
+
+    A node is keyed by its sorted (dim, coordinate) pairs with zeros dropped.
+    Nodes come from the shared per-level rule cache, so equal nodes of
+    different grids are bitwise equal and deduplicate exactly.
+    """
+    keys = set()
+    for nu in combination_coeffs(index_set):
+        axes = [[(dim, float(v)) for v in gauss_hermite_rule(exp).nodes]
+                for dim, exp in nu.entries]
+        keys.update(tuple((d, v) for d, v in combo if v != 0.0)
+                    for combo in itertools.product(*axes))
+    return len(keys)
+
+
 def bisection_threshold_set(surrogate, budget: int, d_max: int,
                             cap: int = 10_000_000, lo: float = 1e-30) -> IndexSet:
     """Slow oracle for `largest_threshold_set`: 40 geometric eps bisections.
@@ -141,21 +158,22 @@ def bisection_threshold_set(surrogate, budget: int, d_max: int,
     return build_threshold_set(surrogate, bisect_epsilon(cost, budget, lo=lo), d_max)
 
 
-def scan_threshold_set(surrogate, budget: int, d_max: int) -> IndexSet:
+def scan_threshold_set(surrogate, budget: int, d_max: int,
+                       count=evaluation_point_count) -> IndexSet:
     """Exact oracle for `largest_threshold_set`: every threshold set in turn.
 
     Lowers eps to the largest reciprocal surrogate outside the current set,
     so each step yields the next larger threshold set, rebuilt and recounted
-    from scratch; keeps the largest on at most ``budget`` nodes.  Stops at
-    the first set with more than ``budget`` members (it needs more nodes
-    than that) or with an exponent that has no rule.
+    from scratch by ``count``; keeps the largest on at most ``budget`` nodes.
+    Stops at the first set with more than ``budget`` members (it needs more
+    nodes than that) or with an exponent that has no rule.
     """
     best = IndexSet([])
     eps = 1.0 / surrogate(MultiIndex())
     while True:
         try:
             selected = build_threshold_set(surrogate, eps, d_max, cap=budget)
-            if evaluation_point_count(selected) <= budget:
+            if count(selected) <= budget:
                 best = selected
         except (ThresholdTooSmall, LevelTooLarge):
             return best
