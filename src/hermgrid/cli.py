@@ -251,9 +251,9 @@ def threshold_set_for_budget(study: StudyConfig, k: int, n_points: int) -> Index
 def fit_rate(ns, errors, window: int = 4):
     """OLS slope of log error against log budget over the trailing window."""
     pairs = [(n, e) for n, e in zip(ns, errors) if e > 0]
-    if len(pairs) < window:
-        return None
     tail = pairs[-window:]
+    if len(pairs) < window or len({n for n, _ in tail}) < 2:
+        return None  # too few points, or no spread in log budget to fit
     x = np.log([n for n, _ in tail])
     y = np.log([e for _, e in tail])
     slope = np.polyfit(x, y, 1)[0]
@@ -273,6 +273,10 @@ def write_csv(path: Path, header, rows):
     for row in rows:
         lines.append(",".join(_format(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _sample_template(grid) -> str:
+    return "x,value\n" + "".join(f"{x!r},%r\n" for x in grid.tolist())
 
 
 def write_meta(out_dir: Path, study: StudyConfig, extra: dict = None):
@@ -500,12 +504,11 @@ def run_grf(study: StudyConfig, out_dir: Path) -> dict:
             f"embedding not positive semidefinite; retry with ell >= {suggested}"
         )
     samples = np.empty((n_samples, plan.n_points))
+    template = _sample_template(plan.grid)  # the x column is the same in every file
     for i in range(n_samples):
         seed = study.seed + i
-        values = sample_grf(plan, seed)
-        samples[i] = values
-        rows = [[float(x), float(v)] for x, v in zip(plan.grid, values)]
-        write_csv(out_dir / f"sample_{seed}.csv", ("x", "value"), rows)
+        samples[i] = sample_grf(plan, seed)  # one draw per file keeps peak memory flat
+        (out_dir / f"sample_{seed}.csv").write_text(template % tuple(samples[i].tolist()))
     target = spec.rho(plan.grid[:, None] - plan.grid[None, :])
     empirical = (samples.T @ samples) / n_samples
     cov_dev = float(np.abs(empirical - target).max())

@@ -136,7 +136,8 @@ class EmbeddingPlan:
 
     The original grid has ``m + 1`` points on [-1/2, 1/2]; the extension
     lives on ``2 * ell * m`` points covering a period of length
-    ``2 * ell``.  Eigenvalues come from one FFT of the (even) first row.
+    ``2 * ell``.  Eigenvalues come from one FFT of the (even) first row;
+    ``amplitudes`` scales the normals of frequencies 0..s/2 in every draw.
     """
 
     spec: CovarianceSpec
@@ -145,6 +146,7 @@ class EmbeddingPlan:
     grid: np.ndarray
     first_row: np.ndarray
     eigenvalues: np.ndarray
+    amplitudes: np.ndarray
     positive: bool
     cutoff: tuple = None
 
@@ -200,11 +202,13 @@ def circulant_embed_1d(spec: CovarianceSpec, m: int, ell: float,
             f"embedding with ell={ell} is not positive semidefinite; increase ell"
         )
     grid = -0.5 + h * np.arange(m + 1)
-    plan = EmbeddingPlan(spec, m, float(ell), grid, row, eigenvalues, positive,
-                         cutoff)
-    plan.grid.setflags(write=False)
-    plan.first_row.setflags(write=False)
-    plan.eigenvalues.setflags(write=False)
+    lam = np.clip(eigenvalues[: s // 2 + 1], 0.0, None)
+    amplitudes = np.sqrt(lam / 2.0)  # paired frequencies 1..s/2-1 split the variance
+    amplitudes[[0, -1]] = np.sqrt(lam[[0, -1]])
+    plan = EmbeddingPlan(spec, m, float(ell), grid, row, eigenvalues, amplitudes,
+                         positive, cutoff)
+    for array in (grid, row, eigenvalues, amplitudes):
+        array.setflags(write=False)
     return plan
 
 
@@ -218,14 +222,12 @@ def _synthesize(plan: EmbeddingPlan, draws: np.ndarray) -> np.ndarray:
     """Colour i.i.d. normals by the circulant square root via one inverse FFT."""
     s = plan.extended_size
     half = s // 2
-    lam = np.clip(plan.eigenvalues, 0.0, None)
-    spectrum = np.zeros(draws.shape[:-1] + (s,), dtype=np.complex128)
-    spectrum[..., 0] = np.sqrt(lam[0]) * draws[..., 0]
-    spectrum[..., half] = np.sqrt(lam[half]) * draws[..., half]
-    k = np.arange(1, half)
-    amp = np.sqrt(lam[k] / 2.0)
-    spectrum[..., k] = amp * (draws[..., k] + 1j * draws[..., s - k])
-    spectrum[..., s - k] = np.conj(spectrum[..., k])
+    amp = plan.amplitudes
+    spectrum = np.empty(draws.shape[:-1] + (s,), dtype=np.complex128)
+    spectrum[..., 0] = amp[0] * draws[..., 0]
+    spectrum[..., half] = amp[half] * draws[..., half]
+    spectrum[..., 1:half] = amp[1:half] * (draws[..., 1:half] + 1j * draws[..., :half:-1])
+    spectrum[..., :half:-1] = np.conj(spectrum[..., 1:half])
     field = np.fft.ifft(spectrum, axis=-1).real * np.sqrt(s)
     return field[..., : plan.n_points]
 

@@ -27,17 +27,32 @@ from hermgrid.cli import (
     threshold_set_for_budget,
 )
 from hermgrid.errors import ConfigError
+from hermgrid.grf import CovarianceSpec, circulant_embed_1d, sample_grf
 from hermgrid.indexset import MultiIndex, surrogate_weight
 from hermgrid.model import ParametricMapFn, as_parametric_map
 from hermgrid.multilevel import construct_levels, default_work_sequence, work
 from hermgrid.smolyak import sparse_grid_points
 
-from util import bisection_ml_allocation, ml_work_oracle, random_product_surrogate
+from util import (
+    bisection_ml_allocation,
+    ml_work_oracle,
+    random_product_surrogate,
+    sample_file_text,
+)
 
 CONSTANT_CFG = "system = constant:0.5\nqoi = point\nx0 = 1.0\n"
 SIN_CFG = (
     "system = sindecay\nr_decay = 3.0\nd_max = 4\nqoi = point\nx0 = 1.0\n"
     "alpha = 1.0\n"
+)
+
+
+# Sample values and grid points: any float, with signed zeros, subnormals,
+# extremes and integral values drawn often.
+SAMPLE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                     1e300, -1e-300, 1e-300, -1e300, 1.0, -3.0, 2.0 ** 53, 1e16]),
+    st.floats(),
 )
 
 
@@ -138,6 +153,8 @@ class TestHelpers:
         assert fit_rate(ns, errs) == pytest.approx(-2.0, abs=1e-12)
         assert fit_rate(ns[:3], errs[:3]) is None
         assert fit_rate(ns, [0.0, 0.0, 0.0, 0.0]) is None
+        assert fit_rate([65] * 4, errs) is None  # no spread in log budget
+        assert fit_rate([10, 65, 65, 65], errs) is not None
 
     def test_threshold_set_respects_budget(self):
         study = resolve_config("quad", {"system": "sindecay", "d_max": "4"}, 0)
@@ -281,6 +298,16 @@ class TestQuadStudy:
         )
         assert all(row[2] <= 1e-14 for row in rows)
 
+    @pytest.mark.filterwarnings("error::numpy.exceptions.RankWarning")
+    def test_rate_cell_empty_when_budgets_give_one_set(self, tmp_path):
+        # the 1-d ladder stops at 65 points, so the last four default budgets
+        # select the same set and there is no slope to fit
+        out = tmp_path / "o"
+        assert main(["quad", "--out", str(out)]) == 0
+        lines = (out / "quad.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[-4:]] == ["65"] * 4
+        assert lines[-1].split(",")[3] == ""
+
 
 class TestInterpStudy:
     def test_monotone_decrease(self, tmp_path):
@@ -393,6 +420,42 @@ class TestGrfStudy:
         first = sample_files[0].read_text().splitlines()
         assert first[0] == "x,value"
         assert len(first) == 18  # header plus 17 grid points
+
+    def test_sample_files_match_oracle(self, tmp_path):
+        cfg = {"cov": "matern", "corr_length": "0.5", "smoothness": "2.5",
+               "grid_m": "8", "ell": "2.0", "kappa": "3.0", "spline_order": "2"}
+        run_grf(resolve_config("grf", cfg, 3, budgets=(6,)), tmp_path)
+        plan = circulant_embed_1d(CovarianceSpec.matern(0.5, 2.5), 8, 2.0, cutoff=(3.0, 2))
+        assert sorted(p.name for p in tmp_path.glob("sample_*.csv")) == [
+            f"sample_{seed}.csv" for seed in range(3, 9)
+        ]
+        for seed in range(3, 9):
+            expected = sample_file_text(plan.grid, sample_grf(plan, seed))
+            assert (tmp_path / f"sample_{seed}.csv").read_bytes() == expected.encode()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 64).flatmap(lambda n: st.lists(
+        st.tuples(SAMPLE_FLOATS, SAMPLE_FLOATS), min_size=n, max_size=n)))
+    def test_sample_template_matches_oracle(self, rows):
+        grid = np.array([x for x, _ in rows])
+        values = np.array([v for _, v in rows])
+        text = cli._sample_template(grid) % tuple(values.tolist())
+        assert text == sample_file_text(grid, values)
+
+    def test_one_sample_grf_call_per_sample(self, tmp_path, monkeypatch):
+        # One draw per file, through the `hermgrid.cli` name: the benchmark's
+        # grf.sample_grf span hooks that name, and a batched draw of every
+        # sample would hold the whole spectrum stack in memory at once.
+        seeds = []
+
+        def counted(plan, seed):
+            seeds.append(seed)
+            return sample_grf(plan, seed)
+
+        monkeypatch.setattr(cli, "sample_grf", counted)
+        first = 2 ** 64 - 5
+        run_grf(resolve_config("grf", {"grid_m": "8"}, first, budgets=(5,)), tmp_path)
+        assert seeds == list(range(first, first + 5))
 
 
 class TestBayesStudy:

@@ -7,6 +7,8 @@ from hermgrid.errors import NotPositiveDefinite, UnsupportedSmoothness
 from hermgrid.grf import (
     HAT_SCALE,
     CovarianceSpec,
+    _normals,
+    _synthesize,
     brownian_bridge_kl,
     bspline_cutoff,
     circulant_embed_1d,
@@ -15,7 +17,7 @@ from hermgrid.grf import (
     sample_grf,
     sample_grf_batch,
 )
-from util import hat_series_loop
+from util import hat_series_loop, synthesize_loop
 
 N_DRAWS = 100_000
 
@@ -216,3 +218,53 @@ class TestSampling:
         empirical = samples.T @ samples / N_DRAWS
         assert np.abs(empirical - target).max() <= 4.0 * np.sqrt(2.0 / N_DRAWS)
         assert np.abs(samples.mean(axis=0)).max() <= 3.0 / np.sqrt(N_DRAWS)
+
+
+# (spec, m, ell, cutoff): the three kernels with and without the smooth
+# cutoff, plus the smallest embeddings (s = 2 and s = 4)
+ORACLE_PLANS = [
+    (CovarianceSpec.exponential(1.0), 16, 2.0, None),
+    (CovarianceSpec.exponential(0.5), 16, 2.0, (3.0, 2)),
+    (CovarianceSpec.matern(0.5, 1.5), 32, 3.0, None),
+    (CovarianceSpec.matern(0.5, 1.5), 32, 4.0, (3.0, 2)),
+    (CovarianceSpec.matern(0.3, 2.5), 24, 2.0, None),
+    (CovarianceSpec.matern(0.3, 2.5), 24, 2.5, (4.0, 3)),
+    (CovarianceSpec.exponential(1.0), 1, 1.0, None),
+    (CovarianceSpec.exponential(1.0), 2, 1.0, None),
+]
+
+
+class TestSynthesisOracle:
+    """Sampling from the plan's amplitudes is bitwise the per-call synthesis."""
+
+    @pytest.mark.parametrize("spec, m, ell, cutoff", ORACLE_PLANS)
+    def test_single_draws(self, spec, m, ell, cutoff):
+        plan = circulant_embed_1d(spec, m, ell, cutoff=cutoff)
+        assert plan.positive
+        for seed in (0, 5, 12345, 2 ** 64 - 1):
+            draws = _normals(seed, plan.extended_size)
+            assert np.array_equal(sample_grf(plan, seed), synthesize_loop(plan, draws))
+
+    @pytest.mark.parametrize("spec, m, ell, cutoff", ORACLE_PLANS)
+    def test_batches(self, spec, m, ell, cutoff):
+        plan = circulant_embed_1d(spec, m, ell, cutoff=cutoff)
+        for seed, n in ((3, 1), (7, 25)):
+            draws = _normals(seed, (n, plan.extended_size))
+            batch = sample_grf_batch(plan, seed, n)
+            assert batch.shape == (n, plan.n_points)
+            assert np.array_equal(batch, synthesize_loop(plan, draws))
+
+    def test_clipped_spectrum(self):
+        plan = circulant_embed_1d(CovarianceSpec.matern(2.0, 1.5), 16, 1.0)
+        assert not plan.positive and plan.eigenvalues.min() < 0.0
+        draws = _normals(11, (4, plan.extended_size))
+        assert np.array_equal(_synthesize(plan, draws), synthesize_loop(plan, draws))
+        assert np.array_equal(_synthesize(plan, draws[0]), synthesize_loop(plan, draws[0]))
+
+    def test_plan_arrays_are_read_only(self):
+        plan = circulant_embed_1d(CovarianceSpec.exponential(1.0), 8, 2.0, cutoff=(3.0, 2))
+        assert plan.amplitudes.shape == (plan.extended_size // 2 + 1,)
+        for array in (plan.grid, plan.first_row, plan.eigenvalues, plan.amplitudes):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0

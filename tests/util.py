@@ -8,7 +8,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from hermgrid._accel import _REF_POINTS, _REF_WEIGHTS
-from hermgrid.cli import bisect_epsilon
+from hermgrid.cli import _format, bisect_epsilon
 from hermgrid.errors import EmptyAllocation, LevelTooLarge, ThresholdTooSmall
 from hermgrid.hermite import MAX_LEVEL, gauss_hermite_rule
 from hermgrid.indexset import IndexSet, MultiIndex, build_threshold_set
@@ -347,3 +347,35 @@ def hat_series_loop(t, z, jmax, scale):
                 acc += z[2 ** j - 1 + k] * scale * 2.0 ** (-j / 2.0) * hat
         out[i] = acc
     return out
+
+
+def synthesize_loop(plan, draws):
+    """Per-call oracle for `hermgrid.grf._synthesize`.
+
+    Clips and square-roots the eigenvalues on every call and fills the
+    spectrum through ``arange`` index arrays, as sampling did before the
+    plan carried its amplitudes.
+    """
+    s = plan.extended_size
+    half = s // 2
+    lam = np.clip(plan.eigenvalues, 0.0, None)
+    spectrum = np.zeros(draws.shape[:-1] + (s,), dtype=np.complex128)
+    spectrum[..., 0] = np.sqrt(lam[0]) * draws[..., 0]
+    spectrum[..., half] = np.sqrt(lam[half]) * draws[..., half]
+    k = np.arange(1, half)
+    amp = np.sqrt(lam[k] / 2.0)
+    spectrum[..., k] = amp * (draws[..., k] + 1j * draws[..., s - k])
+    spectrum[..., s - k] = np.conj(spectrum[..., k])
+    field = np.fft.ifft(spectrum, axis=-1).real * np.sqrt(s)
+    return field[..., : plan.n_points]
+
+
+def sample_file_text(grid, values) -> str:
+    """Oracle text of one grf sample file.
+
+    One row of floats per grid point, joined by the `write_csv` formatting,
+    as the study wrote each file before it formatted them from a template.
+    """
+    rows = [[float(x), float(v)] for x, v in zip(grid, values)]
+    lines = ["x,value"] + [",".join(_format(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
