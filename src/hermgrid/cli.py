@@ -9,6 +9,7 @@ failure.
 """
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -181,6 +182,10 @@ def resolve_config(kind: str, cfg: dict, seed: int, budgets=None) -> StudyConfig
     if any(b < floor for b in budgets):
         need = "at least one sample" if kind == "grf" else f"budgets >= {floor}"
         raise ConfigError(f"{kind} needs {need}, got {min(budgets)}")
+    if kind == "bayes" and max(budgets) > MAX_LEVEL:
+        raise ConfigError(f"bayes levels must be at most {MAX_LEVEL}, got {max(budgets)}")
+    if not 0 <= seed <= 2 ** 64 - 1:
+        raise ConfigError(f"--seed must lie in [0, 2**64 - 1], got {seed}")
     eps_grid = ()
     if "eps_grid" in cfg:
         try:
@@ -230,6 +235,10 @@ def bisect_epsilon(cost, budget: float, lo: float = 1e-30, hi: float = 1e6,
     relative of the infimum of the feasible eps.  `ml_work_cost` qualifies:
     as eps falls, the set and S grow, and so does every level bound
     ``eps**-((1/2 - q1/4)/alpha) * d * S**(1/(2 alpha))`` (q1 < 2, alpha > 0).
+    Only the decision ``cost(eps) <= budget`` steers the search, and since
+    ``cost(eps) >= cost(e)`` for every ``e > eps``, any such ``e`` priced
+    above the budget already decides a probe: `ml_work_cost` returns inf
+    there instead of pricing ``eps`` itself.
     """
     for _ in range(iters):
         mid = math.sqrt(lo * hi)
@@ -240,11 +249,12 @@ def bisect_epsilon(cost, budget: float, lo: float = 1e-30, hi: float = 1e6,
     return hi
 
 
-def threshold_set_for_budget(study: StudyConfig, k: int, n_points: int) -> IndexSet:
-    """Largest threshold set whose evaluation-node count fits the budget."""
+def threshold_set_for_budget(study: StudyConfig, k: int, budgets) -> list:
+    """Largest threshold set whose evaluation-node count fits each point
+    budget, all from one walk of the family."""
     family = study.weight_family(k)
     return largest_threshold_set(
-        lambda nu: surrogate_weight(family, nu), n_points, family.d_max
+        lambda nu: surrogate_weight(family, nu), budgets, family.d_max
     )
 
 
@@ -297,20 +307,24 @@ def write_meta(out_dir: Path, study: StudyConfig, extra: dict = None):
 
 # -- studies ----------------------------------------------------------------
 
-def _study_sets(study: StudyConfig, k: int) -> list:
-    """One threshold set per row: from the eps grid, or the largest fitting each budget."""
+def _study_sets(study: StudyConfig, k: int, dense_budget) -> tuple:
+    """One threshold set per row, from the eps grid or the largest fitting
+    each budget, and the set at ``dense_budget`` (None without one); the
+    budget rows and the dense set share one walk."""
+    budgets = [] if study.eps_grid else list(study.budgets)
+    if dense_budget:
+        budgets.append(dense_budget)
+    sets = threshold_set_for_budget(study, k, budgets)
+    ref_set = sets.pop() if dense_budget else None
     if study.eps_grid:
         family = study.weight_family(k)
         surrogate = lambda nu: surrogate_weight(family, nu)
-        return [
-            build_threshold_set(surrogate, eps, family.d_max)
-            for eps in study.eps_grid
-        ]
-    return [threshold_set_for_budget(study, k, budget) for budget in study.budgets]
+        sets = [build_threshold_set(surrogate, eps, family.d_max) for eps in study.eps_grid]
+    return sets, ref_set
 
 
-def _reference_average(study: StudyConfig, target, dense_budget: int):
-    """Reference value for quadrature errors.
+def _needs_dense_reference(study: StudyConfig) -> bool:
+    """Whether quadrature errors need an over-resolved reference run.
 
     ``reference = analytic`` demands the constant-mode closed form;
     ``reference = dense`` forces an over-resolved run; the default uses
@@ -323,9 +337,15 @@ def _reference_average(study: StudyConfig, target, dense_budget: int):
         raise ConfigError(f"key 'reference': unknown mode {mode!r}")
     if mode == "analytic" and not analytic_ok:
         raise ConfigError("key 'reference': no closed form for this problem")
-    if analytic_ok and mode in ("auto", "analytic"):
+    return not (analytic_ok and mode in ("auto", "analytic"))
+
+
+def _reference_average(study: StudyConfig, target, ref_set):
+    """Reference value for quadrature errors and its label: the quadrature
+    on ``ref_set``, or the closed form when there is no dense set."""
+    if ref_set is None:
+        problem = study.problem
         return expected_qoi_oracle(problem, problem.qoi[1]), "analytic"
-    ref_set = threshold_set_for_budget(study, 2, dense_budget)
     value = float(quadrature(ref_set, target)[0])
     return value, f"dense-{evaluation_point_count(ref_set)}-points"
 
@@ -343,13 +363,15 @@ def run_quad_study(study: StudyConfig, out_dir: Path, target=None,
     if target is None:
         target = as_parametric_map(problem, ("exact",))
     target = _shared(target)  # one value per node for the reference and every row
+    dense = reference is None and _needs_dense_reference(study)
+    sets, ref_set = _study_sets(study, 2, 4 * study.budgets[-1] if dense else None)
     if reference is not None:
         ref_label = "caller-supplied"
     else:
-        reference, ref_label = _reference_average(study, target, 4 * study.budgets[-1])
+        reference, ref_label = _reference_average(study, target, ref_set)
     rows = []
     ns, errs = [], []
-    for selected in _study_sets(study, 2):
+    for selected in sets:
         if len(selected) == 0:
             continue
         n = evaluation_point_count(selected)
@@ -369,10 +391,10 @@ def run_interp_study(study: StudyConfig, out_dir: Path) -> list:
     """Single-level interpolation error (Gaussian L2, via coefficients)."""
     problem = study.problem
     target = _shared(as_parametric_map(problem, ("exact",)))
-    ref_set = threshold_set_for_budget(study, 1, 4 * study.budgets[-1])
+    sets, ref_set = _study_sets(study, 1, 4 * study.budgets[-1])
     reference = interpolate(ref_set, target)
     rows = []
-    for selected in _study_sets(study, 1):
+    for selected in sets:
         if len(selected) == 0:
             continue
         poly = interpolate(selected, target)
@@ -384,43 +406,55 @@ def run_interp_study(study: StudyConfig, out_dir: Path) -> list:
     return rows
 
 
-def ml_work_cost(surrogate, q1: float, alpha: float, work_sequence, d_max: int,
-                 cap: int = 10_000_000):
-    """``eps -> work(construct_levels(eps))``, or inf past ``cap`` members or
-    on an active exponent above MAX_LEVEL.  Each call prices the rows
-    ``t >= eps`` of one `MemberTable`, rebuilt only below its own eps.
+_TABLE_STEP = 100.0  # eps factor by which `ml_work_cost` lowers its table
+
+
+def ml_work_cost(surrogate, q1: float, alpha: float, d_max: int, cap: int = 10_000_000):
+    """``cost(eps, work_sequence, budget=inf)``: ``work(construct_levels(eps))``,
+    or inf past ``cap`` members or on an active exponent above MAX_LEVEL.
+
+    Calls share one `MemberTable` (it does not depend on the work sequence),
+    started at the origin's threshold and lowered `_TABLE_STEP` at a time
+    below its eps; an eps on the way that prices above ``budget`` ends the
+    call with inf (`bisect_epsilon`), so values up to ``budget`` are exact.
+    ``cost.allocation(eps, work_sequence)`` reads the allocation at an eps
+    the table reaches, such as one priced at most its budget.
     """
-    cumulative = [work_sequence.cumulative(l) for l in range(work_sequence.max_level + 1)]
     table = None
 
-    def cost(eps):
-        nonlocal table
-        if table is None or eps < table.eps:
-            try:
-                table = MemberTable(surrogate, surrogate, q1, alpha, eps, d_max, cap)
-            except ThresholdTooSmall:
-                return math.inf
+    def price(eps, work_sequence):
         rows, levels = table.levels(eps, work_sequence)
-        active = levels > 0
-        rows, levels = rows[active], levels[active]
-        if np.any(table.max_exp[rows] > MAX_LEVEL):
+        if np.any(table.max_exp[rows[levels > 0]] > MAX_LEVEL):
             return math.inf
+        cumulative = list(itertools.accumulate(work_sequence.values))  # level 0 costs 0
         return sum(table.points[i] * cumulative[l]
                    for i, l in zip(rows.tolist(), levels.tolist()))
 
+    def cost(eps, work_sequence, budget=math.inf):
+        nonlocal table
+        while table is None or eps < table.eps:
+            if table is not None and price(table.eps, work_sequence) > budget:
+                return math.inf
+            # the first table starts at the origin's threshold (the set {0}) or eps
+            lower = 1.0 / surrogate(MultiIndex()) if table is None else table.eps / _TABLE_STEP
+            try:
+                table = MemberTable(surrogate, surrogate, q1, alpha, max(eps, lower), d_max, cap)
+            except ThresholdTooSmall:
+                return math.inf
+        return price(eps, work_sequence)
+
+    cost.allocation = lambda eps, work_sequence: table.allocation(eps, work_sequence)
     return cost
 
 
-def _ml_allocation_for_budget(study: StudyConfig, k: int, budget: int):
-    """Allocation with the most work not exceeding the budget (40 bisections)."""
-    family = study.weight_family(k)
-    surrogate = lambda nu: surrogate_weight(family, nu)
+def _ml_allocation_for_budget(cost, budget: int):
+    """Allocation with the most work not exceeding the budget: 40 bisections
+    on the study's shared `ml_work_cost`, whose table gives the allocation."""
     levels = max(1, int(math.floor(math.log2(max(budget, 2)))))
     sw = default_work_sequence(levels)
-    cost = ml_work_cost(surrogate, study.q1, study.alpha, sw, family.d_max)
+    eps = bisect_epsilon(lambda e: cost(e, sw, budget), budget)
     try:
-        return construct_levels(surrogate, surrogate, study.q1, study.alpha,
-                                bisect_epsilon(cost, budget), sw, family.d_max), sw
+        return cost.allocation(eps, sw), sw
     except EmptyAllocation:
         return None, sw
 
@@ -432,15 +466,17 @@ def run_ml_study(study: StudyConfig, out_dir: Path, quantity: str) -> list:
     exact_map = as_parametric_map(problem, ("exact",))
 
     if quantity == "quad":
-        reference, ref_label = _reference_average(study, exact_map, 2048)
+        dense = _needs_dense_reference(study)
+        ref_set = threshold_set_for_budget(study, 2, [2048])[0] if dense else None
+        reference, ref_label = _reference_average(study, exact_map, ref_set)
     else:
-        ref_set = threshold_set_for_budget(study, 1, 2048)
+        ref_set, = threshold_set_for_budget(study, 1, [2048])
         reference = interpolate(ref_set, exact_map)
         ref_label = f"interpolant-{evaluation_point_count(ref_set)}-points"
 
+    family = study.weight_family(k)
+    surrogate = lambda nu: surrogate_weight(family, nu)
     if study.eps_grid:
-        family = study.weight_family(k)
-        surrogate = lambda nu: surrogate_weight(family, nu)
         sw = default_work_sequence(20)
         pairs = []
         for eps in study.eps_grid:
@@ -451,8 +487,8 @@ def run_ml_study(study: StudyConfig, out_dir: Path, quantity: str) -> list:
             except EmptyAllocation:
                 pairs.append((None, sw))
     else:
-        pairs = [_ml_allocation_for_budget(study, k, budget)
-                 for budget in study.budgets]
+        cost = ml_work_cost(surrogate, study.q1, study.alpha, family.d_max)
+        pairs = [_ml_allocation_for_budget(cost, budget) for budget in study.budgets]
     rows = []
     fem = cache(lambda cells: _shared(as_parametric_map(problem, ("fem", cells))))
     for alloc, sw in pairs:
@@ -592,7 +628,7 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(kind)
         cmd.add_argument("--config", default=None, help="key = value study file")
         cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--seed", type=lambda s: int(s) & (2 ** 64 - 1), default=0)
+        cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--budgets", default=None, help="comma-separated budgets")
     try:
         args = parser.parse_args(argv)

@@ -137,12 +137,18 @@ class MemberTable:
         whose cost is at most ``eps**(-(1/2 - q1/4)/alpha) * d * S**(1/(2 alpha))``
         with ``S`` the sum of ``d`` over the rows, in row order."""
         rows = np.flatnonzero(self.t >= eps)
-        if rows.size == 0:
-            return rows, rows
         total = sum(self.d[rows].tolist())
         prefactor = (eps ** (-(0.5 - self.q1 / 4.0) / self.alpha)
                      * total ** (1.0 / (2.0 * self.alpha)))
         return rows, work_sequence.floor_level(prefactor * self.d[rows])
+
+    def allocation(self, eps: float, work_sequence: WorkSequence) -> "LevelAllocation":
+        """The `levels` of the rows at ``eps`` as an allocation (zeros dropped)."""
+        rows, levels = self.levels(eps, work_sequence)
+        if rows.size == 0:
+            raise EmptyAllocation(f"threshold {eps} admits no multi-indices")
+        members = (self.members[i] for i in rows.tolist())
+        return LevelAllocation(dict(zip(members, levels.tolist())), work_sequence)
 
 
 def construct_levels(
@@ -161,11 +167,7 @@ def construct_levels(
     level; indices outside the set stay at level 0.
     """
     table = MemberTable(c_surrogate, d_surrogate, q1, alpha, eps, d_max, cap)
-    rows, levels = table.levels(eps, work_sequence)
-    if rows.size == 0:
-        raise EmptyAllocation(f"threshold {eps} admits no multi-indices")
-    members = (table.members[i] for i in rows.tolist())
-    return LevelAllocation(dict(zip(members, levels.tolist())), work_sequence)
+    return table.allocation(eps, work_sequence)
 
 
 def gamma_sets(allocation: LevelAllocation) -> list:

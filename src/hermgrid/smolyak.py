@@ -44,6 +44,14 @@ def combination_coeffs(index_set: IndexSet) -> dict:
     return {MultiIndex(nu): acc[nu] for nu in terms}
 
 
+def _terms(index_set: IndexSet) -> dict:
+    """`combination_coeffs` of the set, computed once per set object."""
+    memo = vars(index_set)
+    if "combination_terms" not in memo:
+        memo["combination_terms"] = combination_coeffs(index_set)
+    return memo["combination_terms"]
+
+
 def _require_admissible(index_set: IndexSet):
     if len(index_set) == 0:
         raise EmptyIndexSet("operator requires a nonempty index set")
@@ -75,14 +83,15 @@ def _pattern_size(pattern) -> int:
 
 def evaluation_point_count(index_set: IndexSet) -> int:
     """Number of distinct nodes the operators evaluate on, counted by pattern."""
-    terms = combination_coeffs(index_set)
+    terms = _terms(index_set)
     if any(e > MAX_LEVEL for nu in terms for _, e in nu.entries):
         raise LevelTooLarge(f"an exponent exceeds the configured maximum level {MAX_LEVEL}")
     return sum(map(_pattern_size, set().union(*(_patterns(nu.entries) for nu in terms))))
 
 
-def largest_threshold_set(surrogate, budget: int, d_max: int) -> IndexSet:
-    """Largest threshold set ``{nu : 1/surrogate(nu) >= eps}`` on at most ``budget`` nodes.
+def largest_threshold_set(surrogate, budgets, d_max: int) -> list:
+    """Largest threshold set ``{nu : 1/surrogate(nu) >= eps}`` on at most ``b``
+    nodes, for each budget ``b`` in the sequence ``budgets``, in its order.
 
     Walks the nested threshold family once, best-first in increasing
     surrogate value (a child enters the heap once all its backward
@@ -90,22 +99,28 @@ def largest_threshold_set(surrogate, budget: int, d_max: int) -> IndexSet:
     reference count of the grids' node patterns up to date, so the node
     count of every prefix equals `evaluation_point_count`.  Values within a
     relative 1e-12 of a group's first value, and tied children pushed
-    meanwhile, join that group; only group boundaries are candidate sets.
-    The walk stops once a prefix has more members than the budget (the
-    operators reproduce P_Lambda, so they need at least |Lambda| nodes) or
-    meets an exponent above MAX_LEVEL, whose rule does not exist.
+    meanwhile, join that group; only group boundaries are candidate sets,
+    and each budget keeps the longest whose node count fits it.
+    The walk stops once a prefix has more members than the largest budget
+    (the operators reproduce P_Lambda, so they need at least |Lambda| nodes)
+    or meets an exponent above MAX_LEVEL, whose rule does not exist.  Equal
+    prefixes come back as one `IndexSet` object.
     """
     origin = (0,) * d_max
     heap = [(surrogate(MultiIndex()), origin)]
     members, coeffs, patterns = [], {}, {}
-    nodes = best = 0
+    nodes, best, limit = 0, [0] * len(budgets), max(budgets, default=-1)
 
-    while heap and len(members) <= budget:
+    def prefixes():
+        sets = {k: IndexSet(MultiIndex.from_exponents(m) for m in members[:k]) for k in best}
+        return [sets[k] for k in best]
+
+    while heap and len(members) <= limit:
         bound = heap[0][0] * (1.0 + 1e-12)
         while heap and heap[0][0] <= bound:
             _, nu = heapq.heappop(heap)
             if max(nu) > MAX_LEVEL:
-                return IndexSet(MultiIndex.from_exponents(m) for m in members[:best])
+                return prefixes()
             members.append(nu)
             support = [j for j in range(d_max) if nu[j]]
             for picks in itertools.product((0, 1), repeat=len(support)):
@@ -129,9 +144,8 @@ def largest_threshold_set(surrogate, budget: int, d_max: int) -> IndexSet:
                     heapq.heappush(
                         heap, (surrogate(MultiIndex.from_exponents(child)), child)
                     )
-        if nodes <= budget:
-            best = len(members)
-    return IndexSet(MultiIndex.from_exponents(m) for m in members[:best])
+        best = [len(members) if nodes <= b else k for b, k in zip(budgets, best)]
+    return prefixes()
 
 
 def sparse_grid_points(index_set: IndexSet) -> np.ndarray:
@@ -269,7 +283,7 @@ def _evaluate(index_set: IndexSet, u):
     """The signed terms of the operators on the set (`combination_coeffs`)
     and the values of ``u`` on each term's tensor grid in C order, one
     (nodes, outputs) array a term; ``u`` is called once per distinct node."""
-    terms = combination_coeffs(index_set)
+    terms = _terms(index_set)
     width = max(index_set.dimension(), 1)
     u = _shared(u)
     return terms, [np.vstack([u(y) for y in _tensor_nodes(nu, width)]) for nu in terms]

@@ -24,6 +24,7 @@ from hermgrid.cli import (
     run_quad_study,
     _ml_allocation_for_budget,
     bisect_epsilon,
+    ml_work_cost,
     threshold_set_for_budget,
 )
 from hermgrid.errors import LevelTooLarge, ThresholdTooSmall
@@ -270,15 +271,16 @@ def test_criterion_09_multilevel_vs_single_level(tmp_path):
     )
     problem = study.problem
     exact_map = hg.as_parametric_map(problem, ("exact",))
-    ref_set = threshold_set_for_budget(study, 2, 2048)
+    ref_set, = threshold_set_for_budget(study, 2, [2048])
     reference = float(hg.quadrature(ref_set, exact_map)[0])
     family = study.weight_family(2)
     surrogate = lambda nu: surrogate_weight(family, nu)
 
+    cost = ml_work_cost(surrogate, study.q1, study.alpha, family.d_max)
     wins = 0
     details = []
     for budget in study.budgets:
-        alloc, sw = _ml_allocation_for_budget(study, 2, budget)
+        alloc, sw = _ml_allocation_for_budget(cost, budget)
         levels = [hg.as_parametric_map(problem, ("fem", sw.values[j]))
                   for j in range(1, alloc.max_level + 1)]
         ml_error = abs(float(hg.ml_quadrature(alloc, levels)[0]) - reference)

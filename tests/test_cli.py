@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermgrid import cli
+from hermgrid import cli, multilevel, smolyak
 from hermgrid.cli import (
     _ml_allocation_for_budget,
     bisect_epsilon,
@@ -28,6 +28,7 @@ from hermgrid.cli import (
 )
 from hermgrid.errors import ConfigError
 from hermgrid.grf import CovarianceSpec, circulant_embed_1d, sample_grf
+from hermgrid.hermite import MAX_LEVEL
 from hermgrid.indexset import MultiIndex, surrogate_weight
 from hermgrid.model import ParametricMapFn, as_parametric_map
 from hermgrid.multilevel import construct_levels, default_work_sequence, work
@@ -158,8 +159,8 @@ class TestHelpers:
 
     def test_threshold_set_respects_budget(self):
         study = resolve_config("quad", {"system": "sindecay", "d_max": "4"}, 0)
-        for budget in (10, 50, 200):
-            selected = threshold_set_for_budget(study, 2, budget)
+        budgets = (10, 50, 200)
+        for budget, selected in zip(budgets, threshold_set_for_budget(study, 2, budgets)):
             assert evaluation_point_count(selected) <= budget
 
 
@@ -171,6 +172,12 @@ def sin_study(**overrides):
 def study_surrogate(study, k):
     family = study.weight_family(k)
     return lambda nu: surrogate_weight(family, nu)
+
+
+def study_cost(study, k):
+    """The study's shared multilevel cost, as `run_ml_study` makes it."""
+    family = study.weight_family(k)
+    return ml_work_cost(study_surrogate(study, k), study.q1, study.alpha, family.d_max)
 
 
 class TestMlBudgetSearch:
@@ -185,8 +192,8 @@ class TestMlBudgetSearch:
                                            log_eps, picks):
         surrogate, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
         sw = default_work_sequence(top)
-        args = (surrogate, q1, alpha, sw, dims, 500)
-        cost, oracle = ml_work_cost(*args), ml_work_oracle(*args)
+        cost = ml_work_cost(surrogate, q1, alpha, dims, 500)
+        oracle = ml_work_oracle(surrogate, q1, alpha, sw, dims, 500)
         # probes in the given order go above and below the table's eps;
         # exact reciprocals put a member right on the threshold
         probes = [10.0 ** x for x in log_eps]
@@ -195,15 +202,15 @@ class TestMlBudgetSearch:
             for p in picks
         ]
         for eps in probes + reciprocals:
-            assert cost(eps) == oracle(eps)
+            assert cost(eps, sw) == oracle(eps)
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.floats(0.1, 1.9),
            st.floats(0.25, 3.0), st.lists(st.floats(-9.0, 1.0), min_size=2))
     @settings(max_examples=50, deadline=None)
     def test_cost_nonincreasing_in_eps(self, seed, dims, q1, alpha, log_eps):
         surrogate, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
-        cost = ml_work_cost(surrogate, q1, alpha, default_work_sequence(10), dims, 500)
-        costs = [cost(10.0 ** x) for x in sorted(log_eps)]
+        cost = ml_work_cost(surrogate, q1, alpha, dims, 500)
+        costs = [cost(10.0 ** x, default_work_sequence(10)) for x in sorted(log_eps)]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.floats(0.1, 1.9),
@@ -212,10 +219,35 @@ class TestMlBudgetSearch:
     def test_bisection_takes_the_oracle_path(self, seed, dims, q1, alpha, budget):
         surrogate, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
         sw = default_work_sequence(max(1, int(math.log2(budget))))
-        args = (surrogate, q1, alpha, sw, dims, 300)
-        eps = bisect_epsilon(ml_work_cost(*args), budget)
-        assert eps == bisect_epsilon(ml_work_oracle(*args), budget)
-        assert ml_work_oracle(*args)(eps) <= budget
+        cost = ml_work_cost(surrogate, q1, alpha, dims, 300)
+        oracle = ml_work_oracle(surrogate, q1, alpha, sw, dims, 300)
+        eps = bisect_epsilon(lambda e: cost(e, sw, budget), budget)
+        assert eps == bisect_epsilon(oracle, budget)
+        assert oracle(eps) <= budget
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.floats(0.1, 1.9),
+           st.floats(0.25, 3.0),
+           st.lists(st.tuples(st.floats(-12.0, 1.0), st.integers(1, 12),
+                              st.integers(1, 5000)), min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_shared_cost_decides_like_the_oracle(self, seed, dims, q1, alpha, probes):
+        # one table serves every work sequence and budget, probed in any order;
+        # a probe priced above its budget may read inf instead of its value
+        surrogate, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
+        cost = ml_work_cost(surrogate, q1, alpha, dims, 500)
+
+        def check(eps, sw, budget):
+            value = cost(eps, sw, budget)
+            exact = ml_work_oracle(surrogate, q1, alpha, sw, dims, 500)(eps)
+            assert (value <= budget) == (exact <= budget)
+            assert value == exact or (value == math.inf and exact > budget)
+            return exact
+
+        for log_eps, top, budget in probes:
+            sw = default_work_sequence(top)
+            exact = check(10.0 ** log_eps, sw, budget)
+            if exact < math.inf:  # a table eps priced exactly at the budget
+                check(10.0 ** log_eps * (1.0 - 1e-9), sw, exact)
 
     @pytest.mark.parametrize("overrides, k, budget", [
         ({}, 2, 4096),
@@ -228,19 +260,40 @@ class TestMlBudgetSearch:
     ])
     def test_study_allocation_matches_bisection_oracle(self, overrides, k, budget):
         study = sin_study(**overrides)
-        alloc, sw = _ml_allocation_for_budget(study, k, budget)
+        alloc, sw = _ml_allocation_for_budget(study_cost(study, k), budget)
         expected = bisection_ml_allocation(study_surrogate(study, k), study.q1,
                                            study.alpha, budget, sw,
                                            study.weight_family(k).d_max)
         assert alloc.levels == expected.levels
 
+    @pytest.mark.parametrize("overrides, k", [
+        ({}, 2),
+        ({}, 1),
+        ({"r_decay": "2.0"}, 2),
+        ({"system": "blocks:1.0"}, 2),
+        ({"d_max": "8", "alpha": "0.5"}, 2),
+        ({"alpha": "2.0", "p": "0.4"}, 2),
+    ])
+    def test_shared_table_allocations_match_bisection_oracle(self, overrides, k):
+        # the budget rows of a study share one table, lowered by each in turn
+        study = sin_study(**overrides)
+        cost = study_cost(study, k)
+        for budget in (4096, 1024, 16384, 2048):
+            alloc, sw = _ml_allocation_for_budget(cost, budget)
+            expected = bisection_ml_allocation(study_surrogate(study, k), study.q1,
+                                               study.alpha, budget, sw,
+                                               study.weight_family(k).d_max)
+            assert alloc.levels == expected.levels
+
     def test_bisection_steps_over_one_ulp_window(self):
         # eps = 6.809245424972145e-12 allocates 15712 <= 16384 cell units;
         # bisection resolves eps to ~7.5e-11 relative and settles on 15068
         study = sin_study()
-        alloc, sw = _ml_allocation_for_budget(study, 2, 16384)
+        alloc, sw = _ml_allocation_for_budget(study_cost(study, 2), 16384)
         assert work(alloc) == 15068
         surrogate = study_surrogate(study, 2)
+        expected = bisection_ml_allocation(surrogate, study.q1, study.alpha, 16384, sw, 4)
+        assert alloc.levels == expected.levels
         window = construct_levels(surrogate, surrogate, study.q1, study.alpha,
                                   6.809245424972145e-12, sw, 4)
         assert work(window) == 15712
@@ -248,15 +301,15 @@ class TestMlBudgetSearch:
     def test_exponent_without_rule_costs_inf(self):
         surrogate = lambda nu: 1.05 ** nu.order
         sw = default_work_sequence(6)
-        cost = ml_work_cost(surrogate, 1.0, 1.0, sw, 1)
+        cost = ml_work_cost(surrogate, 1.0, 1.0, 1)
         oracle = ml_work_oracle(surrogate, 1.0, 1.0, sw, 1)
         # member 70 is active at its own threshold; member 60 has a rule
-        assert cost(1.0 / surrogate(MultiIndex.unit(0, 70))) == math.inf
+        assert cost(1.0 / surrogate(MultiIndex.unit(0, 70)), sw) == math.inf
         assert oracle(1.0 / surrogate(MultiIndex.unit(0, 70))) == math.inf
-        finite = cost(1.0 / surrogate(MultiIndex.unit(0, 60)))
+        finite = cost(1.0 / surrogate(MultiIndex.unit(0, 60)), sw)
         assert 0 < finite < math.inf
         assert finite == oracle(1.0 / surrogate(MultiIndex.unit(0, 60)))
-        assert cost(2.0) == 0
+        assert cost(2.0, sw) == 0
 
 
 class TestQuadStudy:
@@ -328,7 +381,7 @@ class TestInterpStudy:
         from hermgrid.model import as_parametric_map
         from hermgrid.smolyak import interpolate
 
-        ref_set = threshold_set_for_budget(study, 1, 4 * 64)
+        ref_set, = threshold_set_for_budget(study, 1, [4 * 64])
         target = as_parametric_map(study.problem, ("exact",))
         reference = interpolate(ref_set, target)
         assert reference.minus(reference).l2_norm() == 0.0
@@ -399,10 +452,73 @@ class TestOneCallPerNodeAndFidelity:
                                budgets=(25, 50, 100))
         run(study, tmp_path)
         k = 2 if kind == "quad" else 1
-        sets = [threshold_set_for_budget(study, k, b) for b in (25, 50, 100, 400)]
+        sets = threshold_set_for_budget(study, k, (25, 50, 100, 400))
         nodes = {tuple((j, v) for j, v in enumerate(y.tolist()) if v)
                  for selected in sets for y in sparse_grid_points(selected)}
         assert len(calls) == len(set(calls)) == len(nodes)
+
+
+class TestOneBudgetSearchPerStudy:
+    """A study walks the threshold family once, and every walk and every
+    member-table build runs inside the budget-search functions."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        log, depth = [], [0]
+
+        def inside(fn):
+            def wrapped(*args):
+                depth[0] += 1
+                try:
+                    return fn(*args)
+                finally:
+                    depth[0] -= 1
+            return wrapped
+
+        def record(kind, fn):
+            def wrapped(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                log.append((kind, depth[0] > 0, len(result)))
+                return result
+            return wrapped
+
+        for name in ("threshold_set_for_budget", "_ml_allocation_for_budget"):
+            monkeypatch.setattr(cli, name, inside(getattr(cli, name)))
+        monkeypatch.setattr(cli, "largest_threshold_set",
+                            record("walk", cli.largest_threshold_set))
+        monkeypatch.setattr(multilevel, "build_threshold_set",
+                            record("table", multilevel.build_threshold_set))
+        return log
+
+    @pytest.mark.parametrize("kind, run", [("quad", run_quad_study),
+                                           ("interp", run_interp_study)])
+    def test_single_level_study_walks_once(self, tmp_path, searches, kind, run):
+        study = resolve_config(kind, {"system": "sindecay", "d_max": "6"}, 0,
+                               budgets=(25, 50, 100))
+        run(study, tmp_path)
+        assert searches == [("walk", True, 4)]  # three rows and the dense reference
+
+    def test_ml_study_shares_one_lowered_table(self, tmp_path, searches):
+        study = sin_study(budgets="4096,16384,65536")
+        run_ml_study(study, tmp_path, "quad")
+        assert searches[0] == ("walk", True, 1)  # the dense reference
+        tables = searches[1:]
+        assert all(kind == "table" and inside for kind, inside, _ in tables)
+        # lowered a factor 100 at a time from {0}; built straight at each
+        # probe's eps, the 65536 budget's probe at 1e-21 alone holds 5221
+        assert [size for *_, size in tables] == [2, 4, 9, 21, 47, 109, 232, 465]
+
+    @pytest.mark.parametrize("kind, run", [("quad", run_quad_study),
+                                           ("interp", run_interp_study)])
+    def test_combination_terms_once_per_set(self, tmp_path, monkeypatch, kind, run):
+        seen = []
+        inner = smolyak.combination_coeffs
+        monkeypatch.setattr(smolyak, "combination_coeffs",
+                            lambda index_set: seen.append(index_set) or inner(index_set))
+        study = resolve_config(kind, {"system": "sindecay", "r_decay": "3.0",
+                                      "d_max": "16"}, 0, budgets=(25, 50, 100, 200))
+        run(study, tmp_path)
+        assert len(seen) == len({id(s) for s in seen}) == 5  # four rows, the reference
 
 
 class TestGrfStudy:
@@ -482,6 +598,22 @@ class TestMainEntry:
             "npd.cfg",
         )
         assert main(["grf", "--config", str(npd), "--out", str(out)]) == 3
+
+    @pytest.mark.parametrize("seed", [str(2 ** 64 + 5), "-1"], ids=["2**64+5", "-1"])
+    def test_seed_outside_u64_is_config_error(self, tmp_path, capsys, seed):
+        # neither is masked to 64 bits (2**64 + 5 would run as seed 5)
+        out = tmp_path / "out"
+        assert main(["grf", "--out", str(out), "--budgets", "2", f"--seed={seed}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "--seed" in err
+        assert not out.exists()
+
+    def test_bayes_level_above_max_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["bayes", "--out", str(out), f"--budgets={MAX_LEVEL + 1}"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["bayes", "--out", str(out), f"--budgets={MAX_LEVEL}"]) == 0
 
     def test_grf_seed_overflow_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"

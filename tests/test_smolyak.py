@@ -158,7 +158,7 @@ class TestPatternCount:
     @settings(max_examples=40, deadline=None)
     def test_walk_matches_listing_scan(self, seed, dims, budget):
         surrogate, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
-        assert largest_threshold_set(surrogate, budget, dims) == scan_threshold_set(
+        assert largest_threshold_set(surrogate, [budget], dims)[0] == scan_threshold_set(
             surrogate, budget, dims, count=listed_point_count
         )
 
@@ -185,7 +185,7 @@ class TestLargestThresholdSet:
     @settings(max_examples=100, deadline=None)
     def test_matches_bisection_oracle(self, seed, dims, budget):
         surrogate, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
-        selected = largest_threshold_set(surrogate, budget, dims)
+        selected, = largest_threshold_set(surrogate, [budget], dims)
         assert len(selected) == 0 or evaluation_point_count(selected) <= budget
         # a set of more than `budget` members needs more than `budget` nodes
         # (test_node_count_at_least_members), so the oracle may prune it; its
@@ -200,7 +200,7 @@ class TestLargestThresholdSet:
         # threshold sets of 29..32 members need 73, 77, 77, 75 nodes: the
         # 32-member set fits 75, but bisection stops at 29 after probing 30
         surrogate, _, _ = random_product_surrogate(np.random.default_rng(3279273494), 5)
-        selected = largest_threshold_set(surrogate, 75, 5)
+        selected, = largest_threshold_set(surrogate, [75], 5)
         assert len(selected) == 32 and evaluation_point_count(selected) == 75
         assert selected == scan_threshold_set(surrogate, 75, 5)
         assert len(bisection_threshold_set(surrogate, 75, 5, cap=75, lo=1e-300)) == 29
@@ -214,20 +214,43 @@ class TestLargestThresholdSet:
     def test_one_ulp_ties_stay_together(self):
         # members 22-26 share the value 2**18 up to one ulp; splitting them
         # would pick a 22-member set
-        selected = largest_threshold_set(sindecay_surrogate(16), 50, 16)
+        selected, = largest_threshold_set(sindecay_surrogate(16), [50], 16)
         assert len(selected) == 21
         assert evaluation_point_count(selected) == 47
 
     def test_budget_one_is_empty(self):
         # rho_0 = 1 ties e_0 with the empty index, and their set needs 2 nodes
-        assert len(largest_threshold_set(sindecay_surrogate(16), 1, 16)) == 0
-        assert largest_threshold_set(sindecay_surrogate(16), 2, 16) == IndexSet(
-            [MultiIndex(), mi({0: 1})]
-        )
+        assert largest_threshold_set(sindecay_surrogate(16), [1], 16) == [IndexSet([])]
+        assert largest_threshold_set(sindecay_surrogate(16), [2], 16) == [
+            IndexSet([MultiIndex(), mi({0: 1})])
+        ]
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.booleans(),
+           st.lists(st.integers(1, 300), min_size=1, max_size=6))
+    @example(0, 1, False, [300, 20, 65, 66, 20])  # the ladder stops at MAX_LEVEL
+    @example(0, 3, True, [1, 2, 10, 4])  # exact ties across dimensions
+    @settings(max_examples=80, deadline=None)
+    def test_one_walk_answers_every_budget(self, seed, dims, tied, budgets):
+        if tied:  # symmetric in the dimensions: whole groups tie exactly
+            surrogate = lambda nu: 2.0 ** nu.order * 3.0 ** len(nu.entries)
+        else:
+            surrogate, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
+        walked = largest_threshold_set(surrogate, budgets, dims)
+        assert walked == [largest_threshold_set(surrogate, [b], dims)[0] for b in budgets]
+        # equal sets come back as one object, so their terms are computed once
+        assert len({id(s) for s in walked}) == len({s.members for s in walked})
+
+    def test_one_walk_on_the_sine_system(self):
+        # one-ulp ties (see above) and a dense reference four times the top budget
+        budgets = [25, 50, 100, 200, 800]
+        surrogate = sindecay_surrogate(16)
+        assert largest_threshold_set(surrogate, budgets, 16) == [
+            largest_threshold_set(surrogate, [b], 16)[0] for b in budgets
+        ]
 
     def test_stops_below_missing_rule(self):
         surrogate, _, _ = random_product_surrogate(np.random.default_rng(0), 1)
-        assert largest_threshold_set(surrogate, 300, 1) == ladder(MAX_LEVEL)
+        assert largest_threshold_set(surrogate, [300], 1) == [ladder(MAX_LEVEL)]
 
 
 class TestInterpolate:
