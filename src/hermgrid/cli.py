@@ -126,7 +126,10 @@ def build_problem(cfg: dict) -> ModelProblem1D:
         raise ConfigError("key 'f': only the constant load 'one' is supported")
     qoi_kind = cfg.get("qoi", "point")
     if qoi_kind == "point":
-        qoi = ("point", _get_float(cfg, "x0", 1.0))
+        x0 = _get_float(cfg, "x0", 1.0)
+        if not 0.0 <= x0 <= 1.0:
+            raise ConfigError(f"key 'x0': must lie in [0, 1], got {x0!r}")
+        qoi = ("point", x0)
     elif qoi_kind == "mean":
         qoi = ("mean",)
     else:
@@ -192,7 +195,7 @@ def resolve_config(kind: str, cfg: dict, seed: int, budgets=None) -> StudyConfig
             eps_grid = tuple(float(tok) for tok in cfg["eps_grid"].split(","))
         except ValueError as exc:
             raise ConfigError("key 'eps_grid': expected comma-separated reals") from exc
-        if any(e <= 0 for e in eps_grid) or any(
+        if any(not e > 0 for e in eps_grid) or any(
             b >= a for a, b in zip(eps_grid, eps_grid[1:])
         ):
             raise ConfigError("key 'eps_grid': must be positive, strictly decreasing")

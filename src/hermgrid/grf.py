@@ -66,7 +66,7 @@ def levy_ciesielski(levels: int, t, z) -> float:
 
 def matern_cov(x, corr_length: float, smoothness: float):
     """Stationary Matern correlation in closed form (smoothness 1/2, 3/2, 5/2)."""
-    if corr_length <= 0:
+    if not corr_length > 0:
         raise ValueError("correlation length must be positive")
     r = np.abs(np.asarray(x, dtype=np.float64)) / corr_length
     if abs(smoothness - 0.5) < 1e-12:
@@ -113,7 +113,7 @@ def bspline_cutoff(t, kappa: float, order: int):
     The blend is the integrated cardinal B-spline of the given order, so
     the function has ``order - 1`` continuous derivatives.
     """
-    if kappa <= 1.0:
+    if not kappa > 1.0:
         raise ValueError("kappa must exceed 1")
     if order < 1:
         raise ValueError("order must be a positive integer")

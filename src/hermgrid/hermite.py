@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import _accel
 from .errors import LevelTooLarge
@@ -66,10 +65,11 @@ def hermite_eval_all(k_max: int, x) -> np.ndarray:
 def gauss_hermite_rule(n: int) -> HermiteRule:
     """Level-n Gauss-Hermite rule: ``n+1`` nodes, exact to degree ``2n+1``.
 
-    Nodes are the eigenvalues of the (n+1) x (n+1) Jacobi matrix with zero
-    diagonal and off-diagonals ``sqrt(1) .. sqrt(n)`` (Golub-Welsch);
-    weights come from the squared first eigenvector components, which keeps
-    them positive by construction.
+    Nodes are the ascending eigenvalues of the dense (n+1) x (n+1) Jacobi
+    matrix with zero diagonal and off-diagonals ``sqrt(1) .. sqrt(n)``
+    (Golub-Welsch, solved by numpy's ``eigh``, so no scipy import); weights
+    come from the squared first eigenvector components, positive by
+    construction.
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
@@ -78,10 +78,8 @@ def gauss_hermite_rule(n: int) -> HermiteRule:
     if n == 0:
         return HermiteRule(0, np.zeros(1), np.ones(1))
     off = np.sqrt(np.arange(1, n + 1, dtype=np.float64))
-    vals, vecs = eigh_tridiagonal(np.zeros(n + 1), off)
-    order = np.argsort(vals)
-    nodes = vals[order]
-    weights = vecs[0, order] ** 2
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    weights = vecs[0] ** 2
     # enforce exact symmetry; the middle node of an odd-size rule becomes 0
     nodes = 0.5 * (nodes - nodes[::-1])
     weights = 0.5 * (weights + weights[::-1])

@@ -79,11 +79,6 @@ class MultiIndex:
             raise ValueError(f"dimension {dim} not in support")
         return MultiIndex.from_dict({**dict(self.entries), dim: e - 1})
 
-    def dominates(self, other: "MultiIndex") -> bool:
-        """Componentwise ``other <= self``."""
-        mine = dict(self.entries)
-        return all(mine.get(d, 0) >= e for d, e in other.entries)
-
     def sort_key(self):
         return (self.order, self.entries)
 
@@ -231,7 +226,7 @@ class WeightFamily:
             raise ValueError("b must be nonincreasing (anisotropy ordering)")
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie in (0, 1)")
-        if self.xi <= 0 or self.K <= 0 or self.tau < 0:
+        if not (self.xi > 0 and self.K > 0 and self.tau >= 0):
             raise ValueError("xi, K must be positive and tau nonnegative")
         if self.k not in (1, 2):
             raise ValueError("k must be 1 (interpolation) or 2 (quadrature)")

@@ -39,22 +39,22 @@ class RepresentationSystem:
     @classmethod
     def sin_decay(cls, decay: float, d_max: int) -> "RepresentationSystem":
         """Modes ``sin((j+1) pi x) (j+1)**(-decay)`` on the unit interval."""
-        if decay <= 1.0:
+        if not decay > 1.0:
             raise ValueError("decay must exceed 1 for a summable system")
         return cls("sin", d_max, decay=decay)
 
     @classmethod
     def constant_mode(cls, amplitude: float) -> "RepresentationSystem":
         """Single constant mode; the workhorse analytic test problem."""
-        if amplitude <= 0:
-            raise ValueError("amplitude must be positive")
+        if not 0 < amplitude < np.inf:
+            raise ValueError("amplitude must be positive and finite")
         return cls("constant", 1, amplitude=amplitude)
 
     @classmethod
     def blocks(cls, d_max: int, amplitude: float = 1.0) -> "RepresentationSystem":
         """Indicator blocks of an equispaced partition of (0, 1)."""
-        if amplitude <= 0:
-            raise ValueError("amplitude must be positive")
+        if not 0 < amplitude < np.inf:
+            raise ValueError("amplitude must be positive and finite")
         return cls("blocks", d_max, amplitude=amplitude)
 
     def basis_matrix(self, x) -> np.ndarray:

@@ -266,7 +266,10 @@ def _projection_matrix(level: int) -> np.ndarray:
 
 def _shared(u):
     """``u`` as a float array, called once per distinct node: values are kept
-    by the node's nonzero (dim, coordinate) pairs, whatever the padding."""
+    by the node's nonzero (dim, coordinate) pairs, whatever the padding.  A
+    map that is already shared is returned as it is."""
+    if getattr(u, "is_shared", False):
+        return u
     values = {}
 
     def shared(y):
@@ -276,6 +279,7 @@ def _shared(u):
             hit = values[key] = np.atleast_1d(np.asarray(u(y), dtype=np.float64))
         return hit
 
+    shared.is_shared = True
     return shared
 
 

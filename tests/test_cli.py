@@ -2,6 +2,10 @@
 
 import filecmp
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -583,6 +587,20 @@ class TestBayesStudy:
         assert rows[-1][3] < 1e-7
 
 
+def test_cli_import_loads_no_scipy():
+    # the Gauss-Hermite rules need numpy only; importing scipy would more
+    # than double the set-up time and peak memory of every CLI run
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import hermgrid.cli, sys; print(hermgrid.cli.__file__); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    origin, loaded = run.stdout.splitlines()
+    assert Path(origin).resolve().parent == src / "hermgrid"
+    assert loaded == "[]"
+
+
 class TestMainEntry:
     def test_exit_codes(self, tmp_path):
         cfg = write_cfg(tmp_path, CONSTANT_CFG)
@@ -655,15 +673,38 @@ class TestMainEntry:
         ("quad", "xi = -1\n", "xi, K must be positive"),
         ("quad", "system = sindecay\nd_max = 0\n", "key 'd_max'"),
         ("grf", "cov = matern\nsmoothness = 1.0\n", "smoothness 1.0"),
+        ("quad", "x0 = 1.5\n", "key 'x0'"),
+        ("quad", "x0 = -0.2\n", "key 'x0'"),
+        ("quad", "x0 = nan\n", "key 'x0'"),
+        ("quad", "system = sindecay\nr_decay = nan\n", "key 'r_decay'"),
+        ("quad", "system = constant:nan\n", "key 'system'"),
+        ("quad", "system = blocks:nan\n", "key 'system'"),
+        ("grf", "corr_length = nan\n", "correlation length"),
+        ("grf", "cov = matern\ncorr_length = nan\n", "correlation length"),
+        ("quad", "system = constant:inf\n", "key 'system'"),
+        ("quad", "system = blocks:inf\n", "key 'system'"),
+        ("grf", "kappa = nan\n", "kappa"),
+        ("quad", "xi = nan\n", "xi, K must be positive"),
+        ("quad", "K = nan\n", "xi, K must be positive"),
+        ("quad", "eps_grid = nan\n", "key 'eps_grid'"),
     ], ids=["q1-3", "q1-0", "p-0.7", "alpha-neg", "alpha-0", "r_decay-1", "constant-neg",
             "constant-abc", "blocks-0", "ell-0.3", "grid_m-0", "corr_length-neg",
-            "kappa-0.5", "r-2", "tau-neg", "K-0", "xi-neg", "d_max-0", "smoothness-1.0"])
+            "kappa-0.5", "r-2", "tau-neg", "K-0", "xi-neg", "d_max-0", "smoothness-1.0",
+            "x0-1.5", "x0-neg", "x0-nan", "r_decay-nan", "constant-nan", "blocks-nan",
+            "corr_length-nan", "matern-corr_length-nan", "constant-inf", "blocks-inf",
+            "kappa-nan", "xi-nan", "K-nan", "eps_grid-nan"])
     def test_rejected_values_are_config_errors(self, tmp_path, capsys, kind, text, named):
         cfg = write_cfg(tmp_path, text)
         assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out"),
                      "--budgets", "4"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and named in err
+
+    def test_x0_at_the_left_end_runs(self, tmp_path):
+        # [0, 1] is closed; the other end is CONSTANT_CFG's x0 = 1.0
+        cfg = write_cfg(tmp_path, "system = constant:0.5\nx0 = 0\n")
+        assert main(["quad", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--budgets", "3,5"]) == 0
 
     @pytest.mark.parametrize("text", ["p = 0.7\n", "q1 = 3\n", "alpha = -1\n"],
                              ids=["p-0.7", "q1-3", "alpha-neg"])

@@ -14,7 +14,7 @@ from hermgrid.hermite import (
 )
 from hermgrid.indexset import MultiIndex
 
-from util import gaussian_moment
+from util import gaussian_moment, golub_welsch_rule
 
 
 def test_point_values():
@@ -109,6 +109,18 @@ def test_orthonormality():
             table = hermite_eval_all(max(m, k), rule.nodes)
             got = float(np.sum(rule.weights * table[:, m] * table[:, k]))
             assert abs(got - (1.0 if m == k else 0.0)) <= 1e-10
+
+
+def test_rules_equal_scipy_golub_welsch_bitwise():
+    # the dense numpy solve reproduces the tridiagonal solver's digits, so
+    # every node and weight downstream is unchanged
+    differ = []
+    for n in range(MAX_LEVEL + 1):
+        rule = gauss_hermite_rule(n)
+        nodes, weights = golub_welsch_rule(n)
+        if not (np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)):
+            differ.append(n)
+    assert differ == []
 
 
 def test_level_cap():

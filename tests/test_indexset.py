@@ -41,15 +41,13 @@ class TestMultiIndex:
         assert nu.exponent(3) == 1 and nu.exponent(1) == 0
         assert nu.max_dim() == 4 and MultiIndex().max_dim() == 0
 
-    def test_increment_decrement_dominates(self):
+    def test_increment_decrement(self):
         nu = mi({0: 1})
         assert nu.incremented(0) == mi({0: 2})
         assert nu.incremented(2) == mi({0: 1, 2: 1})
         assert nu.decremented(0) == MultiIndex()
         with pytest.raises(ValueError):
             nu.decremented(1)
-        assert mi({0: 2, 1: 1}).dominates(mi({0: 1}))
-        assert not mi({0: 1}).dominates(mi({1: 1}))
 
     @given(st.dictionaries(st.integers(0, 9), st.integers(1, 7), max_size=5))
     def test_render_parse_roundtrip(self, entries):

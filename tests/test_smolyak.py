@@ -13,6 +13,7 @@ from hermgrid.hermite import MAX_LEVEL, gauss_hermite_rule, hermite_eval
 from hermgrid.indexset import IndexSet, MultiIndex, degree_weight, surrogate_weight
 from hermgrid.smolyak import (
     HermitePolynomial,
+    _shared,
     combination_coeffs,
     evaluation_point_count,
     interpolate,
@@ -372,6 +373,23 @@ class TestQuadrature:
             q = quadrature(lam, u)[0]
             c = interpolate(lam, u).coefficient(MultiIndex())[0]
             assert abs(q - c) <= 1e-12
+
+
+class TestShared:
+    def test_wrapping_twice_is_one_cache(self):
+        calls = []
+
+        def u(y):
+            calls.append(tuple((j, v) for j, v in enumerate(y.tolist()) if v))
+            return float(np.sum(np.cos(y)))
+
+        once = _shared(u)
+        assert _shared(once) is once
+        lam = random_downward_closed(np.random.default_rng(5), 3, 14)
+        quadrature(lam, once)
+        interpolate(lam, _shared(once))
+        quadrature(lam, once)
+        assert len(calls) == len(set(calls)) == len(sparse_grid_points(lam))
 
 
 class TestNorms:

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
 from hermgrid._accel import _REF_POINTS, _REF_WEIGHTS
@@ -26,6 +27,23 @@ def gaussian_moment(degree: int) -> float:
         out *= k
         k -= 2
     return float(out)
+
+
+def golub_welsch_rule(n: int):
+    """Level-n Gauss-Hermite nodes and weights from scipy's tridiagonal
+    eigensolver, symmetrized and normalized like `gauss_hermite_rule`: the
+    path the dense numpy solve replaced.  Skips the test without scipy."""
+    eigh_tridiagonal = pytest.importorskip("scipy.linalg").eigh_tridiagonal
+    if n == 0:
+        return np.zeros(1), np.ones(1)
+    off = np.sqrt(np.arange(1, n + 1, dtype=np.float64))
+    vals, vecs = eigh_tridiagonal(np.zeros(n + 1), off)
+    order = np.argsort(vals)
+    nodes = vals[order]
+    weights = vecs[0, order] ** 2
+    nodes = 0.5 * (nodes - nodes[::-1])
+    weights = 0.5 * (weights + weights[::-1])
+    return nodes, weights / weights.sum()
 
 
 def random_downward_closed(rng, dims: int, max_size: int) -> IndexSet:
