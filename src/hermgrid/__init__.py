@@ -33,7 +33,6 @@ from .smolyak import (
 from .multilevel import (
     LevelAllocation,
     WorkSequence,
-    build_level_index_set,
     construct_levels,
     default_work_sequence,
     gamma_sets,

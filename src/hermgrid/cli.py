@@ -51,8 +51,8 @@ from .smolyak import evaluation_point_count, interpolate, largest_threshold_set,
 _PROBLEM_KEYS = {"system", "r_decay", "d_max", "f", "qoi", "x0"}
 _STUDY_KEYS = {
     "p", "xi", "r", "tau", "K", "q1", "alpha", "budgets", "eps_grid",
-    "reference", "cov", "corr_length", "smoothness", "grid_m", "ell",
-    "kappa", "spline_order",
+    "cov", "corr_length", "smoothness", "grid_m", "ell", "kappa",
+    "spline_order",
 }
 
 _DEFAULT_BUDGETS = {
@@ -310,15 +310,15 @@ def write_meta(out_dir: Path, study: StudyConfig, extra: dict = None):
 
 # -- studies ----------------------------------------------------------------
 
-def _study_sets(study: StudyConfig, k: int, dense_budget) -> tuple:
+def _study_sets(study: StudyConfig, k: int, reference_budget=None) -> tuple:
     """One threshold set per row, from the eps grid or the largest fitting
-    each budget, and the set at ``dense_budget`` (None without one); the
-    budget rows and the dense set share one walk."""
+    each budget, and the set at ``reference_budget`` (None without one);
+    the budget rows and the reference set share one walk."""
     budgets = [] if study.eps_grid else list(study.budgets)
-    if dense_budget:
-        budgets.append(dense_budget)
+    if reference_budget:
+        budgets.append(reference_budget)
     sets = threshold_set_for_budget(study, k, budgets)
-    ref_set = sets.pop() if dense_budget else None
+    ref_set = sets.pop() if reference_budget else None
     if study.eps_grid:
         family = study.weight_family(k)
         surrogate = lambda nu: surrogate_weight(family, nu)
@@ -326,52 +326,24 @@ def _study_sets(study: StudyConfig, k: int, dense_budget) -> tuple:
     return sets, ref_set
 
 
-def _needs_dense_reference(study: StudyConfig) -> bool:
-    """Whether quadrature errors need an over-resolved reference run.
-
-    ``reference = analytic`` demands the constant-mode closed form;
-    ``reference = dense`` forces an over-resolved run; the default uses
-    the closed form whenever the problem provides one.
-    """
-    problem = study.problem
-    mode = study.raw.get("reference", "auto")
-    analytic_ok = problem.system.kind == "constant" and problem.qoi[0] == "point"
-    if mode not in ("auto", "analytic", "dense"):
-        raise ConfigError(f"key 'reference': unknown mode {mode!r}")
-    if mode == "analytic" and not analytic_ok:
-        raise ConfigError("key 'reference': no closed form for this problem")
-    return not (analytic_ok and mode in ("auto", "analytic"))
-
-
-def _reference_average(study: StudyConfig, target, ref_set):
-    """Reference value for quadrature errors and its label: the quadrature
-    on ``ref_set``, or the closed form when there is no dense set."""
-    if ref_set is None:
-        problem = study.problem
-        return expected_qoi_oracle(problem, problem.qoi[1]), "analytic"
-    value = float(quadrature(ref_set, target)[0])
-    return value, f"dense-{evaluation_point_count(ref_set)}-points"
-
-
 def run_quad_study(study: StudyConfig, out_dir: Path, target=None,
                    reference=None) -> list:
     """Single-level quadrature error against point budget.
 
     ``target`` and ``reference`` default to the configured problem QoI and
-    its analytic average (constant-mode problems) or an over-resolved run.
-    Rows follow the configured eps grid when one is present, otherwise the
-    point budgets.
+    its closed-form Gaussian average (`expected_qoi_oracle`).  Rows follow
+    the configured eps grid when one is present, otherwise the point
+    budgets.
     """
     problem = study.problem
     if target is None:
         target = as_parametric_map(problem, ("exact",))
-    target = _shared(target)  # one value per node for the reference and every row
-    dense = reference is None and _needs_dense_reference(study)
-    sets, ref_set = _study_sets(study, 2, 4 * study.budgets[-1] if dense else None)
-    if reference is not None:
-        ref_label = "caller-supplied"
+    target = _shared(target)  # one value per node for every row
+    sets, _ = _study_sets(study, 2)
+    if reference is None:
+        reference, ref_label = expected_qoi_oracle(problem), "analytic"
     else:
-        reference, ref_label = _reference_average(study, target, ref_set)
+        ref_label = "caller-supplied"
     rows = []
     ns, errs = [], []
     for selected in sets:
@@ -398,6 +370,15 @@ def run_interp_study(study: StudyConfig, out_dir: Path) -> list:
     reference = interpolate(ref_set, target)
     rows = []
     for selected in sets:
+        # a row equal to a reference the budget cut short would read 0; equal
+        # to the family's last set, it is as resolved as the rules allow
+        if selected == ref_set and not ref_set.complete:
+            raise HermgridError(
+                f"interp row of {evaluation_point_count(selected)} points: its "
+                f"set is the reference set (the largest fitting "
+                f"{4 * study.budgets[-1]} points), so its error would read 0; "
+                "lower the budgets"
+            )
         if len(selected) == 0:
             continue
         poly = interpolate(selected, target)
@@ -466,15 +447,11 @@ def run_ml_study(study: StudyConfig, out_dir: Path, quantity: str) -> list:
     """Multilevel error against total work, FEM fidelities per level."""
     problem = study.problem
     k = 2 if quantity == "quad" else 1
-    exact_map = as_parametric_map(problem, ("exact",))
-
     if quantity == "quad":
-        dense = _needs_dense_reference(study)
-        ref_set = threshold_set_for_budget(study, 2, [2048])[0] if dense else None
-        reference, ref_label = _reference_average(study, exact_map, ref_set)
+        reference, ref_label = expected_qoi_oracle(problem), "analytic"
     else:
         ref_set, = threshold_set_for_budget(study, 1, [2048])
-        reference = interpolate(ref_set, exact_map)
+        reference = interpolate(ref_set, as_parametric_map(problem, ("exact",)))
         ref_label = f"interpolant-{evaluation_point_count(ref_set)}-points"
 
     family = study.weight_family(k)

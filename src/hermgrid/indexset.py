@@ -269,18 +269,15 @@ def build_threshold_set(
     surrogate,
     eps: float,
     d_max: int,
-    mode: str = "grows",
     cap: int = 10_000_000,
     stats: dict = None,
 ) -> IndexSet:
     """All multi-indices whose decreasing surrogate stays at or above ``eps``.
 
-    ``surrogate`` maps a MultiIndex to a positive real.  In ``grows`` mode
-    it must be monotone increasing with anisotropy ordering (activating an
-    earlier dimension never costs more), and the walk thresholds the
-    reciprocal: the result is exactly ``{nu : 1/surrogate(nu) >= eps}``.
-    In ``decays`` mode the callable is the decreasing null-sequence itself
-    and the result is ``{nu : surrogate(nu) >= eps}``.
+    ``surrogate`` maps a MultiIndex to a positive real.  It must be
+    monotone increasing with anisotropy ordering (activating an earlier
+    dimension never costs more), and the walk thresholds the reciprocal:
+    the result is exactly ``{nu : 1/surrogate(nu) >= eps}``.
 
     The lattice walk evaluates its acceptance test at most ``4 |result| + 1``
     times; pass a ``stats`` dict to read back the counter.
@@ -289,8 +286,6 @@ def build_threshold_set(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if mode not in ("grows", "decays"):
-        raise ValueError(f"unknown mode {mode!r}")
 
     memo = {}
 
@@ -298,8 +293,7 @@ def build_threshold_set(
         key = tuple(dense_nu)
         hit = memo.get(key)
         if hit is None:
-            value = surrogate(MultiIndex.from_exponents(dense_nu))
-            hit = (1.0 / value if mode == "grows" else value) >= eps
+            hit = 1.0 / surrogate(MultiIndex.from_exponents(dense_nu)) >= eps
             memo[key] = hit
         return hit
 

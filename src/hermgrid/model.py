@@ -118,7 +118,8 @@ def coeff_eval(problem: ModelProblem1D, y, x):
 
 
 def _panel_rule(problem: ModelProblem1D, x_upper: float, level: int):
-    """Cached composite Gauss-Legendre data on (0, x_upper) with 2**level panels."""
+    """Cached composite Gauss-Legendre data on (0, x_upper) with 2**level
+    panels: nodes, weights, basis values and ``F`` at the nodes."""
     key = (float(x_upper), level)
     hit = problem._quad_cache.get(key)
     if hit is None:
@@ -129,7 +130,7 @@ def _panel_rule(problem: ModelProblem1D, x_upper: float, level: int):
         weights = np.tile(width * 0.5 * _GL_WEIGHTS, panels)
         basis = problem.system.basis_matrix(nodes)
         f_anti = np.asarray(problem.F(nodes), dtype=np.float64)
-        hit = (weights, basis, f_anti)
+        hit = (nodes, weights, basis, f_anti)
         problem._quad_cache[key] = hit
     return hit
 
@@ -146,7 +147,7 @@ def exact_solution_1d(problem: ModelProblem1D, y, x: float,
     yt = problem.truncated(y)
     previous = None
     for level in range(_MAX_DOUBLINGS + 1):
-        weights, basis, f_anti = _panel_rule(problem, x, level)
+        _, weights, basis, f_anti = _panel_rule(problem, x, level)
         value = -float(weights @ (np.exp(-(basis @ yt)) * f_anti))
         if previous is not None and abs(value - previous) <= tol * (1.0 + abs(value)):
             return value
@@ -156,24 +157,38 @@ def exact_solution_1d(problem: ModelProblem1D, y, x: float,
     )
 
 
-def expected_qoi_oracle(problem: ModelProblem1D, x0: float) -> float:
-    """Gaussian average of the point value for the single-constant-mode problem.
+def expected_qoi_oracle(problem: ModelProblem1D) -> float:
+    """Gaussian average of the problem QoI, in closed form for every system.
 
-    With ``psi_0 = c`` the solution separates and the lognormal moment
-    identity gives ``E[u(x0, .)] = -exp(c**2 / 2) * int_0^x0 F``.
+    ``b(y, s)`` is linear in the standard Gaussian ``y``, so the lognormal
+    moment identity gives ``E[exp(-b(y, s))] = exp(g(s))`` with
+    ``g = sum_j psi_j**2 / 2``.  Hence ``E[u(x0, .)] = -int_0^x0 exp(g) F``
+    and, for the mean QoI, ``-int_0^1 (1 - s) exp(g) F ds``; the integral
+    is panel-doubled until two refinements agree to 1e-13 (relative to
+    size).  ``exp(max g)`` is factored out of the sum, so for the constant
+    mode the sum is ``int F`` itself and the value is the separable
+    ``-exp(c**2 / 2) * int_0^x0 F`` to the last bit.
     """
-    if problem.system.kind != "constant":
-        raise ValueError("oracle requires the single-constant-mode system")
-    c = problem.system.amplitude
-    inner = None
+    kind = problem.qoi[0]
+    if kind not in ("point", "mean"):
+        raise ValueError(f"unknown QoI kind {kind!r}")
+    x_upper = float(problem.qoi[1]) if kind == "point" else 1.0
     previous = None
     for level in range(_MAX_DOUBLINGS + 1):
-        weights, _, f_anti = _panel_rule(problem, x0, level)
-        inner = float(weights @ f_anti)
-        if previous is not None and abs(inner - previous) <= 1e-13 * (1.0 + abs(inner)):
-            break
-        previous = inner
-    return -inner * float(np.exp(c ** 2 / 2.0))
+        nodes, weights, basis, f_anti = _panel_rule(problem, x_upper, level)
+        g = 0.5 * np.sum(basis ** 2, axis=1)
+        top = float(g.max())
+        integrand = np.exp(g - top) * f_anti
+        if kind == "mean":
+            integrand = integrand * (1.0 - nodes)
+        value = -float(weights @ integrand) * float(np.exp(top))
+        if previous is not None and abs(value - previous) <= 1e-13 * (1.0 + abs(value)):
+            return value
+        previous = value
+    raise QuadratureNonconvergence(
+        f"Gaussian average of the {kind} QoI did not stabilize within "
+        f"{_MAX_DOUBLINGS} doublings"
+    )
 
 
 def fem_solve_1d(problem: ModelProblem1D, y, n_cells: int) -> np.ndarray:
@@ -221,11 +236,7 @@ def _qoi_exact(problem: ModelProblem1D, y) -> float:
     if kind == "mean":
         previous = None
         for level in range(3, _MAX_DOUBLINGS + 1):
-            panels = 2 ** level
-            width = 1.0 / panels
-            starts = width * np.arange(panels)
-            nodes = (starts[:, None] + width * 0.5 * (_GL_NODES[None, :] + 1.0)).ravel()
-            weights = np.tile(width * 0.5 * _GL_WEIGHTS, panels)
+            nodes, weights, _, _ = _panel_rule(problem, 1.0, level)
             vals = [exact_solution_1d(problem, y, float(xn)) for xn in nodes]
             value = float(weights @ np.asarray(vals))
             if previous is not None and abs(value - previous) <= 1e-10 * (1.0 + abs(value)):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyAllocation, ThresholdTooSmall
+from .errors import EmptyAllocation
 from .indexset import IndexSet, MultiIndex, build_threshold_set
 from .smolyak import HermitePolynomial, _shared, interpolate, quadrature, zero_polynomial
 
@@ -242,73 +242,3 @@ def ml_quadrature(allocation: LevelAllocation, u_levels) -> np.ndarray:
         result = term if result is None else result + term
     return result
 
-
-# -- dyadic level-times-index threshold sets -------------------------------
-
-def _theta_exponent(q1: float, q2: float, alpha: float) -> float:
-    return 1.0 / q1 + (1.0 / q1 - 1.0 / q2) / (2.0 * alpha)
-
-
-def build_level_index_set(
-    xi: float,
-    sigma1,
-    sigma2,
-    q1: float,
-    q2: float,
-    alpha: float,
-    d_max: int,
-    cap: int = 10_000_000,
-    even_only: bool = False,
-) -> tuple:
-    """Pairs (k, nu) of dyadic spatial levels and multi-indices below ``xi``.
-
-    For slow spatial convergence (``alpha <= 1/q2 - 1/2``) the admission
-    test is ``2**k * sigma2(nu)**q2 <= xi``; otherwise a pair is admitted
-    when ``sigma1(nu)**q1 <= xi`` and ``2**((alpha+1/2) k) * sigma2(nu)``
-    stays below ``xi**theta`` with
-    ``theta = 1/q1 + (1/q1 - 1/q2)/(2 alpha)``.
-    """
-    if not (0.0 < q1 <= q2):
-        raise ValueError("need 0 < q1 <= q2")
-    if q1 >= 2.0:
-        raise ValueError("q1 must be below 2")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if xi <= 0:
-        raise ValueError("xi must be positive")
-
-    def keep(nu):
-        return not even_only or all(e % 2 == 0 for _, e in nu.entries)
-
-    pairs = []
-    if alpha <= 1.0 / q2 - 0.5:
-        k = 0
-        while True:
-            eps_k = 2.0 ** k / xi
-            level_set = build_threshold_set(
-                lambda nu: sigma2(nu) ** q2, eps_k, d_max, cap=cap
-            )
-            if len(level_set) == 0:
-                break
-            pairs.extend((k, nu) for nu in level_set if keep(nu))
-            k += 1
-    else:
-        theta = _theta_exponent(q1, q2, alpha)
-        base = build_threshold_set(
-            lambda nu: sigma1(nu) ** q1, 1.0 / xi, d_max, cap=cap
-        )
-        bound = xi ** theta
-        k = 0
-        while True:
-            factor = 2.0 ** ((alpha + 0.5) * k)
-            admitted = [
-                nu for nu in base if keep(nu) and factor * sigma2(nu) <= bound
-            ]
-            if not any(factor * sigma2(nu) <= bound for nu in base):
-                break
-            pairs.extend((k, nu) for nu in admitted)
-            k += 1
-    if len(pairs) > cap:
-        raise ThresholdTooSmall(f"level-index set exceeded cap of {cap} pairs")
-    pairs.sort(key=lambda kn: (kn[0], kn[1].sort_key()))
-    return tuple(pairs)

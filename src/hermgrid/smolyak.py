@@ -104,23 +104,28 @@ def largest_threshold_set(surrogate, budgets, d_max: int) -> list:
     The walk stops once a prefix has more members than the largest budget
     (the operators reproduce P_Lambda, so they need at least |Lambda| nodes)
     or meets an exponent above MAX_LEVEL, whose rule does not exist.  Equal
-    prefixes come back as one `IndexSet` object.
+    prefixes come back as one `IndexSet` object.  Each set's ``complete`` is
+    True when it is the last set of the family that has rules, so that no
+    larger budget would select more.
     """
     origin = (0,) * d_max
     heap = [(surrogate(MultiIndex()), origin)]
     members, coeffs, patterns = [], {}, {}
     nodes, best, limit = 0, [0] * len(budgets), max(budgets, default=-1)
 
-    def prefixes():
+    def prefixes(end=None):
         sets = {k: IndexSet(MultiIndex.from_exponents(m) for m in members[:k]) for k in best}
+        for k, selected in sets.items():
+            selected.complete = k == end
         return [sets[k] for k in best]
 
     while heap and len(members) <= limit:
+        boundary = len(members)
         bound = heap[0][0] * (1.0 + 1e-12)
         while heap and heap[0][0] <= bound:
             _, nu = heapq.heappop(heap)
             if max(nu) > MAX_LEVEL:
-                return prefixes()
+                return prefixes(boundary)
             members.append(nu)
             support = [j for j in range(d_max) if nu[j]]
             for picks in itertools.product((0, 1), repeat=len(support)):

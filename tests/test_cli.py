@@ -329,21 +329,26 @@ class TestQuadStudy:
         header = (tmp_path / "quad.csv").read_text().splitlines()[0]
         assert header == "n_points,work,abs_error,fitted_rate"
 
-    def test_reference_modes(self, tmp_path):
-        study = resolve_config(
-            "quad", {"system": "constant:0.5", "reference": "dense"}, 0, budgets=(3, 5)
-        )
+    def test_reference_modes(self, tmp_path, capsys):
+        # one reference for every problem: the closed-form Gaussian average
+        study = resolve_config("quad", {"system": "sindecay", "d_max": "2"}, 0,
+                               budgets=(3, 5))
         run_quad_study(study, tmp_path)
-        meta = (tmp_path / "meta.txt").read_text()
-        assert any(
-            line.startswith("reference = dense-") for line in meta.splitlines()
-        )
-        bad = resolve_config(
-            "quad", {"system": "sindecay", "d_max": "2", "reference": "analytic"},
-            0, budgets=(3,),
-        )
-        with pytest.raises(ConfigError, match="no closed form"):
-            run_quad_study(bad, tmp_path)
+        meta = (tmp_path / "meta.txt").read_text().splitlines()
+        assert "reference = analytic" in meta
+        cfg = write_cfg(tmp_path, CONSTANT_CFG + "reference = dense\n")
+        assert main(["quad", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--budgets", "3,5"]) == 2
+        assert "unknown key 'reference'" in capsys.readouterr().err
+
+    def test_blocks_row_scored_against_closed_form(self, tmp_path):
+        # the first tie group of 256 nodes is the only set within 400 points,
+        # and its error against -exp(1/2)/2 is far from 0
+        study = resolve_config("quad", {"system": "blocks", "d_max": "8"}, 0,
+                               budgets=(25, 50, 100, 200, 400))
+        rows = run_quad_study(study, tmp_path)
+        assert [row[0] for row in rows] == [256]
+        assert rows[0][2] == pytest.approx(5.28e-2, rel=1e-3)
 
     def test_trivial_integrand_zero_error(self, tmp_path):
         study = resolve_config("quad", {}, 0, budgets=(3, 5, 7))
@@ -389,6 +394,25 @@ class TestInterpStudy:
         target = as_parametric_map(study.problem, ("exact",))
         reference = interpolate(ref_set, target)
         assert reference.minus(reference).l2_norm() == 0.0
+
+    def test_row_equal_to_reference_set_is_refused(self, tmp_path, capsys):
+        # on blocks one tie group of 256 nodes is the largest set both within
+        # 400 and within 4 x 400 points, so the row would read 0
+        cfg = write_cfg(tmp_path, "system = blocks\nd_max = 8\n")
+        assert main(["interp", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--budgets", "25,50,100,200,400"]) == 3
+        assert "row of 256 points" in capsys.readouterr().err
+
+    def test_rows_equal_to_the_last_set_of_the_family_are_written(self, tmp_path):
+        # the 1-d ladder ends at 65 nodes, so budgets 100..800 and the
+        # reference all select it: rows resolved as far as the rules go
+        out = tmp_path / "o"
+        assert main(["interp", "--out", str(out)]) == 0
+        lines = (out / "interp.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["25", "50"] + ["65"] * 4
+        assert all(float(line.split(",")[1]) < 1e-14 for line in lines[1:3])
+        assert all(line.split(",")[1] == "0.0" for line in lines[3:])
+        assert "reference = interpolant-65-points" in (out / "meta.txt").read_text()
 
 
 class TestMlStudy:
@@ -455,8 +479,9 @@ class TestOneCallPerNodeAndFidelity:
         study = resolve_config(kind, {"system": "sindecay", "d_max": "6"}, 0,
                                budgets=(25, 50, 100))
         run(study, tmp_path)
-        k = 2 if kind == "quad" else 1
-        sets = threshold_set_for_budget(study, k, (25, 50, 100, 400))
+        # quad has a closed-form reference; interp adds the set at 4 x 100
+        k, reference = (2, ()) if kind == "quad" else (1, (400,))
+        sets = threshold_set_for_budget(study, k, (25, 50, 100) + reference)
         nodes = {tuple((j, v) for j, v in enumerate(y.tolist()) if v)
                  for selected in sets for y in sparse_grid_points(selected)}
         assert len(calls) == len(set(calls)) == len(nodes)
@@ -500,17 +525,17 @@ class TestOneBudgetSearchPerStudy:
         study = resolve_config(kind, {"system": "sindecay", "d_max": "6"}, 0,
                                budgets=(25, 50, 100))
         run(study, tmp_path)
-        assert searches == [("walk", True, 4)]  # three rows and the dense reference
+        # three rows, and for interp the reference interpolant's set
+        assert searches == [("walk", True, 3 if kind == "quad" else 4)]
 
     def test_ml_study_shares_one_lowered_table(self, tmp_path, searches):
         study = sin_study(budgets="4096,16384,65536")
         run_ml_study(study, tmp_path, "quad")
-        assert searches[0] == ("walk", True, 1)  # the dense reference
-        tables = searches[1:]
-        assert all(kind == "table" and inside for kind, inside, _ in tables)
+        # the reference is closed-form, so every budget search is a table build
+        assert all(kind == "table" and inside for kind, inside, _ in searches)
         # lowered a factor 100 at a time from {0}; built straight at each
         # probe's eps, the 65536 budget's probe at 1e-21 alone holds 5221
-        assert [size for *_, size in tables] == [2, 4, 9, 21, 47, 109, 232, 465]
+        assert [size for *_, size in searches] == [2, 4, 9, 21, 47, 109, 232, 465]
 
     @pytest.mark.parametrize("kind, run", [("quad", run_quad_study),
                                            ("interp", run_interp_study)])
@@ -522,7 +547,8 @@ class TestOneBudgetSearchPerStudy:
         study = resolve_config(kind, {"system": "sindecay", "r_decay": "3.0",
                                       "d_max": "16"}, 0, budgets=(25, 50, 100, 200))
         run(study, tmp_path)
-        assert len(seen) == len({id(s) for s in seen}) == 5  # four rows, the reference
+        # four rows, and for interp the reference interpolant's set
+        assert len(seen) == len({id(s) for s in seen}) == (4 if kind == "quad" else 5)
 
 
 class TestGrfStudy:
@@ -599,6 +625,13 @@ def test_cli_import_loads_no_scipy():
     origin, loaded = run.stdout.splitlines()
     assert Path(origin).resolve().parent == src / "hermgrid"
     assert loaded == "[]"
+
+
+def test_every_config_key_is_documented():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    missing = sorted(key for key in cli._PROBLEM_KEYS | cli._STUDY_KEYS
+                     if f"`{key}`" not in readme)
+    assert not missing, f"config keys absent from README.md: {missing}"
 
 
 class TestMainEntry:

@@ -185,12 +185,6 @@ class TestThresholdWalk:
         result = build_threshold_set(lambda nu: 1.0, 1.5, d_max=2)
         assert len(result) == 0
 
-    def test_decays_mode(self):
-        surrogate = lambda nu: 0.5 ** nu.order
-        result = build_threshold_set(surrogate, 0.2, d_max=1, mode="decays")
-        # 0.5**k >= 0.2 for k <= 2
-        assert set(result.members) == {MultiIndex(), mi({0: 1}), mi({0: 2})}
-
     def test_cap(self):
         with pytest.raises(ThresholdTooSmall):
             build_threshold_set(

@@ -1,5 +1,6 @@
 """Log-Gaussian diffusion model problems and Bayesian integrands."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hermgrid import _accel
-from hermgrid.errors import DegenerateNormalization, SingularSystem
+from hermgrid.errors import DegenerateNormalization, QuadratureNonconvergence, SingularSystem
 from hermgrid.indexset import IndexSet, MultiIndex
 from hermgrid.model import (
     BayesSetup,
@@ -95,20 +96,49 @@ class TestExactSolution:
             assert abs(fd - expected) <= 1e-6 * (1.0 + abs(expected))
 
 
+def tensor_average(problem, n):
+    """Gaussian average of the exact QoI by the n-point Gauss-Hermite rule
+    in every dimension (numpy's `hermegauss`)."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(n)
+    weights = weights / np.sqrt(2.0 * np.pi)
+    qoi = as_parametric_map(problem, ("exact",))
+    total = 0.0
+    for idx in itertools.product(range(n), repeat=problem.system.d_max):
+        total += np.prod(weights[list(idx)]) * qoi(nodes[list(idx)])[0]
+    return total
+
+
 class TestOracle:
     def test_values(self):
-        tiny = constant_problem(1e-14)
-        assert expected_qoi_oracle(tiny, 1.0) == pytest.approx(-0.5, rel=1e-10)
-        assert expected_qoi_oracle(constant_problem(0.5), 1.0) == pytest.approx(
-            -np.exp(0.125) / 2.0, rel=1e-12
-        )
-        assert expected_qoi_oracle(constant_problem(1.0), 0.5) == pytest.approx(
-            -0.125 * np.exp(0.5), rel=1e-12
-        )
+        # constant mode: E[u(x0)] = -exp(c**2 / 2) x0**2 / 2
+        for amplitude, x0 in [(1e-14, 1.0), (0.5, 1.0), (1.0, 0.5), (2.0, 0.3), (0.5, 0.0)]:
+            problem = constant_problem(amplitude, qoi=("point", x0))
+            expected = -np.exp(amplitude ** 2 / 2.0) * x0 ** 2 / 2.0
+            assert expected_qoi_oracle(problem) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
-    def test_requires_constant_system(self):
-        with pytest.raises(ValueError):
-            expected_qoi_oracle(sin_problem(), 1.0)
+    def test_constant_mode_mean_closed_form(self):
+        # E[int_0^1 u] = -exp(c**2 / 2) int_0^1 x**2 / 2 dx = -exp(c**2 / 2) / 6
+        for amplitude in (0.5, 1.0, 2.0):
+            problem = constant_problem(amplitude, qoi=("mean",))
+            expected = -np.exp(amplitude ** 2 / 2.0) / 6.0
+            assert expected_qoi_oracle(problem) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_unresolved_integral_raises(self):
+        # a jump of F at 1/3 falls inside a dyadic panel at every level, so
+        # doubling never meets 1e-13: the oracle reports it instead of a value
+        problem = constant_problem(0.5, F=lambda s: np.where(np.asarray(s) < 1.0 / 3.0, 0.0, 1.0))
+        with pytest.raises(QuadratureNonconvergence):
+            expected_qoi_oracle(problem)
+
+    @pytest.mark.parametrize("problem, orders", [
+        (sin_problem(3.0, 3), (6, 9)),
+        (ModelProblem1D(RepresentationSystem.blocks(2, 1.0)), (8, 12)),
+        (sin_problem(3.0, 2, qoi=("mean",)), (6, 9)),
+    ], ids=["sindecay-point", "blocks-point", "sindecay-mean"])
+    def test_matches_dense_quadrature_within_its_error(self, problem, orders):
+        # the gap between two successive tensor orders bounds the finer one's error
+        coarse, fine = (tensor_average(problem, n) for n in orders)
+        assert abs(expected_qoi_oracle(problem) - fine) <= abs(fine - coarse)
 
 
 def h1_seminorm_error(problem, y, n_cells):

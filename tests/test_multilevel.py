@@ -11,7 +11,6 @@ from hermgrid.multilevel import (
     LevelAllocation,
     MemberTable,
     WorkSequence,
-    build_level_index_set,
     construct_levels,
     default_work_sequence,
     gamma_sets,
@@ -317,58 +316,3 @@ class TestSerialization:
         assert text == "-\t3\n0:1 2:2\t1\n"
         back = LevelAllocation.from_lines("# note\n" + text, sw)
         assert back.levels == alloc.levels
-
-
-class TestLevelIndexSets:
-    def test_small_threshold_empty(self):
-        sigma = lambda nu: 2.0 ** nu.order
-        assert build_level_index_set(0.5, sigma, sigma, 1.0, 1.0, 0.1, 2) == ()
-
-    def test_first_branch_brute_force(self):
-        sigma = lambda nu: 2.0 ** nu.order
-        got = build_level_index_set(8.0, sigma, sigma, 1.0, 1.0, 0.4, 1)
-        assert len(got) == 10
-        for k, nu in got:
-            assert 2.0 ** k * sigma(nu) <= 8.0
-        brute = {
-            (k, e)
-            for k in range(5)
-            for e in range(5)
-            if 2.0 ** k * 2.0 ** e <= 8.0
-        }
-        assert {(k, nu.exponent(0)) for k, nu in got} == brute
-
-    def test_second_branch_brute_force(self):
-        sigma = lambda nu: 2.0 ** nu.order
-        got = build_level_index_set(8.0, sigma, sigma, 1.0, 1.0, 1.0, 1)
-        # theta = 1, so admit sigma <= 8 and 2**(1.5 k) sigma <= 8
-        brute = {
-            (k, e)
-            for k in range(8)
-            for e in range(8)
-            if 2.0 ** e <= 8.0 and 2.0 ** (1.5 * k) * 2.0 ** e <= 8.0
-        }
-        assert {(k, nu.exponent(0)) for k, nu in got} == brute
-
-    def test_even_restriction(self):
-        sigma = lambda nu: 2.0 ** nu.order
-        got = build_level_index_set(8.0, sigma, sigma, 1.0, 1.0, 0.4, 1, even_only=True)
-        assert all(all(e % 2 == 0 for _, e in nu.entries) for _, nu in got)
-        expected = {(k, e) for k in range(4) for e in (0, 2) if 2.0 ** k * 2.0 ** e <= 8.0}
-        assert {(k, nu.exponent(0)) for k, nu in got} == expected
-
-    def test_monotone_in_threshold_and_downward_closed(self):
-        def sigma(nu):
-            out = 1.0
-            for d, e in nu.entries:
-                out *= (1.5 + d) ** e
-            return out
-
-        small = set(build_level_index_set(6.0, sigma, sigma, 1.0, 1.5, 1.0, 2))
-        large = set(build_level_index_set(12.0, sigma, sigma, 1.0, 1.5, 1.0, 2))
-        assert small <= large
-        for k, nu in large:
-            for k2 in range(k + 1):
-                assert (k2, nu) in large
-            for dim in nu.support:
-                assert (k, nu.decremented(dim)) in large

@@ -240,6 +240,10 @@ class TestLargestThresholdSet:
         assert walked == [largest_threshold_set(surrogate, [b], dims)[0] for b in budgets]
         # equal sets come back as one object, so their terms are computed once
         assert len({id(s) for s in walked}) == len({s.members for s in walked})
+        # a complete set is what every larger budget selects too
+        bigger, = largest_threshold_set(surrogate, [4 * max(budgets)], dims)
+        assert [s.complete for s in walked] == [s == bigger and bigger.complete
+                                                for s in walked]
 
     def test_one_walk_on_the_sine_system(self):
         # one-ulp ties (see above) and a dense reference four times the top budget
@@ -252,6 +256,21 @@ class TestLargestThresholdSet:
     def test_stops_below_missing_rule(self):
         surrogate, _, _ = random_product_surrogate(np.random.default_rng(0), 1)
         assert largest_threshold_set(surrogate, [300], 1) == [ladder(MAX_LEVEL)]
+
+    def test_complete_only_when_the_rules_run_out(self):
+        # the ladder's last set has 65 nodes; a budget below that cuts it short
+        surrogate, _, _ = random_product_surrogate(np.random.default_rng(0), 1)
+        walked = largest_threshold_set(surrogate, [64, 65, 300], 1)
+        assert walked[1] is walked[2] == ladder(MAX_LEVEL)
+        assert [s.complete for s in walked] == [False, True, True]
+        # e_1 ties the missing rule's e_0 * 65 and is walked first; the set
+        # before their group is still the last one with rules
+        tied = lambda nu: 2.0 ** (nu.exponent(0) + 65 * nu.exponent(1))
+        selected, = largest_threshold_set(tied, [300], 2)
+        assert selected == ladder(MAX_LEVEL) and selected.complete
+        # the sine system's walk stops at its largest budget, not at a rule
+        assert not any(s.complete for s in
+                       largest_threshold_set(sindecay_surrogate(16), [25, 800], 16))
 
 
 class TestInterpolate:
