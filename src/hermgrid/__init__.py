@@ -39,7 +39,6 @@ from .multilevel import (
     ml_interpolate,
     ml_quadrature,
     work,
-    work_level_major,
 )
 from .grf import (
     CovarianceSpec,
@@ -59,7 +58,6 @@ from .model import (
     PosteriorEstimate,
     RepresentationSystem,
     as_parametric_map,
-    coeff_eval,
     exact_solution_1d,
     expected_qoi_oracle,
     fem_solve_1d,

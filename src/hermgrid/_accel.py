@@ -26,27 +26,28 @@ def hermite_matrix(x, kmax):
 
 
 def fem_system(aq, fq, h, flux):
-    """Nodal P1 Galerkin solution on n cells of width h.
+    """Nodal P1 Galerkin solution on n cells of width h, one per leading index.
 
-    aq, fq: (n, 3) coefficient / right-hand-side values at the per-cell
-    `_REF_POINTS`.  Returns u of length n+1 with u[0] = 0 and the natural
-    condition a u' = flux at the right end.  The stiffness matrix is a
-    chain of cell conductances s_i, so the flux through cell i is the load
-    of all nodes right of it, q_i = sum_{k>i} load_k, and
-    u_{i+1} = u_i + q_i / s_i.  Raises ZeroDivisionError unless every
-    s_i > 0.
+    aq: (..., n, 3) coefficient values, fq: (n, 3) right-hand-side values
+    (shared), both at the per-cell `_REF_POINTS`.  Returns u of shape
+    (..., n+1) with u[..., 0] = 0 and the natural condition a u' = flux at
+    the right end.  The stiffness matrix is a chain of cell conductances
+    s_i (each summed in a fixed order), so the flux through cell i is the
+    load of all nodes right of it, q_i = sum_{k>i} load_k, and
+    u_{i+1} = u_i + q_i / s_i.  Raises ZeroDivisionError unless every s_i > 0.
     """
-    s = (aq @ _REF_WEIGHTS) / h
+    w = _REF_WEIGHTS.tolist()
+    s = (aq[..., 0] * w[0] + aq[..., 1] * w[1] + aq[..., 2] * w[2]) / h
     if not np.all(s > 0.0):
         raise ZeroDivisionError("nonpositive cell conductance")
     cell_load = h * (fq * _REF_WEIGHTS)
-    load = np.zeros(aq.shape[0] + 1)
+    load = np.zeros(fq.shape[0] + 1)
     load[:-1] += cell_load @ (1.0 - _REF_POINTS)
     load[1:] += cell_load @ _REF_POINTS
     load[-1] += flux
     q = np.cumsum(load[:0:-1])[::-1]
-    u = np.zeros(load.size)
-    np.cumsum(q / s, out=u[1:])
+    u = np.zeros(s.shape[:-1] + (load.size,))
+    np.cumsum(q / s, axis=-1, out=u[..., 1:])
     return u
 
 

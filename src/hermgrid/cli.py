@@ -45,8 +45,7 @@ from .multilevel import (
     ml_quadrature,
     work,
 )
-from .smolyak import _shared
-from .smolyak import evaluation_point_count, interpolate, largest_threshold_set, quadrature
+from .smolyak import _shared, evaluation_point_count, interpolate, largest_threshold_set, quadrature
 
 _PROBLEM_KEYS = {"system", "r_decay", "d_max", "f", "qoi", "x0"}
 _STUDY_KEYS = {
@@ -549,9 +548,9 @@ def run_grf(study: StudyConfig, out_dir: Path) -> dict:
 
 def run_bayes(study: StudyConfig, out_dir: Path) -> list:
     """Conjugate linear-Gaussian benchmark: budgets are univariate levels."""
-    forward = ParametricMapFn(lambda y: [y[0]], 1, label="identity-observation")
+    forward = ParametricMapFn(lambda rows: rows[:, :1], 1, label="identity-observation")
     setup = BayesSetup(forward, [1.0], [[1.0]])
-    phi = ParametricMapFn(lambda y: [y[0]], 1, label="mean-functional")
+    phi = ParametricMapFn(lambda rows: rows[:, :1], 1, label="mean-functional")
     rows = []
     for level in study.budgets:
         selected = IndexSet([MultiIndex.from_exponents([j]) for j in range(level + 1)])

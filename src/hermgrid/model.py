@@ -25,6 +25,7 @@ from .smolyak import quadrature
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _MAX_DOUBLINGS = 12
+_BLOCK = 1 << 16  # values in one kernel temporary; rows go through in blocks
 
 
 @dataclass(frozen=True)
@@ -97,37 +98,40 @@ class ModelProblem1D:
     _quad_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def truncated(self, y) -> np.ndarray:
+        """``y`` cut or zero-padded to d_max coordinates, row by row for a stack."""
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        out = np.zeros(self.system.d_max)
-        take = min(y.size, self.system.d_max)
-        out[:take] = y[:take]
+        out = np.zeros(y.shape[:-1] + (self.system.d_max,))
+        take = min(y.shape[-1], self.system.d_max)
+        out[..., :take] = y[..., :take]
         return out
 
 
-def log_coeff_eval(problem: ModelProblem1D, y, x):
-    """Affine-parametric log-coefficient ``b(y, x) = sum_j y_j psi_j(x)``."""
-    yt = problem.truncated(y)
-    vals = problem.system.basis_matrix(x) @ yt
-    return float(vals[0]) if np.ndim(x) == 0 else vals
-
-
-def coeff_eval(problem: ModelProblem1D, y, x):
-    """Diffusion coefficient ``exp(b(y, x))``; positive for every parameter."""
-    out = np.exp(log_coeff_eval(problem, y, x))
-    return float(out) if np.ndim(x) == 0 else out
+def _log_coeff(rows, basis) -> np.ndarray:
+    """``b(y, s)`` for each row of ``rows`` at the points of ``basis``, summed
+    mode by mode, so a row's values do not depend on the others (a matrix
+    product's would)."""
+    out = rows[:, :1] * basis[:, 0]
+    for j in range(1, basis.shape[1]):
+        out += rows[:, j:j + 1] * basis[:, j]
+    return out
 
 
 def _panel_rule(problem: ModelProblem1D, x_upper: float, level: int):
-    """Cached composite Gauss-Legendre data on (0, x_upper) with 2**level
-    panels: nodes, weights, basis values and ``F`` at the nodes."""
+    """Cached composite Gauss-Legendre data on (0, x_upper): 2**level panels
+    on each piece between the block edges inside it (one piece for the other
+    systems), with the nodes, weights, basis values and ``F`` at the nodes."""
     key = (float(x_upper), level)
     hit = problem._quad_cache.get(key)
     if hit is None:
-        panels = 2 ** level
-        width = x_upper / panels
-        starts = width * np.arange(panels)
-        nodes = (starts[:, None] + width * 0.5 * (_GL_NODES[None, :] + 1.0)).ravel()
-        weights = np.tile(width * 0.5 * _GL_WEIGHTS, panels)
+        edges = [0.0, x_upper]
+        if problem.system.kind == "blocks":  # exp(-b) jumps at k / d_max
+            d = problem.system.d_max
+            edges[1:1] = [k / d for k in range(1, d) if k / d < x_upper]
+        width = np.diff(edges)[:, None] / 2 ** level  # one row a piece
+        starts = (np.array(edges[:-1])[:, None] + width * np.arange(2 ** level)).ravel()
+        half = np.repeat(width.ravel() * 0.5, 2 ** level)[:, None]
+        nodes = (starts[:, None] + half * (_GL_NODES[None, :] + 1.0)).ravel()
+        weights = (half * _GL_WEIGHTS).ravel()
         basis = problem.system.basis_matrix(nodes)
         f_anti = np.asarray(problem.F(nodes), dtype=np.float64)
         hit = (nodes, weights, basis, f_anti)
@@ -135,26 +139,55 @@ def _panel_rule(problem: ModelProblem1D, x_upper: float, level: int):
     return hit
 
 
-def exact_solution_1d(problem: ModelProblem1D, y, x: float,
-                      tol: float = 1e-12) -> float:
-    """Closed-form solution ``-int_0^x exp(-b(y, s)) F(s) ds``.
-
-    The integral is evaluated by panel-doubling composite Gauss-Legendre
-    until two consecutive refinements agree to ``tol`` (relative to size).
-    """
-    if x == 0.0:
-        return 0.0
-    yt = problem.truncated(y)
-    previous = None
+def _doubled(values_at, n: int, tol: float, what: str) -> np.ndarray:
+    """n integrals, ``values_at(level, rows)`` those of ``rows`` on 2**level
+    panels: each stops at the first level that agrees with the one before
+    it to ``tol`` (relative to size)."""
+    out, active, previous = np.zeros(n), np.arange(n), None
     for level in range(_MAX_DOUBLINGS + 1):
-        _, weights, basis, f_anti = _panel_rule(problem, x, level)
-        value = -float(weights @ (np.exp(-(basis @ yt)) * f_anti))
-        if previous is not None and abs(value - previous) <= tol * (1.0 + abs(value)):
-            return value
+        value = values_at(level, active)
+        if previous is not None:
+            done = np.abs(value - previous) <= tol * (1.0 + np.abs(value))
+            out[active[done]] = value[done]
+            active, value = active[~done], value[~done]
+        if not active.size:
+            return out
         previous = value
-    raise QuadratureNonconvergence(
-        f"integral for x={x} did not stabilize within {_MAX_DOUBLINGS} doublings"
-    )
+    raise QuadratureNonconvergence(f"{what} did not stabilize within {_MAX_DOUBLINGS} doublings")
+
+
+def _qoi_span(problem: ModelProblem1D) -> tuple:
+    """Upper limit of the QoI's integral over s, and whether it is the mean."""
+    kind = problem.qoi[0]
+    if kind not in ("point", "mean"):
+        raise ValueError(f"unknown QoI kind {kind!r}")
+    return (float(problem.qoi[1]), False) if kind == "point" else (1.0, True)
+
+
+def exact_solution_1d(problem: ModelProblem1D, y, x: float, tol: float = 1e-12,
+                      mean: bool = False):
+    """Closed-form solution ``-int_0^x exp(-b(y, s)) F(s) ds`` at one
+    parameter vector (a float), or at each row of an (n, d) stack.
+
+    With ``mean`` the weight ``1 - s`` goes under the integral, which for
+    ``x = 1`` is the mean of u over (0, 1).  Composite Gauss-Legendre
+    panels are doubled row by row (`_doubled`) until two consecutive
+    refinements agree to ``tol`` (relative to size).
+    """
+    rows = problem.truncated(np.atleast_2d(y))
+
+    def values_at(level, active):
+        nodes, weights, basis, f_anti = _panel_rule(problem, x, level)
+        wf = weights * f_anti * (1.0 - nodes) if mean else weights * f_anti
+        step, value = max(1, _BLOCK // nodes.size), np.empty(active.size)
+        for i in range(0, active.size, step):
+            b = _log_coeff(rows[active[i:i + step]], basis)
+            value[i:i + step] = -(np.exp(-b) * wf).sum(axis=1)
+        return value
+
+    values = (_doubled(values_at, len(rows), tol, f"integral for x={x}") if x
+              else np.zeros(len(rows)))
+    return float(values[0]) if np.ndim(y) < 2 else values
 
 
 def expected_qoi_oracle(problem: ModelProblem1D) -> float:
@@ -169,100 +202,85 @@ def expected_qoi_oracle(problem: ModelProblem1D) -> float:
     mode the sum is ``int F`` itself and the value is the separable
     ``-exp(c**2 / 2) * int_0^x0 F`` to the last bit.
     """
-    kind = problem.qoi[0]
-    if kind not in ("point", "mean"):
-        raise ValueError(f"unknown QoI kind {kind!r}")
-    x_upper = float(problem.qoi[1]) if kind == "point" else 1.0
-    previous = None
-    for level in range(_MAX_DOUBLINGS + 1):
+    x_upper, mean = _qoi_span(problem)
+
+    def values_at(level, _):
         nodes, weights, basis, f_anti = _panel_rule(problem, x_upper, level)
         g = 0.5 * np.sum(basis ** 2, axis=1)
         top = float(g.max())
         integrand = np.exp(g - top) * f_anti
-        if kind == "mean":
+        if mean:
             integrand = integrand * (1.0 - nodes)
-        value = -float(weights @ integrand) * float(np.exp(top))
-        if previous is not None and abs(value - previous) <= 1e-13 * (1.0 + abs(value)):
-            return value
-        previous = value
-    raise QuadratureNonconvergence(
-        f"Gaussian average of the {kind} QoI did not stabilize within "
-        f"{_MAX_DOUBLINGS} doublings"
-    )
+        return np.array([-float(weights @ integrand) * float(np.exp(top))])
+
+    return float(_doubled(values_at, 1, 1e-13, f"Gaussian average of the {problem.qoi[0]} QoI")[0])
 
 
 def fem_solve_1d(problem: ModelProblem1D, y, n_cells: int) -> np.ndarray:
-    """Nodal values of the P1 Galerkin solution on a uniform mesh.
+    """Nodal values of the P1 Galerkin solution on a uniform mesh, at one
+    parameter vector (n_cells + 1 values) or at each row of an (n, d) stack.
 
     Essential condition ``u(0) = 0``; the right-end natural condition
     carries the flux ``-F(1)`` so the discrete and closed-form solutions
     agree in the mesh limit.  Cell integrals use 3-point Gauss, exact for
-    the polynomial orders tested.
+    the polynomial orders tested; the mesh data are cached on the problem.
     """
     if n_cells < 1:
         raise ValueError("need at least one cell")
-    yt = problem.truncated(y)
-    h = 1.0 / n_cells
-    ref = _accel._REF_POINTS
-    points = (np.arange(n_cells)[:, None] + ref[None, :]) * h
-    flat = points.ravel()
-    a_vals = np.exp(problem.system.basis_matrix(flat) @ yt).reshape(n_cells, 3)
-    f_vals = np.asarray(problem.f(flat), dtype=np.float64).reshape(n_cells, 3)
-    flux = -float(problem.F(1.0))
-    try:
-        return _accel.fem_system(a_vals, f_vals, h, flux)
-    except ZeroDivisionError as exc:  # a coefficient that underflows to 0 or is nan
-        raise SingularSystem("FEM system is singular") from exc
+    hit = problem._quad_cache.get(n_cells)
+    if hit is None:
+        flat = ((np.arange(n_cells)[:, None] + _accel._REF_POINTS) * (1.0 / n_cells)).ravel()
+        f_vals = np.asarray(problem.f(flat), dtype=np.float64).reshape(n_cells, 3)
+        hit = problem._quad_cache[n_cells] = (
+            problem.system.basis_matrix(flat), f_vals, -float(problem.F(1.0)))
+    basis, f_vals, flux = hit
+    rows = problem.truncated(np.atleast_2d(y))
+    out = np.empty((len(rows), n_cells + 1))
+    step = max(1, _BLOCK // basis.shape[0])
+    for i in range(0, len(rows), step):
+        a_vals = np.exp(_log_coeff(rows[i:i + step], basis)).reshape(-1, n_cells, 3)
+        try:
+            out[i:i + step] = _accel.fem_system(a_vals, f_vals, 1.0 / n_cells, flux)
+        except ZeroDivisionError as exc:  # a coefficient that underflows to 0 or is nan
+            raise SingularSystem("FEM system is singular") from exc
+    return out if np.ndim(y) > 1 else out[0]
 
 
-def _qoi_from_nodal(problem: ModelProblem1D, nodal: np.ndarray) -> float:
+def _qoi_from_nodal(problem: ModelProblem1D, nodal: np.ndarray) -> np.ndarray:
     kind = problem.qoi[0]
-    n = nodal.size - 1
+    n = nodal.shape[-1] - 1
     if kind == "point":
         x0 = float(problem.qoi[1])
         pos = x0 * n
         i = min(int(pos), n - 1)
         frac = pos - i
-        return float((1.0 - frac) * nodal[i] + frac * nodal[i + 1])
+        return (1.0 - frac) * nodal[..., i] + frac * nodal[..., i + 1]
     if kind == "mean":
-        return float((0.5 * nodal[0] + nodal[1:-1].sum() + 0.5 * nodal[-1]) / n)
-    raise ValueError(f"unknown QoI kind {kind!r}")
-
-
-def _qoi_exact(problem: ModelProblem1D, y) -> float:
-    kind = problem.qoi[0]
-    if kind == "point":
-        return exact_solution_1d(problem, y, float(problem.qoi[1]))
-    if kind == "mean":
-        previous = None
-        for level in range(3, _MAX_DOUBLINGS + 1):
-            nodes, weights, _, _ = _panel_rule(problem, 1.0, level)
-            vals = [exact_solution_1d(problem, y, float(xn)) for xn in nodes]
-            value = float(weights @ np.asarray(vals))
-            if previous is not None and abs(value - previous) <= 1e-10 * (1.0 + abs(value)):
-                return value
-            previous = value
-        raise QuadratureNonconvergence("mean QoI integral did not stabilize")
+        return (0.5 * nodal[..., 0] + nodal[..., 1:-1].sum(axis=-1) + 0.5 * nodal[..., -1]) / n
     raise ValueError(f"unknown QoI kind {kind!r}")
 
 
 class ParametricMapFn:
-    """Thread-safe evaluable map from a parameter vector to an output vector."""
+    """Parametric map: ``fn`` maps an (n, d) stack of parameter vectors to
+    (n, output_dim) values, row i from row i alone, so a node's value does
+    not depend on the nodes that share its batch."""
 
     def __init__(self, fn, output_dim: int, cost: int = 1, label: str = ""):
-        self._fn = fn
+        self.fn = fn
         self.output_dim = int(output_dim)
         self.cost = int(cost)
         self.label = label
 
-    def __call__(self, y) -> np.ndarray:
-        out = np.atleast_1d(np.asarray(self._fn(y), dtype=np.float64))
-        if out.size != self.output_dim:
-            raise ValueError(
-                f"map {self.label or '<anonymous>'} returned {out.size} values, "
-                f"expected {self.output_dim}"
-            )
+    def batch(self, stack) -> np.ndarray:
+        """Values at each row of ``stack``, shape (len(stack), output_dim)."""
+        out = np.asarray(self.fn(stack), dtype=np.float64)
+        if out.shape != (len(stack), self.output_dim):
+            raise ValueError(f"map {self.label or '<anonymous>'} returned shape "
+                             f"{out.shape}, expected {(len(stack), self.output_dim)}")
         return out
+
+    def __call__(self, y) -> np.ndarray:
+        return self.batch(np.atleast_1d(np.asarray(y, dtype=np.float64))[None])[0]
 
 
 def as_parametric_map(problem: ModelProblem1D, fidelity) -> ParametricMapFn:
@@ -273,13 +291,15 @@ def as_parametric_map(problem: ModelProblem1D, fidelity) -> ParametricMapFn:
     cell count, connecting to the multilevel work sequence).
     """
     if fidelity[0] == "exact":
+        x_upper, mean = _qoi_span(problem)
         return ParametricMapFn(
-            lambda y: _qoi_exact(problem, y), 1, cost=1, label="exact-qoi"
+            lambda rows: exact_solution_1d(problem, rows, x_upper, mean=mean)[:, None],
+            1, cost=1, label="exact-qoi",
         )
     if fidelity[0] == "fem":
         n_cells = int(fidelity[1])
         return ParametricMapFn(
-            lambda y: _qoi_from_nodal(problem, fem_solve_1d(problem, y, n_cells)),
+            lambda rows: _qoi_from_nodal(problem, fem_solve_1d(problem, rows, n_cells))[:, None],
             1,
             cost=n_cells,
             label=f"fem-{n_cells}-qoi",
@@ -293,7 +313,7 @@ def as_parametric_map(problem: ModelProblem1D, fidelity) -> ParametricMapFn:
 class BayesSetup:
     """Forward observations, data, and Gaussian noise for the inverse problem."""
 
-    forward: object
+    forward: object  # a ParametricMapFn, evaluated on stacks
     data: np.ndarray
     noise_cov: np.ndarray
     noise_cov_inv_sqrt: np.ndarray = field(init=False, repr=False)
@@ -314,11 +334,14 @@ class BayesSetup:
         object.__setattr__(self, "noise_cov_inv_sqrt", inv_sqrt)
 
 
-def posterior_density(setup: BayesSetup, y) -> float:
-    """Unnormalized posterior ``exp(-misfit/2)`` in (0, 1]."""
-    observed = np.atleast_1d(np.asarray(setup.forward(y), dtype=np.float64))
-    shifted = setup.noise_cov_inv_sqrt @ (setup.data - observed)
-    return float(np.exp(-0.5 * float(shifted @ shifted)))
+def posterior_density(setup: BayesSetup, y):
+    """Unnormalized posterior ``exp(-misfit/2)`` in (0, 1] at one parameter
+    vector (a float), or at each row of an (n, d) stack; the whitening and
+    the misfit are sums over a row's own last axis."""
+    residual = setup.data - setup.forward.batch(np.atleast_2d(np.asarray(y, dtype=np.float64)))
+    shifted = (residual[:, None, :] * setup.noise_cov_inv_sqrt).sum(axis=-1)
+    density = np.exp(-0.5 * (shifted * shifted).sum(axis=-1))
+    return float(density[0]) if np.ndim(y) < 2 else density
 
 
 @dataclass(frozen=True)
@@ -330,7 +353,8 @@ class PosteriorEstimate:
 
 def posterior_expectation(setup: BayesSetup, phi, selector,
                           forward_levels=None) -> PosteriorEstimate:
-    """Sparse-grid ratio estimator of the posterior expectation of ``phi``.
+    """Sparse-grid ratio estimator of the posterior expectation of ``phi``
+    (a `ParametricMapFn`, like the forward maps).
 
     ``selector`` is an IndexSet (single-level quadrature) or a
     LevelAllocation (multilevel; supply ``forward_levels`` with one forward
@@ -342,12 +366,11 @@ def posterior_expectation(setup: BayesSetup, phi, selector,
     def joint_with(forward_map):
         inner_setup = BayesSetup(forward_map, setup.data, setup.noise_cov)
 
-        def joint(y):
-            density = posterior_density(inner_setup, y)
-            phi_val = np.atleast_1d(np.asarray(phi(y), dtype=np.float64))
-            return np.concatenate([phi_val * density, [density]])
+        def joint(rows):
+            density = posterior_density(inner_setup, rows)
+            return np.column_stack([phi.batch(rows) * density[:, None], density])
 
-        return joint
+        return ParametricMapFn(joint, phi.output_dim + 1, label="posterior-joint")
 
     if isinstance(selector, IndexSet):
         vec = quadrature(selector, joint_with(setup.forward))

@@ -193,15 +193,6 @@ def work(allocation: LevelAllocation) -> int:
     )
 
 
-def work_level_major(allocation: LevelAllocation) -> int:
-    """Same total accumulated level by level; must agree with `work` exactly."""
-    sw = allocation.work_sequence
-    total = 0
-    for j, gamma in enumerate(gamma_sets(allocation), start=1):
-        total += sw.values[j] * sum(_point_factor(nu) for nu in gamma)
-    return total
-
-
 def ml_interpolate(allocation: LevelAllocation, u_levels) -> HermitePolynomial:
     """Telescoped multilevel interpolant over the allocation's nested sets.
 

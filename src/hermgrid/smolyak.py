@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyIndexSet, LevelTooLarge, NotDownwardClosed
+from .errors import EmptyIndexSet, NotDownwardClosed
 from .hermite import MAX_LEVEL, gauss_hermite_rule, hermite_eval_all
 from .indexset import IndexSet, MultiIndex
 
@@ -59,15 +59,6 @@ def _require_admissible(index_set: IndexSet):
         raise NotDownwardClosed("operator requires a downward closed index set")
 
 
-def _tensor_nodes(nu: MultiIndex, width: int) -> np.ndarray:
-    """Nodes of the tensor grid of ``nu`` in C order, ``width`` coordinates a
-    row (inactive ones 0), bitwise equal across grids: rules come from one cache."""
-    axes = [gauss_hermite_rule(e).nodes.tolist() for _, e in nu.entries]
-    nodes = np.zeros((math.prod(map(len, axes)), width))
-    nodes[:, list(nu.support)] = list(itertools.product(*axes))
-    return nodes
-
-
 def _patterns(entries):
     """Node patterns of the tensor grid with these (dim, exp) entries: the
     (dim, level) pairs of a node's nonzero coordinates, that is every odd
@@ -82,11 +73,9 @@ def _pattern_size(pattern) -> int:
 
 
 def evaluation_point_count(index_set: IndexSet) -> int:
-    """Number of distinct nodes the operators evaluate on, counted by pattern."""
-    terms = _terms(index_set)
-    if any(e > MAX_LEVEL for nu in terms for _, e in nu.entries):
-        raise LevelTooLarge(f"an exponent exceeds the configured maximum level {MAX_LEVEL}")
-    return sum(map(_pattern_size, set().union(*(_patterns(nu.entries) for nu in terms))))
+    """Number of distinct nodes the operators evaluate on, counted by pattern
+    (an exponent above MAX_LEVEL raises `LevelTooLarge` from its rule)."""
+    return sum(map(_pattern_size, _set_patterns(_terms(index_set))))
 
 
 def largest_threshold_set(surrogate, budgets, d_max: int) -> list:
@@ -157,17 +146,11 @@ def sparse_grid_points(index_set: IndexSet) -> np.ndarray:
     """Evaluation points of the operators, one row per distinct node.
 
     These are the nodes of the tensor grids with nonzero combination
-    coefficient, in the order `quadrature` and `interpolate` first evaluate
+    coefficient, pattern by pattern in the order the operators evaluate
     them; `evaluation_point_count` is their number.
     """
-    points = []
-
-    def record(y):
-        points.append(y)
-        return 0.0
-
-    _evaluate(index_set, record)
-    return np.array(points)
+    width = max(index_set.dimension(), 1)
+    return np.vstack([_pattern_nodes(p, width) for p in _set_patterns(_terms(index_set))])
 
 
 class HermitePolynomial:
@@ -269,40 +252,76 @@ def _projection_matrix(level: int) -> np.ndarray:
     return (table * rule.weights[:, None]).T
 
 
+def _pattern_nodes(pattern, width: int) -> np.ndarray:
+    """The pattern's nodes in C order over its (dim, level) pairs, ``width``
+    coordinates a row (0 off the pattern)."""
+    axes = [gauss_hermite_rule(e).nodes for _, e in pattern]
+    nodes = np.zeros((_pattern_size(pattern), width))
+    for (dim, _), grid in zip(pattern, np.meshgrid(*(a[a != 0.0] for a in axes), indexing="ij")):
+        nodes[:, dim] = grid.ravel()
+    return nodes
+
+
+@lru_cache(maxsize=1 << 14)
+def _term_layout(entries) -> tuple:
+    """The patterns of the tensor grid with these entries, and the order that
+    takes their nodes, pattern after pattern, to the grid's C order."""
+    patterns, shape = _patterns(entries), [e + 1 for _, e in entries]
+    rows = [np.ravel(np.ravel_multi_index(np.ix_(*[
+        np.flatnonzero(gauss_hermite_rule(e).nodes) if (d, e) in p else [e // 2]
+        for d, e in entries]), shape)) for p in patterns]
+    return patterns, np.argsort(np.concatenate(rows))
+
+
+def _set_patterns(terms) -> dict:
+    """The node patterns of the terms' grids, in first-occurrence order."""
+    return dict.fromkeys(p for nu in terms for p in _term_layout(nu.entries)[0])
+
+
+class _Shared:
+    """A map's values at every node it was evaluated on, by node pattern (a
+    nonzero node is fixed by its (dim, level, index) triples, whatever the
+    padding): ``values[pattern]`` holds them in `_pattern_nodes` order.  A
+    ``batch`` method (`ParametricMapFn`) is called on stacks, a bare
+    callable row by row."""
+
+    def __init__(self, u):
+        self.rows = getattr(u, "batch", None) or (lambda nodes: np.array(
+            [np.atleast_1d(np.asarray(u(y), dtype=np.float64)) for y in nodes]))
+        self.values = {}
+
+    def evaluate(self, patterns, width: int):
+        """One map call on the nodes of the patterns not evaluated yet, if any."""
+        new = [p for p in patterns if p not in self.values]
+        if new:
+            fresh = self.rows(np.vstack([_pattern_nodes(p, width) for p in new]))
+            ends = list(itertools.accumulate(map(_pattern_size, new)))
+            self.values.update(zip(new, np.split(fresh, ends[:-1])))
+
+
 def _shared(u):
-    """``u`` as a float array, called once per distinct node: values are kept
-    by the node's nonzero (dim, coordinate) pairs, whatever the padding.  A
-    map that is already shared is returned as it is."""
-    if getattr(u, "is_shared", False):
-        return u
-    values = {}
-
-    def shared(y):
-        key = tuple((j, v) for j, v in enumerate(y.tolist()) if v)
-        hit = values.get(key)
-        if hit is None:
-            hit = values[key] = np.atleast_1d(np.asarray(u(y), dtype=np.float64))
-        return hit
-
-    shared.is_shared = True
-    return shared
+    """``u`` as a `_Shared` map; a shared map is returned as it is."""
+    return u if isinstance(u, _Shared) else _Shared(u)
 
 
 def _evaluate(index_set: IndexSet, u):
     """The signed terms of the operators on the set (`combination_coeffs`)
     and the values of ``u`` on each term's tensor grid in C order, one
-    (nodes, outputs) array a term; ``u`` is called once per distinct node."""
+    (nodes, outputs) array a term.  ``u`` is called once, on the set's nodes
+    it was not evaluated on (`sparse_grid_points` order)."""
     terms = _terms(index_set)
-    width = max(index_set.dimension(), 1)
     u = _shared(u)
-    return terms, [np.vstack([u(y) for y in _tensor_nodes(nu, width)]) for nu in terms]
+    u.evaluate(_set_patterns(terms), max(index_set.dimension(), 1))
+    return terms, [np.concatenate([u.values[p] for p in patterns])[order]
+                   for patterns, order in (_term_layout(nu.entries) for nu in terms)]
 
 
 def interpolate(index_set: IndexSet, u) -> HermitePolynomial:
     """Smolyak interpolant of ``u``, exact on the span of monomials in the set.
 
-    ``u`` maps a real parameter vector (length = active dimension count of
-    the set, padded with zeros) to an output-space vector or scalar.
+    ``u`` is a `ParametricMapFn`, called on an (n, d) stack of nodes, or a
+    per-point callable of one node; d is the set's dimension (nodes are
+    padded with zeros), and the output is an output-space vector or scalar.
     """
     terms, values = _evaluate(index_set, u)
     acc = {}

@@ -44,6 +44,7 @@ from util import (
     random_downward_closed,
     random_product_surrogate,
     tensor_moment,
+    work_level_major,
 )
 
 mi = MultiIndex.from_dict
@@ -205,7 +206,7 @@ def test_criterion_06_telescoping_and_work_model():
         lam = random_downward_closed(rng, 3, 12)
         top = int(rng.integers(1, 5))
         alloc = hg.LevelAllocation({nu: max(0, top - nu.order) for nu in lam}, sw)
-        if hg.work(alloc) != hg.work_level_major(alloc):
+        if hg.work(alloc) != work_level_major(alloc):
             mismatches += 1
     report(
         6, "multilevel telescoping and work model",
@@ -361,8 +362,8 @@ def test_criterion_11a_conjugate_posterior_mean():
     # alternates in sign while falling about 3x per added point.  numpy's
     # hermegauss and a 40-digit Golub-Welsch rule both give 8.6e-5 at 9
     # points, 1.8e-8 at 18 and 6.0e-9 at 19, so 1e-8 is held at {0..18}.
-    setup = hg.BayesSetup(hg.ParametricMapFn(lambda y: [y[0]], 1), [1.0], [[1.0]])
-    phi = hg.ParametricMapFn(lambda y: [y[0]], 1)
+    setup = hg.BayesSetup(hg.ParametricMapFn(lambda rows: rows[:, :1], 1), [1.0], [[1.0]])
+    phi = hg.ParametricMapFn(lambda rows: rows[:, :1], 1)
     stated = hg.posterior_expectation(setup, phi, ladder(8))
     oracle_mean, oracle_normalization = gauss_hermite_ratio(
         9, lambda y: y, lambda y: np.exp(-0.5 * (1.0 - y) ** 2)
@@ -382,8 +383,9 @@ def test_criterion_11a_conjugate_posterior_mean():
 
 
 def test_criterion_11b_trivial_data_normalization():
-    setup = hg.BayesSetup(hg.ParametricMapFn(lambda y: [1.0], 1), [1.0], [[1.0]])
-    phi = hg.ParametricMapFn(lambda y: [1.0], 1)
+    ones = lambda rows: np.ones((len(rows), 1))
+    setup = hg.BayesSetup(hg.ParametricMapFn(ones, 1), [1.0], [[1.0]])
+    phi = hg.ParametricMapFn(ones, 1)
     estimate = hg.posterior_expectation(setup, phi, ladder(8))
     deviation = abs(estimate.normalization - 1.0)
     report(

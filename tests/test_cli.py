@@ -341,6 +341,27 @@ class TestQuadStudy:
                      "--budgets", "3,5"]) == 2
         assert "unknown key 'reference'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, budgets, points, share", [
+        ("d_max = 6\n", "50,100,200", ["64", "64"], 1.0 / 2.0),
+        ("d_max = 4\nqoi = mean\n", "25,50", ["16", "16"], 1.0 / 6.0),
+    ], ids=["point-d6", "mean-d4"])
+    def test_blocks_with_edges_off_the_dyadic_points(self, tmp_path, text, budgets, points,
+                                                     share):
+        # edges k/6, and the mean's weight over (0, 1) at k/4, fall inside the
+        # dyadic panels of (0, x); the panels split there, so the exact map
+        # converges.  Every row is the 2**d_max-point set of the first tie
+        # group that fits (none fits 50 at d_max 6): -cosh(1) times the
+        # share where E[u] has exp(1/2)
+        cfg = write_cfg(tmp_path, "system = blocks\n" + text)
+        out = tmp_path / "o"
+        assert main(["quad", "--config", str(cfg), "--out", str(out),
+                     "--budgets", budgets]) == 0
+        rows = [line.split(",") for line in (out / "quad.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == points
+        for row in rows:
+            assert float(row[2]) == pytest.approx((math.exp(0.5) - math.cosh(1.0)) * share,
+                                                  rel=1e-12)
+
     def test_blocks_row_scored_against_closed_form(self, tmp_path):
         # the first tie group of 256 nodes is the only set within 400 points,
         # and its error against -exp(1/2)/2 is far from 0
@@ -355,7 +376,7 @@ class TestQuadStudy:
         rows = run_quad_study(
             study,
             tmp_path,
-            target=ParametricMapFn(lambda y: [1.0], 1),
+            target=ParametricMapFn(lambda rows: np.ones((len(rows), 1)), 1),
             reference=1.0,
         )
         assert all(row[2] <= 1e-14 for row in rows)
@@ -456,9 +477,10 @@ class TestOneCallPerNodeAndFidelity:
         def counted(problem, fidelity):
             inner = as_parametric_map(problem, fidelity)
 
-            def fn(y):
-                made.append((fidelity, tuple((j, v) for j, v in enumerate(y.tolist()) if v)))
-                return inner(y)
+            def fn(rows):
+                made.extend((fidelity, tuple((j, v) for j, v in enumerate(y.tolist()) if v))
+                            for y in rows)
+                return inner.fn(rows)
 
             return ParametricMapFn(fn, inner.output_dim, inner.cost, inner.label)
 

@@ -1,14 +1,16 @@
 """Log-Gaussian diffusion model problems and Bayesian integrands."""
 
 import itertools
+import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hermgrid import _accel
+from hermgrid import _accel, model
 from hermgrid.errors import DegenerateNormalization, QuadratureNonconvergence, SingularSystem
 from hermgrid.indexset import IndexSet, MultiIndex
 from hermgrid.model import (
@@ -17,15 +19,26 @@ from hermgrid.model import (
     ParametricMapFn,
     RepresentationSystem,
     as_parametric_map,
-    coeff_eval,
     exact_solution_1d,
     expected_qoi_oracle,
     fem_solve_1d,
-    log_coeff_eval,
     posterior_density,
     posterior_expectation,
 )
-from util import fem_system_exact, fem_system_loop
+from util import (
+    fem_cell_data,
+    fem_solve_fsum,
+    fem_solve_point,
+    fem_system_exact,
+    fem_system_loop,
+    log_coeff_point,
+    mean_qoi_nested,
+    panel_integral_fsum,
+    panel_integral_point,
+    posterior_density_fsum,
+    posterior_density_point,
+    ulps,
+)
 
 mi = MultiIndex.from_dict
 GL3, GW3 = np.polynomial.legendre.leggauss(3)
@@ -47,23 +60,26 @@ class TestCoefficient:
     def test_zero_parameter_gives_unit_coefficient(self):
         problem = sin_problem()
         for x in (0.1, 0.5, 0.9):
-            assert coeff_eval(problem, np.zeros(8), x) == 1.0
+            assert np.exp(log_coeff_point(problem, np.zeros(8), x)) == 1.0
 
     def test_constant_mode(self):
         problem = constant_problem(0.5)
-        assert coeff_eval(problem, [2.0], 0.77) == pytest.approx(np.e)
+        assert np.exp(log_coeff_point(problem, [2.0], 0.77)) == pytest.approx(np.e)
 
     def test_sin_mode(self):
         problem = sin_problem(3.0, 4)
         x = 0.25
         expected = np.exp(np.sin(np.pi * x))
-        assert coeff_eval(problem, [1.0, 0.0, 0.0, 0.0], x) == pytest.approx(expected)
+        got = np.exp(log_coeff_point(problem, [1.0, 0.0, 0.0, 0.0], x))
+        assert got == pytest.approx(expected)
 
     def test_truncation_ignores_extra_coordinates(self):
         problem = sin_problem(3.0, 2)
-        a = log_coeff_eval(problem, [0.3, -0.2], 0.4)
-        b = log_coeff_eval(problem, [0.3, -0.2, 99.0, -5.0], 0.4)
+        a = log_coeff_point(problem, [0.3, -0.2], 0.4)
+        b = log_coeff_point(problem, [0.3, -0.2, 99.0, -5.0], 0.4)
         assert a == b
+        stack = problem.truncated([[0.3, -0.2], [0.3, -0.2]])
+        np.testing.assert_array_equal(stack, problem.truncated([[0.3, -0.2, 99.0, -5.0]] * 2))
 
 
 class TestExactSolution:
@@ -92,7 +108,7 @@ class TestExactSolution:
             left = exact_solution_1d(problem, y, x - h)
             right = exact_solution_1d(problem, y, x + h)
             fd = (right - left) / (2 * h)
-            expected = -np.exp(-log_coeff_eval(problem, y, x)) * x
+            expected = -np.exp(-log_coeff_point(problem, y, x)) * x
             assert abs(fd - expected) <= 1e-6 * (1.0 + abs(expected))
 
 
@@ -203,9 +219,7 @@ def model_fem_inputs(seed, n):
     """The cell data `fem_solve_1d` assembles for one sine-system draw."""
     problem = sin_problem(3.0, 8)
     y = np.random.default_rng(seed).standard_normal(8)
-    flat = ((np.arange(n)[:, None] + _accel._REF_POINTS[None, :]) * (1.0 / n)).ravel()
-    aq = np.exp(problem.system.basis_matrix(flat) @ y).reshape(n, 3)
-    return problem, y, (aq, np.ones((n, 3)), 1.0 / n, -1.0)
+    return problem, y, fem_cell_data(problem, y, n)
 
 
 def relative_error_to_exact(u, exact, scale=None):
@@ -294,12 +308,13 @@ class TestParametricMaps:
 class TestPosterior:
     def setup_method(self):
         self.linear = BayesSetup(
-            ParametricMapFn(lambda y: [y[0]], 1), [1.0], [[1.0]]
+            ParametricMapFn(lambda rows: rows[:, :1], 1), [1.0], [[1.0]]
         )
 
     def test_density_examples(self):
         assert posterior_density(self.linear, [1.0]) == 1.0
-        fixed = BayesSetup(ParametricMapFn(lambda y: [2.0], 1), [0.0], [[1.0]])
+        twos = ParametricMapFn(lambda rows: np.full((len(rows), 1), 2.0), 1)
+        fixed = BayesSetup(twos, [0.0], [[1.0]])
         assert posterior_density(fixed, [3.3]) == pytest.approx(np.exp(-2.0))
 
     def test_density_bounds(self):
@@ -311,28 +326,29 @@ class TestPosterior:
 
     def test_noise_validation(self):
         with pytest.raises(ValueError):
-            BayesSetup(ParametricMapFn(lambda y: [y[0]], 1), [1.0], [[0.0]])
+            BayesSetup(ParametricMapFn(lambda rows: rows[:, :1], 1), [1.0], [[0.0]])
         with pytest.raises(ValueError):
             BayesSetup(
-                ParametricMapFn(lambda y: [y[0], y[0]], 2),
+                ParametricMapFn(lambda rows: rows[:, [0, 0]], 2),
                 [1.0, 0.0],
                 [[1.0, 0.5], [0.4, 1.0]],
             )
 
     def test_trivial_density_normalization(self):
-        matched = BayesSetup(ParametricMapFn(lambda y: [1.0], 1), [1.0], [[1.0]])
-        phi = ParametricMapFn(lambda y: [y[0] ** 2], 1)
+        ones = ParametricMapFn(lambda rows: np.ones((len(rows), 1)), 1)
+        matched = BayesSetup(ones, [1.0], [[1.0]])
+        phi = ParametricMapFn(lambda rows: rows[:, :1] ** 2, 1)
         estimate = posterior_expectation(matched, phi, ladder(2))
         assert estimate.normalization == pytest.approx(1.0, abs=1e-15)
         assert estimate.mean[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_constant_functional_is_unbiased(self):
-        phi = ParametricMapFn(lambda y: [1.0], 1)
+        phi = ParametricMapFn(lambda rows: np.ones((len(rows), 1)), 1)
         estimate = posterior_expectation(self.linear, phi, ladder(6))
         assert estimate.mean[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_conjugate_mean_converges(self):
-        phi = ParametricMapFn(lambda y: [y[0]], 1)
+        phi = ParametricMapFn(lambda rows: rows[:, :1], 1)
         errors = [
             abs(posterior_expectation(self.linear, phi, ladder(n)).mean[0] - 0.5)
             for n in (4, 8, 12, 16, 20)
@@ -343,9 +359,9 @@ class TestPosterior:
     def test_degenerate_normalization_reported(self):
         # signed coarse rule on a spiky density can return Z <= 0
         spiky = BayesSetup(
-            ParametricMapFn(lambda y: [40.0 * np.sin(2.0 * y[0])], 1), [0.0], [[0.01]]
+            ParametricMapFn(lambda rows: 40.0 * np.sin(2.0 * rows[:, :1]), 1), [0.0], [[0.01]]
         )
-        phi = ParametricMapFn(lambda y: [y[0]], 1)
+        phi = ParametricMapFn(lambda rows: rows[:, :1], 1)
         with pytest.raises(DegenerateNormalization):
             posterior_expectation(spiky, phi, ladder(3))
 
@@ -354,10 +370,129 @@ class TestPosterior:
 
         lam = ladder(8)
         alloc = LevelAllocation({nu: 1 for nu in lam}, default_work_sequence(1))
-        phi = ParametricMapFn(lambda y: [y[0]], 1)
+        phi = ParametricMapFn(lambda rows: rows[:, :1], 1)
         single = posterior_expectation(self.linear, phi, lam)
         multi = posterior_expectation(
             self.linear, phi, alloc, forward_levels=[self.linear.forward]
         )
         assert multi.mean[0] == pytest.approx(single.mean[0], abs=1e-14)
         assert multi.normalization == pytest.approx(single.normalization, abs=1e-14)
+
+
+SYSTEMS = {
+    "sindecay": lambda **kw: sin_problem(3.0, 6, **kw),
+    "constant": lambda **kw: constant_problem(0.5, **kw),
+    "blocks": lambda **kw: ModelProblem1D(RepresentationSystem.blocks(5, 1.0), **kw),
+}
+QOIS = [("point", 1.0), ("point", 0.37), ("mean",)]
+# Largest deviation of a batched row, or of its per-point oracle, from the
+# math.fsum oracle, in units in the last place of the oracle's largest value
+# (the kernels sum in a different order, not in a different precision).
+ULPS = 8
+
+
+def bayes_setup(seed):
+    """Three nonlinear observations of four parameters, correlated noise."""
+    rng = np.random.default_rng(seed)
+    mix = rng.normal(size=(3, 3))
+    forward = ParametricMapFn(
+        lambda rows: np.column_stack([rows[:, 0] * rows[:, 1], np.sin(rows[:, 2]),
+                                      rows[:, 3] ** 2 - rows[:, 0]]), 3)
+    return BayesSetup(forward, rng.normal(size=3), mix @ mix.T + np.eye(3))
+
+
+class TestBatchedMaps:
+    """Every batched map against the per-point code it replaced and against
+    a `math.fsum` oracle, and each row independent of the rows beside it."""
+
+    @given(st.sampled_from(sorted(SYSTEMS)), st.sampled_from(QOIS),
+           st.integers(0, 2 ** 32 - 1), st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_rows_match_point_oracle(self, system, qoi, seed, n):
+        problem = SYSTEMS[system](qoi=qoi)
+        stack = np.random.default_rng(seed).normal(0.0, 2.0, (n, problem.system.d_max))
+        got = as_parametric_map(problem, ("exact",)).batch(stack)[:, 0]
+        x, mean = (qoi[1], False) if qoi[0] == "point" else (1.0, True)
+        for value, y in zip(got.tolist(), stack):
+            oracle = panel_integral_fsum(problem, y, x, mean)
+            point = panel_integral_point(problem, y, x, mean)
+            assert ulps(value, oracle, oracle) <= ULPS
+            assert ulps(point, oracle, oracle) <= ULPS
+
+    @given(st.sampled_from(sorted(SYSTEMS)), st.sampled_from([1, 2, 8, 32]),
+           st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_fem_rows_match_point_oracle(self, system, n_cells, seed, n):
+        problem = SYSTEMS[system]()
+        stack = np.random.default_rng(seed).normal(0.0, 2.0, (n, problem.system.d_max))
+        got = fem_solve_1d(problem, stack, n_cells)
+        assert got.shape == (n, n_cells + 1)
+        for row, y in zip(got, stack):
+            oracle = fem_solve_fsum(problem, y, n_cells)
+            scale = np.abs(oracle).max()
+            assert ulps(row, oracle, scale) <= ULPS
+            assert ulps(fem_solve_point(problem, y, n_cells), oracle, scale) <= ULPS
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_bayes_rows_match_point_oracle(self, seed, n):
+        setup = bayes_setup(seed)
+        stack = np.random.default_rng(seed + 1).normal(0.0, 1.0, (n, 4))
+        got = posterior_density(setup, stack)
+        for value, y in zip(got.tolist(), stack):
+            oracle = posterior_density_fsum(setup, y)
+            # exp(-m/2) turns the misfit's rounding, a few ulps of m/2, into
+            # relative error: the bound grows with m/2 = -log(density)
+            bound = ULPS * (1.0 - math.log(oracle))
+            assert ulps(value, oracle, oracle) <= bound
+            assert ulps(posterior_density_point(setup, y), oracle, oracle) <= bound
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 500), st.data(),
+           st.sampled_from([model._BLOCK, 97]))
+    @settings(max_examples=25, deadline=None)
+    def test_row_alone_equals_row_in_batch(self, seed, n, data, block):
+        # 64 cells are 192 coefficient values a row, so more than 341 rows
+        # span two row blocks of the FEM kernel; a block of 97 values splits
+        # every batch of the exact map too (at least 12 panel nodes a row)
+        stack = np.random.default_rng(seed).normal(0.0, 2.0, (n, 6))
+        i = data.draw(st.integers(0, n - 1))
+        setup = bayes_setup(seed)
+        maps = [as_parametric_map(sin_problem(3.0, 6, qoi=qoi), fidelity).batch
+                for qoi in QOIS for fidelity in [("exact",), ("fem", 64)]]
+        maps.append(lambda rows: posterior_density(setup, rows[:, :4]))
+        with mock.patch.object(model, "_BLOCK", block):
+            for fn in maps:
+                np.testing.assert_array_equal(fn(stack)[i], fn(stack[i:i + 1])[0])
+
+
+class TestExactMeanAndBlocks:
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_mean_panel_sum_matches_nested_integral(self, seed):
+        problem = sin_problem(3.0, 4, qoi=("mean",))
+        y = np.random.default_rng(seed).standard_normal(4)
+        got = as_parametric_map(problem, ("exact",))(y)[0]
+        assert abs(got - mean_qoi_nested(problem, y)) <= 1e-10
+
+    def test_constant_mode_mean(self):
+        # the mean over (0, 1) of -exp(-c y) x**2 / 2
+        for amplitude in (0.3, 0.5, 2.0):
+            problem = constant_problem(amplitude, qoi=("mean",))
+            stack = np.array([[-3.0], [-0.7], [0.0], [0.4], [2.5]])
+            want = -np.exp(-amplitude * stack[:, 0]) / 6.0
+            got = as_parametric_map(problem, ("exact",)).batch(stack)[:, 0]
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("d", [3, 5, 6, 7])
+    def test_blocks_closed_form(self, d):
+        # F(s) = s: u(x) = -sum_k exp(-a y_k) (min(x, (k+1)/d)**2 - (k/d)**2) / 2
+        amplitude = 0.8
+        problem = ModelProblem1D(RepresentationSystem.blocks(d, amplitude))
+        rng = np.random.default_rng(d)
+        stack = rng.normal(0.0, 2.0, (20, d))
+        for x in (1.0, 0.5, 1.0 / 3.0, float(rng.uniform())):
+            want = -sum(np.exp(-amplitude * stack[:, k])
+                        * (min(x, (k + 1) / d) ** 2 - (k / d) ** 2) / 2.0
+                        for k in range(d) if k / d < x)
+            np.testing.assert_allclose(exact_solution_1d(problem, stack, x), want,
+                                       rtol=1e-14, atol=0.0)

@@ -17,15 +17,16 @@ from hermgrid.multilevel import (
     ml_interpolate,
     ml_quadrature,
     work,
-    work_level_major,
 )
 from hermgrid.smolyak import interpolate, quadrature, sparse_grid_points
 
 from util import (
     construct_levels_loop,
     floor_level_loop,
+    node_key,
     random_downward_closed,
     random_product_surrogate,
+    work_level_major,
 )
 
 mi = MultiIndex.from_dict
@@ -227,11 +228,6 @@ class TestTelescoping:
         q = ml_quadrature(alloc, maps)
         p = ml_interpolate(alloc, maps)
         assert abs(q[0] - p.coefficient(MultiIndex())[0]) <= 1e-12
-
-
-def node_key(y):
-    """A node's nonzero (dim, coordinate) pairs: its identity at any padding."""
-    return tuple((j, v) for j, v in enumerate(np.asarray(y, dtype=float).tolist()) if v)
 
 
 class TestSharedLevelValues:

@@ -11,6 +11,7 @@ from hermgrid.cli import resolve_config
 from hermgrid.errors import EmptyIndexSet, LevelTooLarge, NotDownwardClosed
 from hermgrid.hermite import MAX_LEVEL, gauss_hermite_rule, hermite_eval
 from hermgrid.indexset import IndexSet, MultiIndex, degree_weight, surrogate_weight
+from hermgrid.model import ParametricMapFn
 from hermgrid.smolyak import (
     HermitePolynomial,
     _shared,
@@ -27,6 +28,7 @@ from util import (
     bisection_threshold_set,
     listed_point_count,
     monomial_map,
+    node_key,
     pad,
     random_downward_closed,
     random_product_surrogate,
@@ -409,6 +411,31 @@ class TestShared:
         interpolate(lam, _shared(once))
         quadrature(lam, once)
         assert len(calls) == len(set(calls)) == len(sparse_grid_points(lam))
+
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([quadrature, interpolate]))
+    @settings(max_examples=40, deadline=None)
+    def test_one_call_per_set_on_its_new_nodes(self, seed, operator):
+        # each call passes the map one stack: the set's nodes not evaluated by
+        # an earlier call, in `sparse_grid_points` order
+        rng = np.random.default_rng(seed)
+        stacks, seen = [], set()
+
+        def fn(rows):
+            stacks.append(rows.copy())
+            return np.cos(rows).sum(axis=1, keepdims=True)
+
+        shared = _shared(ParametricMapFn(fn, 1))
+        for _ in range(3):
+            lam = random_downward_closed(rng, 4, 15)
+            made = len(stacks)
+            operator(lam, shared)
+            points = sparse_grid_points(lam)
+            new = [row for row in points if node_key(row) not in seen]
+            assert len(stacks) == made + bool(new)
+            if new:
+                np.testing.assert_array_equal(stacks[-1], new)
+            seen.update(node_key(row) for row in points)
 
 
 class TestNorms:

@@ -4,16 +4,28 @@
 reads two lru_cache counters and sorts parametric-map calls by their
 label.  A renamed or deleted function would only show when a traced
 benchmark runs, so these tests load that file by path and check each hook
-without installing it.
+without installing it, and run small traced studies in a child interpreter
+(installing patches the library for the whole process).
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
 
 from hermgrid import smolyak
 from hermgrid.hermite import gauss_hermite_rule
-from hermgrid.model import ModelProblem1D, RepresentationSystem, as_parametric_map
+from hermgrid.model import (
+    ModelProblem1D,
+    RepresentationSystem,
+    as_parametric_map,
+    fem_solve_1d,
+)
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -47,3 +59,46 @@ def test_map_labels_match_the_call_classifier():
     fem = as_parametric_map(problem, ("fem", 8))
     assert (exact.label, exact.cost) == ("exact-qoi", 1)
     assert (fem.label, fem.cost) == ("fem-8-qoi", 8)
+
+
+TRACED_STUDIES = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_layers", sys.argv[1])
+layers = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(layers)
+from hermgrid import cli
+recorder = layers.Recorder()
+layers.install(recorder)
+codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps({"codes": codes, "summary": recorder.summary()}))
+"""
+
+
+def test_traced_studies_report_every_counter(tmp_path):
+    config = tmp_path / "sin.cfg"
+    config.write_text("system = sindecay\nr_decay = 3.0\nd_max = 4\nalpha = 1.0\n")
+    argvs = [
+        ["quad", "--config", str(config), "--out", str(tmp_path / "q"), "--budgets", "10,25"],
+        ["ml-quad", "--config", str(config), "--out", str(tmp_path / "m"),
+         "--budgets", "256,1024"],
+    ]
+    src = Path(smolyak.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-c", TRACED_STUDIES, str(LAYERS), json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    assert result["codes"] == [0, 0]
+    missing = set(load_layers().COUNTERS) - set(result["summary"])
+    assert not missing
+
+
+def test_fem_solve_of_one_vector_is_one_solution():
+    # the kernel timing of the benchmark solves one 1-d parameter vector
+    problem = ModelProblem1D(RepresentationSystem.sin_decay(3.0, 16))
+    y = np.random.default_rng(0).standard_normal(16)
+    nodal = fem_solve_1d(problem, y, 16_384)
+    assert nodal.shape == (16_385,)
+    np.testing.assert_array_equal(nodal, fem_solve_1d(problem, y[None], 16_384)[0])

@@ -10,10 +10,16 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from hermgrid._accel import _REF_POINTS, _REF_WEIGHTS
 from hermgrid.cli import _format, bisect_epsilon
-from hermgrid.errors import EmptyAllocation, LevelTooLarge, ThresholdTooSmall
+from hermgrid.errors import (
+    EmptyAllocation,
+    LevelTooLarge,
+    QuadratureNonconvergence,
+    ThresholdTooSmall,
+)
 from hermgrid.hermite import MAX_LEVEL, gauss_hermite_rule
 from hermgrid.indexset import IndexSet, MultiIndex, build_threshold_set
-from hermgrid.multilevel import LevelAllocation, construct_levels, work
+from hermgrid.model import _MAX_DOUBLINGS, _panel_rule
+from hermgrid.multilevel import LevelAllocation, construct_levels, gamma_sets, work
 from hermgrid.smolyak import combination_coeffs, evaluation_point_count
 
 
@@ -99,6 +105,11 @@ def pad(y, length: int) -> np.ndarray:
     out = np.zeros(length)
     out[: y.size] = y
     return out
+
+
+def node_key(y):
+    """A node's nonzero (dim, coordinate) pairs: its identity at any padding."""
+    return tuple((j, v) for j, v in enumerate(np.asarray(y, dtype=float).tolist()) if v)
 
 
 def monomial_map(nu: MultiIndex):
@@ -231,6 +242,14 @@ def construct_levels_loop(c_surrogate, d_surrogate, q1, alpha, eps, work_sequenc
         for nu in selected
     }
     return LevelAllocation(levels, work_sequence)
+
+
+def work_level_major(allocation: LevelAllocation) -> int:
+    """Oracle for `hermgrid.multilevel.work`: the same total accumulated
+    level by level, over the nested sets of `gamma_sets`."""
+    sw = allocation.work_sequence
+    return sum(sw.values[j] * sum(math.prod(e + 1 for _, e in nu.entries) for nu in gamma)
+               for j, gamma in enumerate(gamma_sets(allocation), start=1))
 
 
 def ml_work_oracle(surrogate, q1, alpha, work_sequence, d_max, cap=10_000_000):
@@ -397,3 +416,153 @@ def sample_file_text(grid, values) -> str:
     rows = [[float(x), float(v)] for x, v in zip(grid, values)]
     lines = ["x,value"] + [",".join(_format(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def log_coeff_point(problem, y, x) -> float:
+    """``b(y, x)`` at one parameter vector and one point: the basis row at x
+    times the truncated vector (the per-point form the batched maps replaced)."""
+    return float(problem.system.basis_matrix(x)[0] @ problem.truncated(y))
+
+
+def panel_integral_point(problem, y, x_upper: float, mean: bool = False,
+                         tol: float = 1e-12) -> float:
+    """Per-point oracle for the exact map's panel sum at one parameter vector.
+
+    ``-int_0^x_upper exp(-b(y, s)) F(s) [(1 - s) if mean] ds`` on the
+    model's panels, one matrix-vector product and one dot product per
+    level, doubled until two levels agree to ``tol``: the code the batched
+    kernel replaced (for ``mean``, with the ``1 - s`` weight added).
+    """
+    if x_upper == 0.0:
+        return 0.0
+    yt = problem.truncated(y)
+    previous = None
+    for level in range(_MAX_DOUBLINGS + 1):
+        nodes, weights, basis, f_anti = _panel_rule(problem, x_upper, level)
+        integrand = np.exp(-(basis @ yt)) * f_anti
+        if mean:
+            integrand = integrand * (1.0 - nodes)
+        value = -float(weights @ integrand)
+        if previous is not None and abs(value - previous) <= tol * (1.0 + abs(value)):
+            return value
+        previous = value
+    raise QuadratureNonconvergence(f"integral for x={x_upper} did not stabilize")
+
+
+def panel_integral_fsum(problem, y, x_upper: float, mean: bool = False,
+                        tol: float = 1e-12) -> float:
+    """`panel_integral_point` with every sum taken by `math.fsum`: the mode
+    sum of ``b`` at each node and the weighted node sum of each level."""
+    if x_upper == 0.0:
+        return 0.0
+    yt = problem.truncated(y).tolist()
+    previous = None
+    for level in range(_MAX_DOUBLINGS + 1):
+        nodes, weights, basis, f_anti = _panel_rule(problem, x_upper, level)
+        terms = []
+        for s, w, row, f in zip(nodes.tolist(), weights.tolist(), basis.tolist(),
+                                f_anti.tolist()):
+            b = math.fsum(c * v for c, v in zip(row, yt))
+            terms.append(w * math.exp(-b) * f * ((1.0 - s) if mean else 1.0))
+        value = -math.fsum(terms)
+        if previous is not None and abs(value - previous) <= tol * (1.0 + abs(value)):
+            return value
+        previous = value
+    raise QuadratureNonconvergence(f"integral for x={x_upper} did not stabilize")
+
+
+def mean_qoi_nested(problem, y) -> float:
+    """Oracle for the exact mean QoI: the mean of u over (0, 1) as an outer
+    panel sum of point solutions at the nodes of 8, 16, ... panels, doubled
+    until two levels agree to 1e-10 (the map's code before the single panel
+    sum replaced it)."""
+    previous = None
+    for level in range(3, _MAX_DOUBLINGS + 1):
+        nodes, weights, _, _ = _panel_rule(problem, 1.0, level)
+        vals = [panel_integral_point(problem, y, float(xn)) for xn in nodes]
+        value = float(weights @ np.asarray(vals))
+        if previous is not None and abs(value - previous) <= 1e-10 * (1.0 + abs(value)):
+            return value
+        previous = value
+    raise QuadratureNonconvergence("mean QoI integral did not stabilize")
+
+
+def fem_cell_data(problem, y, n_cells: int):
+    """Coefficient and load values at the 3-point rule of every cell, for one
+    parameter vector, through one matrix-vector product."""
+    flat = ((np.arange(n_cells)[:, None] + _REF_POINTS[None, :]) * (1.0 / n_cells)).ravel()
+    aq = np.exp(problem.system.basis_matrix(flat) @ problem.truncated(y)).reshape(n_cells, 3)
+    fq = np.asarray(problem.f(flat), dtype=np.float64).reshape(n_cells, 3)
+    return aq, fq, 1.0 / n_cells, -float(problem.F(1.0))
+
+
+def fem_solve_point(problem, y, n_cells: int) -> np.ndarray:
+    """Per-point oracle for `hermgrid.model.fem_solve_1d`: one parameter
+    vector, its cell data from `fem_cell_data` and the chain solve with the
+    conductances as matrix-vector products (the code the batch replaced)."""
+    aq, fq, h, flux = fem_cell_data(problem, y, n_cells)
+    s = (aq @ _REF_WEIGHTS) / h
+    cell_load = h * (fq * _REF_WEIGHTS)
+    load = np.zeros(n_cells + 1)
+    load[:-1] += cell_load @ (1.0 - _REF_POINTS)
+    load[1:] += cell_load @ _REF_POINTS
+    load[-1] += flux
+    q = np.cumsum(load[:0:-1])[::-1]
+    u = np.zeros(load.size)
+    np.cumsum(q / s, out=u[1:])
+    return u
+
+
+def prefix_sums(values) -> list:
+    """Correctly rounded prefix sums: entry k equals ``math.fsum(values[:k+1])``
+    (an exact running `Fraction` rounded once, in linear time)."""
+    total, out = Fraction(0), []
+    for v in values:
+        total += Fraction(v)
+        out.append(float(total))
+    return out
+
+
+def fem_solve_fsum(problem, y, n_cells: int) -> np.ndarray:
+    """`fem_solve_point` with every sum correctly rounded: the mode sum of the
+    log-coefficient and each conductance by `math.fsum`, and the flux
+    through each cell (its loads and the end flux) and the running sum of
+    the chain solve by `prefix_sums`."""
+    flat = ((np.arange(n_cells)[:, None] + _REF_POINTS[None, :]) * (1.0 / n_cells)).ravel()
+    yt = problem.truncated(y).tolist()
+    a = [math.exp(math.fsum(c * v for c, v in zip(row, yt)))
+         for row in problem.system.basis_matrix(flat).tolist()]
+    f = np.asarray(problem.f(flat), dtype=np.float64).tolist()
+    h, w, x = 1.0 / n_cells, _REF_WEIGHTS.tolist(), _REF_POINTS.tolist()
+    s = [math.fsum(w[q] * a[3 * i + q] for q in range(3)) / h for i in range(n_cells)]
+    # the flux through cell i is every load term right of node i plus the end
+    # flux: the right part of cell i and both parts of each later cell
+    total, flux = Fraction(-float(problem.F(1.0))), [0.0] * n_cells
+    for i in reversed(range(n_cells)):
+        total += sum(Fraction(h * w[q] * f[3 * i + q] * x[q]) for q in range(3))
+        flux[i] = float(total)
+        total += sum(Fraction(h * w[q] * f[3 * i + q] * (1.0 - x[q])) for q in range(3))
+    steps = [qc / si for qc, si in zip(flux, s)]
+    return np.array([0.0] + prefix_sums(steps))
+
+
+def posterior_density_point(setup, y) -> float:
+    """Per-point oracle for `hermgrid.model.posterior_density`: whitening as a
+    matrix-vector product and the misfit as a dot product."""
+    observed = setup.forward(y)
+    shifted = setup.noise_cov_inv_sqrt @ (setup.data - observed)
+    return float(np.exp(-0.5 * float(shifted @ shifted)))
+
+
+def posterior_density_fsum(setup, y) -> float:
+    """`posterior_density_point` with the whitening and misfit sums by `math.fsum`."""
+    residual = (setup.data - setup.forward(y)).tolist()
+    shifted = [math.fsum(m * r for m, r in zip(row, residual))
+               for row in setup.noise_cov_inv_sqrt.tolist()]
+    return math.exp(-0.5 * math.fsum(v * v for v in shifted))
+
+
+def ulps(got, want, scale) -> float:
+    """Largest |got - want| in units in the last place of ``scale``."""
+    diff = np.max(np.abs(np.asarray(got, dtype=np.float64) - np.asarray(want, dtype=np.float64)))
+    return float(diff / np.spacing(abs(float(scale))))
