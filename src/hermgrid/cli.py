@@ -454,7 +454,8 @@ def run_ml_study(study: StudyConfig, out_dir: Path, quantity: str) -> list:
         ref_label = f"interpolant-{evaluation_point_count(ref_set)}-points"
 
     family = study.weight_family(k)
-    surrogate = lambda nu: surrogate_weight(family, nu)
+    # one value per multi-index for every table build and row of the study
+    surrogate = cache(lambda nu: surrogate_weight(family, nu))
     if study.eps_grid:
         sw = default_work_sequence(20)
         pairs = []

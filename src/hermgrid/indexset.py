@@ -47,10 +47,6 @@ class MultiIndex:
         """Build from a dense exponent list, dropping zeros."""
         return cls(tuple((j, int(e)) for j, e in enumerate(exponents) if e != 0))
 
-    @classmethod
-    def unit(cls, dim: int, exp: int = 1) -> "MultiIndex":
-        return cls(((dim, exp),)) if exp else cls()
-
     @property
     def order(self) -> int:
         """Total degree (sum of exponents)."""
@@ -69,15 +65,6 @@ class MultiIndex:
     def max_dim(self) -> int:
         """Largest active dimension plus one (0 for the empty index)."""
         return self.entries[-1][0] + 1 if self.entries else 0
-
-    def incremented(self, dim: int) -> "MultiIndex":
-        return MultiIndex.from_dict({**dict(self.entries), dim: self.exponent(dim) + 1})
-
-    def decremented(self, dim: int) -> "MultiIndex":
-        e = self.exponent(dim)
-        if e == 0:
-            raise ValueError(f"dimension {dim} not in support")
-        return MultiIndex.from_dict({**dict(self.entries), dim: e - 1})
 
     def sort_key(self):
         return (self.order, self.entries)
@@ -157,13 +144,12 @@ class IndexSet:
 
 
 def is_downward_closed(index_set) -> bool:
-    """True iff every member keeps all its single-step predecessors inside."""
-    members = set(index_set)
-    for nu in members:
-        for dim in nu.support:
-            if nu.decremented(dim) not in members:
-                return False
-    return True
+    """True iff every member keeps all its single-step predecessors inside
+    (compared as entry tuples: the exponent at position i lowered, or the
+    pair dropped at exponent 1)."""
+    members = {nu.entries for nu in index_set}
+    return all(e[:i] + (((d, k - 1),) if k > 1 else ()) + e[i + 1:] in members
+               for e in members for i, (d, k) in enumerate(e))
 
 
 def drop_unit_exponents(index_set: IndexSet) -> IndexSet:

@@ -12,6 +12,11 @@ patterns (S, nu|_S), S every odd-exponent dimension of supp nu plus any
 subset of the even ones; the distinct-node count sums, over the distinct
 patterns of the grids with nonzero coefficient, prod_{j in S} (nu_j + 1 -
 [nu_j even]).  The studies evaluate each map once per node and fidelity.
+
+Work is shared across calls: `_terms` and `_set_patterns` keep the terms
+and node patterns of recent set contents, `_term_layout`, `_term_weights`
+and `_pattern_nodes` cache per term or pattern (the arrays read-only), and
+a `_Shared` map keeps its values by pattern and its weighted sums by term.
 """
 
 import heapq
@@ -44,12 +49,12 @@ def combination_coeffs(index_set: IndexSet) -> dict:
     return {MultiIndex(nu): acc[nu] for nu in terms}
 
 
+@lru_cache(maxsize=256)
 def _terms(index_set: IndexSet) -> dict:
-    """`combination_coeffs` of the set, computed once per set object."""
-    memo = vars(index_set)
-    if "combination_terms" not in memo:
-        memo["combination_terms"] = combination_coeffs(index_set)
-    return memo["combination_terms"]
+    """`combination_coeffs` of the set, computed once per set content (sets
+    hash and compare by members) while it stays among the 256 most recently
+    used; equal sets from other rows or walks share the one dict."""
+    return combination_coeffs(index_set)
 
 
 def _require_admissible(index_set: IndexSet):
@@ -75,7 +80,7 @@ def _pattern_size(pattern) -> int:
 def evaluation_point_count(index_set: IndexSet) -> int:
     """Number of distinct nodes the operators evaluate on, counted by pattern
     (an exponent above MAX_LEVEL raises `LevelTooLarge` from its rule)."""
-    return sum(map(_pattern_size, _set_patterns(_terms(index_set))))
+    return sum(map(_pattern_size, _set_patterns(index_set)))
 
 
 def largest_threshold_set(surrogate, budgets, d_max: int) -> list:
@@ -150,7 +155,7 @@ def sparse_grid_points(index_set: IndexSet) -> np.ndarray:
     them; `evaluation_point_count` is their number.
     """
     width = max(index_set.dimension(), 1)
-    return np.vstack([_pattern_nodes(p, width) for p in _set_patterns(_terms(index_set))])
+    return np.vstack([_pattern_nodes(p, width) for p in _set_patterns(index_set)])
 
 
 class HermitePolynomial:
@@ -252,14 +257,26 @@ def _projection_matrix(level: int) -> np.ndarray:
     return (table * rule.weights[:, None]).T
 
 
+@lru_cache(maxsize=1 << 14)
 def _pattern_nodes(pattern, width: int) -> np.ndarray:
     """The pattern's nodes in C order over its (dim, level) pairs, ``width``
-    coordinates a row (0 off the pattern)."""
+    coordinates a row (0 off the pattern); read-only."""
     axes = [gauss_hermite_rule(e).nodes for _, e in pattern]
     nodes = np.zeros((_pattern_size(pattern), width))
     for (dim, _), grid in zip(pattern, np.meshgrid(*(a[a != 0.0] for a in axes), indexing="ij")):
         nodes[:, dim] = grid.ravel()
+    nodes.setflags(write=False)
     return nodes
+
+
+@lru_cache(maxsize=1 << 14)
+def _term_weights(entries) -> np.ndarray:
+    """The C-order quadrature weights of the tensor grid with these entries."""
+    w = np.ones(1)
+    for _, exp in entries:
+        w = np.multiply.outer(w, gauss_hermite_rule(exp).weights).ravel()
+    w.setflags(write=False)
+    return w
 
 
 @lru_cache(maxsize=1 << 14)
@@ -273,22 +290,24 @@ def _term_layout(entries) -> tuple:
     return patterns, np.argsort(np.concatenate(rows))
 
 
-def _set_patterns(terms) -> dict:
-    """The node patterns of the terms' grids, in first-occurrence order."""
-    return dict.fromkeys(p for nu in terms for p in _term_layout(nu.entries)[0])
+@lru_cache(maxsize=256)
+def _set_patterns(index_set: IndexSet) -> tuple:
+    """The node patterns of the `_terms` grids, in first-occurrence order."""
+    return tuple(dict.fromkeys(p for nu in _terms(index_set) for p in _term_layout(nu.entries)[0]))
 
 
 class _Shared:
     """A map's values at every node it was evaluated on, by node pattern (a
     nonzero node is fixed by its (dim, level, index) triples, whatever the
-    padding): ``values[pattern]`` holds them in `_pattern_nodes` order.  A
-    ``batch`` method (`ParametricMapFn`) is called on stacks, a bare
-    callable row by row."""
+    padding): ``values[pattern]`` holds them in `_pattern_nodes` order, and
+    ``sums[entries]`` the weighted sum over a term's grid once `quadrature`
+    formed it.  A ``batch`` method (`ParametricMapFn`) is called on stacks,
+    a bare callable row by row."""
 
     def __init__(self, u):
         self.rows = getattr(u, "batch", None) or (lambda nodes: np.array(
             [np.atleast_1d(np.asarray(u(y), dtype=np.float64)) for y in nodes]))
-        self.values = {}
+        self.values, self.sums = {}, {}
 
     def evaluate(self, patterns, width: int):
         """One map call on the nodes of the patterns not evaluated yet, if any."""
@@ -298,22 +317,31 @@ class _Shared:
             ends = list(itertools.accumulate(map(_pattern_size, new)))
             self.values.update(zip(new, np.split(fresh, ends[:-1])))
 
+    def grid(self, entries) -> np.ndarray:
+        """Values on the tensor grid with these entries, in C order."""
+        patterns, order = _term_layout(entries)
+        return np.concatenate([self.values[p] for p in patterns])[order]
+
+    def weighted_sum(self, entries) -> np.ndarray:
+        """``w @ grid(entries)`` with the grid's quadrature weights w."""
+        if entries not in self.sums:
+            self.sums[entries] = _term_weights(entries) @ self.grid(entries)
+        return self.sums[entries]
+
 
 def _shared(u):
     """``u`` as a `_Shared` map; a shared map is returned as it is."""
     return u if isinstance(u, _Shared) else _Shared(u)
 
 
-def _evaluate(index_set: IndexSet, u):
-    """The signed terms of the operators on the set (`combination_coeffs`)
-    and the values of ``u`` on each term's tensor grid in C order, one
-    (nodes, outputs) array a term.  ``u`` is called once, on the set's nodes
-    it was not evaluated on (`sparse_grid_points` order)."""
+def _evaluate(index_set: IndexSet, u) -> tuple:
+    """The signed terms of the operators on the set and ``u`` as a `_Shared`
+    map holding its values on every term's grid: one call of ``u``, on the
+    set's nodes it was not evaluated on (`sparse_grid_points` order)."""
     terms = _terms(index_set)
     u = _shared(u)
-    u.evaluate(_set_patterns(terms), max(index_set.dimension(), 1))
-    return terms, [np.concatenate([u.values[p] for p in patterns])[order]
-                   for patterns, order in (_term_layout(nu.entries) for nu in terms)]
+    u.evaluate(_set_patterns(index_set), max(index_set.dimension(), 1))
+    return terms, u
 
 
 def interpolate(index_set: IndexSet, u) -> HermitePolynomial:
@@ -323,9 +351,10 @@ def interpolate(index_set: IndexSet, u) -> HermitePolynomial:
     per-point callable of one node; d is the set's dimension (nodes are
     padded with zeros), and the output is an output-space vector or scalar.
     """
-    terms, values = _evaluate(index_set, u)
+    terms, u = _evaluate(index_set, u)
     acc = {}
-    for (nu, sigma), term_values in zip(terms.items(), values):
+    for nu, sigma in terms.items():
+        term_values = u.grid(nu.entries)
         shape = tuple(exp + 1 for _, exp in nu.entries)
         tensor = term_values.reshape(shape + term_values.shape[1:])
         for axis, (_, exp) in enumerate(nu.entries):
@@ -341,7 +370,7 @@ def interpolate(index_set: IndexSet, u) -> HermitePolynomial:
                 acc[mu] = acc[mu] + contrib
             else:
                 acc[mu] = contrib.copy()
-    return HermitePolynomial(acc, values[0].shape[1])
+    return HermitePolynomial(acc, term_values.shape[1])
 
 
 def quadrature(index_set: IndexSet, u) -> np.ndarray:
@@ -351,11 +380,9 @@ def quadrature(index_set: IndexSet, u) -> np.ndarray:
     exact for monomials whose index lies in the set or carries no exponent
     equal to 1.
     """
-    terms, values = _evaluate(index_set, u)
-    out = np.zeros(values[0].shape[1])
-    for (nu, sigma), term_values in zip(terms.items(), values):
-        w = np.ones(1)
-        for _, exp in nu.entries:
-            w = np.multiply.outer(w, gauss_hermite_rule(exp).weights).ravel()
-        out += sigma * (w @ term_values)
+    terms, u = _evaluate(index_set, u)
+    sums = [u.weighted_sum(nu.entries) for nu in terms]
+    out = np.zeros(sums[0].shape[0])
+    for sigma, term_sum in zip(terms.values(), sums):
+        out += sigma * term_sum
     return out

@@ -308,11 +308,11 @@ class TestMlBudgetSearch:
         cost = ml_work_cost(surrogate, 1.0, 1.0, 1)
         oracle = ml_work_oracle(surrogate, 1.0, 1.0, sw, 1)
         # member 70 is active at its own threshold; member 60 has a rule
-        assert cost(1.0 / surrogate(MultiIndex.unit(0, 70)), sw) == math.inf
-        assert oracle(1.0 / surrogate(MultiIndex.unit(0, 70))) == math.inf
-        finite = cost(1.0 / surrogate(MultiIndex.unit(0, 60)), sw)
+        assert cost(1.0 / surrogate(MultiIndex(((0, 70),))), sw) == math.inf
+        assert oracle(1.0 / surrogate(MultiIndex(((0, 70),)))) == math.inf
+        finite = cost(1.0 / surrogate(MultiIndex(((0, 60),))), sw)
         assert 0 < finite < math.inf
-        assert finite == oracle(1.0 / surrogate(MultiIndex.unit(0, 60)))
+        assert finite == oracle(1.0 / surrogate(MultiIndex(((0, 60),))))
         assert cost(2.0, sw) == 0
 
 
@@ -559,18 +559,43 @@ class TestOneBudgetSearchPerStudy:
         # probe's eps, the 65536 budget's probe at 1e-21 alone holds 5221
         assert [size for *_, size in searches] == [2, 4, 9, 21, 47, 109, 232, 465]
 
-    @pytest.mark.parametrize("kind, run", [("quad", run_quad_study),
-                                           ("interp", run_interp_study)])
-    def test_combination_terms_once_per_set(self, tmp_path, monkeypatch, kind, run):
+    @pytest.fixture
+    def coeff_calls(self, monkeypatch):
+        """The sets `combination_coeffs` is called on, from a cold term cache
+        (it is process-wide, so an earlier test may hold these sets)."""
         seen = []
         inner = smolyak.combination_coeffs
         monkeypatch.setattr(smolyak, "combination_coeffs",
                             lambda index_set: seen.append(index_set) or inner(index_set))
+        smolyak._terms.cache_clear()
+        return seen
+
+    @pytest.mark.parametrize("kind, run", [("quad", run_quad_study),
+                                           ("interp", run_interp_study)])
+    def test_combination_terms_once_per_set(self, tmp_path, coeff_calls, kind, run):
         study = resolve_config(kind, {"system": "sindecay", "r_decay": "3.0",
                                       "d_max": "16"}, 0, budgets=(25, 50, 100, 200))
         run(study, tmp_path)
         # four rows, and for interp the reference interpolant's set
-        assert len(seen) == len({id(s) for s in seen}) == (4 if kind == "quad" else 5)
+        assert len(coeff_calls) == len({id(s) for s in coeff_calls}) == (
+            4 if kind == "quad" else 5)
+
+    def test_ml_combination_terms_once_per_set_content(self, tmp_path, monkeypatch,
+                                                       coeff_calls):
+        # the rows' allocations repeat Gamma_j sets as new objects: the
+        # mlquad-fem config builds 30 of them on 16 distinct contents
+        gammas = []
+        inner = multilevel.gamma_sets
+
+        def recorded(allocation):
+            sets = inner(allocation)
+            gammas.extend(sets)
+            return sets
+
+        monkeypatch.setattr(multilevel, "gamma_sets", recorded)
+        run_ml_study(sin_study(budgets="4096,16384,65536"), tmp_path, "quad")
+        assert len(gammas) == 30 and len({id(s) for s in gammas}) == 30
+        assert len(coeff_calls) == len(set(coeff_calls)) == len(set(gammas)) == 16
 
 
 class TestGrfStudy:

@@ -20,7 +20,13 @@ from hermgrid.indexset import (
     surrogate_weight,
 )
 
-from util import brute_force_threshold, random_product_surrogate
+from util import (
+    brute_force_threshold,
+    downward_closed_oracle,
+    random_downward_closed,
+    random_product_surrogate,
+    shifted,
+)
 
 mi = MultiIndex.from_dict
 
@@ -40,14 +46,6 @@ class TestMultiIndex:
         assert nu.support == (0, 3)
         assert nu.exponent(3) == 1 and nu.exponent(1) == 0
         assert nu.max_dim() == 4 and MultiIndex().max_dim() == 0
-
-    def test_increment_decrement(self):
-        nu = mi({0: 1})
-        assert nu.incremented(0) == mi({0: 2})
-        assert nu.incremented(2) == mi({0: 1, 2: 1})
-        assert nu.decremented(0) == MultiIndex()
-        with pytest.raises(ValueError):
-            nu.decremented(1)
 
     @given(st.dictionaries(st.integers(0, 9), st.integers(1, 7), max_size=5))
     def test_render_parse_roundtrip(self, entries):
@@ -158,6 +156,24 @@ class TestDownwardClosed:
         assert is_downward_closed(IndexSet([MultiIndex()]))
         assert is_downward_closed(IndexSet([MultiIndex(), mi({0: 1}), mi({0: 2})]))
         assert not is_downward_closed(IndexSet([mi({0: 1})]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 40), st.data())
+    def test_entry_tuples_match_predecessor_oracle(self, seed, dims, size, data):
+        closed = random_downward_closed(np.random.default_rng(seed), dims, size)
+        assert is_downward_closed(closed) and downward_closed_oracle(closed)
+        members = closed.sorted_members
+        # any member dropped (a maximal one keeps the set closed) ...
+        dropped = data.draw(st.sampled_from(members))
+        cut = IndexSet(nu for nu in members if nu != dropped)
+        assert is_downward_closed(cut) == downward_closed_oracle(cut)
+        # ... and a member's predecessor dropped
+        predecessors = sorted({shifted(nu, d, -1) for nu in members for d in nu.support},
+                              key=MultiIndex.sort_key)
+        if predecessors:
+            dropped = data.draw(st.sampled_from(predecessors))
+            cut = IndexSet(nu for nu in members if nu != dropped)
+            assert not is_downward_closed(cut) and not downward_closed_oracle(cut)
 
     def test_drop_unit_exponents(self):
         full = IndexSet([MultiIndex(), mi({0: 1}), mi({0: 2})])

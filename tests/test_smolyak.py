@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hermgrid import smolyak
 from hermgrid.cli import resolve_config
 from hermgrid.errors import EmptyIndexSet, LevelTooLarge, NotDownwardClosed
 from hermgrid.hermite import MAX_LEVEL, gauss_hermite_rule, hermite_eval
@@ -30,6 +31,8 @@ from util import (
     monomial_map,
     node_key,
     pad,
+    product_map,
+    quadrature_oracle,
     random_downward_closed,
     random_product_surrogate,
     scan_threshold_set,
@@ -436,6 +439,49 @@ class TestShared:
             if new:
                 np.testing.assert_array_equal(stacks[-1], new)
             seen.update(node_key(row) for row in points)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_warm_term_sums_match_cold_oracle(self, seed):
+        # sets drawn from one stream share low terms, so later quadratures
+        # reuse the map's weighted term sums; a repeat reuses all of them
+        rng = np.random.default_rng(seed)
+        shared = _shared(ParametricMapFn(product_map, 2))
+        for _ in range(4):
+            lam = random_downward_closed(rng, 4, 15)
+            cold = quadrature_oracle(lam, product_map, 2).tobytes()
+            assert quadrature(lam, shared).tobytes() == cold
+            assert all(nu.entries in shared.sums for nu in combination_coeffs(lam))
+            assert quadrature(lam, shared).tobytes() == cold
+
+
+class TestCaches:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 25))
+    @settings(max_examples=40, deadline=None)
+    def test_terms_shared_by_set_content(self, seed, dims, size):
+        lam = random_downward_closed(np.random.default_rng(seed), dims, size)
+        twin = IndexSet(lam.members)
+        assert smolyak._terms(twin) is smolyak._terms(lam)
+        assert smolyak._terms(lam) == combination_coeffs(lam)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 25))
+    @settings(max_examples=40, deadline=None)
+    def test_cached_arrays_read_only_and_points_fresh(self, seed, dims, size):
+        lam = random_downward_closed(np.random.default_rng(seed), dims, size)
+        width = max(lam.dimension(), 1)
+        patterns = smolyak._set_patterns(lam)
+        for nu in combination_coeffs(lam):
+            weights = smolyak._term_weights(nu.entries)
+            with pytest.raises(ValueError):
+                weights[0] = 0.0
+        for p in patterns:
+            with pytest.raises(ValueError):
+                smolyak._pattern_nodes(p, width)[0] = 0.0
+        points = sparse_grid_points(lam)
+        expected = np.vstack([smolyak._pattern_nodes(p, width) for p in patterns])
+        np.testing.assert_array_equal(points, expected)
+        points[:] = 7.0  # a fresh, writable copy: the cached nodes stay
+        np.testing.assert_array_equal(sparse_grid_points(lam), expected)
 
 
 class TestNorms:

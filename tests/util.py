@@ -52,6 +52,21 @@ def golub_welsch_rule(n: int):
     return nodes, weights / weights.sum()
 
 
+def shifted(nu: MultiIndex, dim: int, step: int) -> MultiIndex:
+    """``nu`` with the exponent in ``dim`` moved by ``step``, built from its
+    entry tuples (an exponent that reaches 0 drops its pair)."""
+    exponents = dict(nu.entries)
+    exponents[dim] = exponents.get(dim, 0) + step
+    return MultiIndex(tuple(sorted((d, e) for d, e in exponents.items() if e)))
+
+
+def downward_closed_oracle(index_set) -> bool:
+    """Slow oracle for `is_downward_closed`: every member's predecessor in
+    each support dimension, built as a `MultiIndex`, is a member."""
+    members = set(index_set)
+    return all(shifted(nu, dim, -1) in members for nu in members for dim in nu.support)
+
+
 def random_downward_closed(rng, dims: int, max_size: int) -> IndexSet:
     """Grow a random downward closed set by admissible completions."""
     members = {MultiIndex()}
@@ -59,13 +74,43 @@ def random_downward_closed(rng, dims: int, max_size: int) -> IndexSet:
     while len(members) < target:
         nu = list(members)[rng.integers(0, len(members))]
         dim = int(rng.integers(0, dims))
-        candidate = nu.incremented(dim)
+        candidate = shifted(nu, dim, 1)
         admissible = all(
-            candidate.decremented(d) in members for d in candidate.support
+            shifted(candidate, d, -1) in members for d in candidate.support
         )
         if admissible:
             members.add(candidate)
     return IndexSet(members)
+
+
+def product_map(rows) -> np.ndarray:
+    """(n, 2) values: the product over columns of 1 + sin((j + 1) y_j) / 3,
+    and its cosine.  Each factor is elementwise and a zero column is a factor
+    of exactly 1, so a row's values depend neither on its batch nor on its
+    padding."""
+    acc = np.ones(rows.shape[0])
+    for j in range(rows.shape[1]):
+        acc = acc * (1.0 + np.sin((j + 1) * rows[:, j]) / 3.0)
+    return np.stack([acc, np.cos(acc)], axis=1)
+
+
+def quadrature_oracle(index_set: IndexSet, fn, output_dim: int) -> np.ndarray:
+    """Cold per-term Smolyak quadrature of the batched map ``fn``: each
+    signed term's weights and its tensor grid's values built afresh, in C
+    order, and summed in term order like `quadrature`."""
+    width = max(index_set.dimension(), 1)
+    out = np.zeros(output_dim)
+    for nu, sigma in combination_coeffs(index_set).items():
+        rules = [gauss_hermite_rule(e) for _, e in nu.entries]
+        rows = np.zeros((math.prod(r.nodes.size for r in rules), width))
+        for (dim, _), grid in zip(nu.entries,
+                                  np.meshgrid(*(r.nodes for r in rules), indexing="ij")):
+            rows[:, dim] = grid.ravel()
+        w = np.ones(1)
+        for rule in rules:
+            w = np.multiply.outer(w, rule.weights).ravel()
+        out += sigma * (w @ fn(rows))
+    return out
 
 
 def random_product_surrogate(rng, dims: int):
@@ -207,10 +252,10 @@ def scan_threshold_set(surrogate, budget: int, d_max: int,
         except (ThresholdTooSmall, LevelTooLarge):
             return best
         eps = max(
-            1.0 / surrogate(nu.incremented(dim))
+            1.0 / surrogate(shifted(nu, dim, 1))
             for nu in selected
             for dim in range(d_max)
-            if nu.incremented(dim) not in selected
+            if shifted(nu, dim, 1) not in selected
         )
 
 
