@@ -6,9 +6,7 @@ from .hermite import (
     MAX_LEVEL,
     HermiteRule,
     gauss_hermite_rule,
-    hermite_eval,
     hermite_eval_all,
-    tensor_hermite_eval,
 )
 from .indexset import (
     IndexSet,
@@ -17,7 +15,6 @@ from .indexset import (
     binomial_weight,
     build_threshold_set,
     degree_weight,
-    drop_unit_exponents,
     is_downward_closed,
     surrogate_weight,
 )

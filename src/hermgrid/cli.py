@@ -27,7 +27,8 @@ from .errors import (
 )
 from .grf import CovarianceSpec, circulant_embed_1d, sample_grf
 from .hermite import MAX_LEVEL
-from .indexset import IndexSet, MultiIndex, WeightFamily, build_threshold_set, surrogate_weight
+from .indexset import (IndexSet, MultiIndex, WeightFamily, _root_factorial, build_threshold_set,
+                       surrogate_weight)
 from .model import (
     BayesSetup,
     ModelProblem1D,
@@ -66,7 +67,7 @@ _DEFAULT_BUDGETS = {
 
 def parse_config(path) -> dict:
     """Parse ``key = value`` lines; '#' starts a comment."""
-    values = {}
+    values, lines = {}, {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -84,7 +85,9 @@ def parse_config(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
-        values[key] = value
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}, first on line {lines[key]}")
+        values[key], lines[key] = value, lineno
     return values
 
 
@@ -160,7 +163,7 @@ class StudyConfig:
         try:
             if xi == 0.0:
                 norm_p = float(np.sum(b ** self.p)) ** (1.0 / self.p)
-                xi = 4.0 * math.sqrt(math.factorial(self.r)) * norm_p
+                xi = 4.0 * _root_factorial(self.r) * norm_p
             return WeightFamily(b=b, p=self.p, xi=xi, r=self.r, tau=self.tau,
                                 k=k, K=self.K)
         except ValueError as exc:
@@ -207,8 +210,8 @@ def resolve_config(kind: str, cfg: dict, seed: int, budgets=None) -> StudyConfig
         if not 0.0 < q1 < 2.0:
             derived = "" if "q1" in cfg else f" (the default p/(1-p) at p = {p})"
             raise ConfigError(f"key 'q1': must lie in (0, 2), got {q1}{derived}")
-        if not alpha > 0.0:
-            raise ConfigError(f"key 'alpha': must be positive, got {alpha}")
+        if not 0.0 < alpha < math.inf:
+            raise ConfigError(f"key 'alpha': must be positive and finite, got {alpha}")
     return StudyConfig(
         kind=kind,
         problem=problem,
@@ -325,24 +328,17 @@ def _study_sets(study: StudyConfig, k: int, reference_budget=None) -> tuple:
     return sets, ref_set
 
 
-def run_quad_study(study: StudyConfig, out_dir: Path, target=None,
-                   reference=None) -> list:
+def run_quad_study(study: StudyConfig, out_dir: Path) -> list:
     """Single-level quadrature error against point budget.
 
-    ``target`` and ``reference`` default to the configured problem QoI and
-    its closed-form Gaussian average (`expected_qoi_oracle`).  Rows follow
-    the configured eps grid when one is present, otherwise the point
-    budgets.
+    Errors are measured against the closed-form Gaussian average of the
+    problem QoI (`expected_qoi_oracle`).  Rows follow the configured eps
+    grid when one is present, otherwise the point budgets.
     """
     problem = study.problem
-    if target is None:
-        target = as_parametric_map(problem, ("exact",))
-    target = _shared(target)  # one value per node for every row
+    target = _shared(as_parametric_map(problem, ("exact",)))
     sets, _ = _study_sets(study, 2)
-    if reference is None:
-        reference, ref_label = expected_qoi_oracle(problem), "analytic"
-    else:
-        ref_label = "caller-supplied"
+    reference = expected_qoi_oracle(problem)
     rows = []
     ns, errs = [], []
     for selected in sets:
@@ -357,7 +353,7 @@ def run_quad_study(study: StudyConfig, out_dir: Path, target=None,
     if rows:
         rows[-1][3] = fit_rate(ns, errs)
     write_csv(out_dir / "quad.csv", ("n_points", "work", "abs_error", "fitted_rate"), rows)
-    write_meta(out_dir, study, {"reference": ref_label})
+    write_meta(out_dir, study, {"reference": "analytic"})
     return rows
 
 

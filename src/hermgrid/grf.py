@@ -160,7 +160,7 @@ class EmbeddingPlan:
 
 
 def circulant_embed_1d(spec: CovarianceSpec, m: int, ell: float,
-                       cutoff: tuple = None, strict: bool = False) -> EmbeddingPlan:
+                       cutoff: tuple = None) -> EmbeddingPlan:
     """Periodize a kernel onto a circulant row and diagonalize it by FFT.
 
     Without a cutoff the kernel is wrapped by the minimum-image rule, which
@@ -169,9 +169,9 @@ def circulant_embed_1d(spec: CovarianceSpec, m: int, ell: float,
     compactly supported `bspline_cutoff`; the original correlations on
     [-1, 1] survive whenever ``2 ell - kappa >= 1``.
 
-    With ``strict=True`` a failed eigenvalue positivity check raises
-    `NotPositiveDefinite` (the half-period is too small); otherwise the
-    plan records the flag and sampling refuses later.
+    A failed eigenvalue positivity check (the half-period is too small) is
+    recorded in ``positive``; sampling from such a plan raises
+    `NotPositiveDefinite`.
     """
     if m < 1:
         raise ValueError("grid size m must be positive")
@@ -197,10 +197,6 @@ def circulant_embed_1d(spec: CovarianceSpec, m: int, ell: float,
         raise AssertionError("even row must have a real spectrum")
     eigenvalues = eigenvalues.real
     positive = bool(eigenvalues.min() >= -_EIG_TOL * max(eigenvalues.max(), 0.0))
-    if strict and not positive:
-        raise NotPositiveDefinite(
-            f"embedding with ell={ell} is not positive semidefinite; increase ell"
-        )
     grid = -0.5 + h * np.arange(m + 1)
     lam = np.clip(eigenvalues[: s // 2 + 1], 0.0, None)
     amplitudes = np.sqrt(lam / 2.0)  # paired frequencies 1..s/2-1 split the variance

@@ -39,13 +39,6 @@ class HermiteRule:
         self.weights.setflags(write=False)
 
 
-def hermite_eval(k: int, x: float) -> float:
-    """Value of the k-th normalized probabilists' Hermite polynomial."""
-    if k < 0:
-        raise ValueError("polynomial degree must be nonnegative")
-    return float(hermite_eval_all(k, x)[-1])
-
-
 def hermite_eval_all(k_max: int, x) -> np.ndarray:
     """Values ``[H_0(x), ..., H_{k_max}(x)]`` in one recurrence pass.
 
@@ -85,18 +78,3 @@ def gauss_hermite_rule(n: int) -> HermiteRule:
     weights = 0.5 * (weights + weights[::-1])
     weights = weights / weights.sum()
     return HermiteRule(n, nodes, weights)
-
-
-def tensor_hermite_eval(nu, y) -> float:
-    """Product of univariate Hermite values over the support of ``nu``.
-
-    ``nu`` maps dimensions to exponents (a MultiIndex or anything with an
-    ``entries`` attribute of (dim, exponent) pairs).  Coordinates of ``y``
-    beyond its length are treated as 0.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    out = 1.0
-    for dim, exp in nu.entries:
-        yj = float(y[dim]) if dim < y.size else 0.0
-        out *= hermite_eval(exp, yj)
-    return out

@@ -56,12 +56,6 @@ class MultiIndex:
     def support(self) -> tuple:
         return tuple(d for d, _ in self.entries)
 
-    def exponent(self, dim: int) -> int:
-        for d, e in self.entries:
-            if d == dim:
-                return e
-        return 0
-
     def max_dim(self) -> int:
         """Largest active dimension plus one (0 for the empty index)."""
         return self.entries[-1][0] + 1 if self.entries else 0
@@ -73,17 +67,6 @@ class MultiIndex:
         if not self.entries:
             return "-"
         return " ".join(f"{d}:{e}" for d, e in self.entries)
-
-    @classmethod
-    def parse(cls, text: str) -> "MultiIndex":
-        text = text.strip()
-        if text == "-" or not text:
-            return cls()
-        pairs = []
-        for token in text.split():
-            dim, _, exp = token.partition(":")
-            pairs.append((int(dim), int(exp)))
-        return cls(tuple(sorted(pairs)))
 
 
 class IndexSet:
@@ -128,20 +111,6 @@ class IndexSet:
     def __repr__(self):
         return f"IndexSet({len(self._members)} members)"
 
-    def to_lines(self) -> str:
-        """One multi-index per line as space-separated dim:exp pairs."""
-        return "\n".join(str(nu) for nu in self.sorted_members) + "\n"
-
-    @classmethod
-    def from_lines(cls, text: str) -> "IndexSet":
-        members = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            members.append(MultiIndex.parse(line))
-        return cls(members)
-
 
 def is_downward_closed(index_set) -> bool:
     """True iff every member keeps all its single-step predecessors inside
@@ -150,13 +119,6 @@ def is_downward_closed(index_set) -> bool:
     members = {nu.entries for nu in index_set}
     return all(e[:i] + (((d, k - 1),) if k > 1 else ()) + e[i + 1:] in members
                for e in members for i, (d, k) in enumerate(e))
-
-
-def drop_unit_exponents(index_set: IndexSet) -> IndexSet:
-    """Members with no exponent equal to 1."""
-    return IndexSet(
-        nu for nu in index_set if all(e != 1 for _, e in nu.entries)
-    )
 
 
 # -- weight families ------------------------------------------------------
@@ -182,6 +144,13 @@ def binomial_weight(nu: MultiIndex, r: int, rho) -> float:
             raise ValueError(f"dimension {dim} outside weight family truncation")
         out *= sum(comb(e, l) * rho[dim] ** (2 * l) for l in range(r + 1))
     return out
+
+
+def _root_factorial(r: int) -> float:
+    """``sqrt(r!)`` as a double; ``r!`` exceeds the double range past r = 170."""
+    if r > 170:
+        raise ValueError(f"r must be at most 170, got {r}")
+    return sqrt(factorial(r))
 
 
 @dataclass(frozen=True)
@@ -212,14 +181,14 @@ class WeightFamily:
             raise ValueError("b must be nonincreasing (anisotropy ordering)")
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie in (0, 1)")
-        if not (self.xi > 0 and self.K > 0 and self.tau >= 0):
-            raise ValueError("xi, K must be positive and tau nonnegative")
+        if not (0 < self.xi < np.inf and 0 < self.K < np.inf and self.tau >= 0):
+            raise ValueError("xi, K must be positive and finite and tau nonnegative")
         if self.k not in (1, 2):
             raise ValueError("k must be 1 (interpolation) or 2 (quadrature)")
         if not self.r > max(self.tau, self.k):
             raise ValueError("r must exceed max(tau, k)")
         norm_p = float(np.sum(b ** self.p)) ** (1.0 / self.p)
-        rho = b ** (self.p - 1.0) * self.xi / (4.0 * sqrt(factorial(self.r)) * norm_p)
+        rho = b ** (self.p - 1.0) * self.xi / (4.0 * _root_factorial(self.r) * norm_p)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "rho", rho)
         self.b.setflags(write=False)

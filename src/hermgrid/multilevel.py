@@ -81,30 +81,9 @@ class LevelAllocation:
             self, "levels", {nu: int(l) for nu, l in self.levels.items() if l > 0}
         )
 
-    def level(self, nu: MultiIndex) -> int:
-        return self.levels.get(nu, 0)
-
     @property
     def max_level(self) -> int:
         return max(self.levels.values(), default=0)
-
-    def active(self) -> IndexSet:
-        return IndexSet(self.levels.keys())
-
-    def to_lines(self) -> str:
-        entries = sorted(self.levels.items(), key=lambda kv: kv[0].sort_key())
-        return "\n".join(f"{nu}\t{l}" for nu, l in entries) + "\n"
-
-    @classmethod
-    def from_lines(cls, text: str, work_sequence: WorkSequence) -> "LevelAllocation":
-        levels = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            nu_part, _, level_part = line.partition("\t")
-            levels[MultiIndex.parse(nu_part)] = int(level_part)
-        return cls(levels, work_sequence)
 
 
 class MemberTable:
@@ -121,8 +100,8 @@ class MemberTable:
                  d_max: int, cap: int = 10_000_000):
         if not 0.0 < q1 < 2.0:
             raise ValueError("q1 must lie in (0, 2)")
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         self.eps, self.q1, self.alpha = eps, q1, alpha
         self.members = build_threshold_set(c_surrogate, eps, d_max, cap=cap).sorted_members
         exponent = -1.0 / (1.0 + 2.0 * alpha)

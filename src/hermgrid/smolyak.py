@@ -221,25 +221,6 @@ class HermitePolynomial:
     def minus(self, other: "HermitePolynomial") -> "HermitePolynomial":
         return self.plus(other, sign=-1.0)
 
-    def to_csv(self) -> str:
-        header = "nu," + ",".join(f"coeff_{i}" for i in range(self.output_dim))
-        lines = [header]
-        for nu, coeff in self.items_sorted():
-            lines.append(str(nu) + "," + ",".join(repr(float(v)) for v in coeff))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "HermitePolynomial":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        header = lines[0].split(",")
-        output_dim = len(header) - 1
-        coeffs = {}
-        for line in lines[1:]:
-            parts = line.split(",")
-            nu = MultiIndex.parse(parts[0])
-            coeffs[nu] = np.array([float(v) for v in parts[1:]])
-        return cls(coeffs, output_dim)
-
 
 def zero_polynomial(output_dim: int = 1) -> HermitePolynomial:
     return HermitePolynomial({}, output_dim)

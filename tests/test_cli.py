@@ -89,6 +89,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.cfg")
 
+    def test_duplicate_key(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "d_max = 4\n# note\nd_max = 6\n")
+        with pytest.raises(ConfigError, match=":3: duplicate key 'd_max', first on line 1"):
+            parse_config(path)
+        out = tmp_path / "out"
+        assert main(["quad", "--config", str(path), "--out", str(out)]) == 2
+        assert "duplicate key 'd_max'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_build_problem_variants(self):
         p = build_problem({"system": "constant:0.5"})
         assert p.system.kind == "constant"
@@ -371,15 +380,13 @@ class TestQuadStudy:
         assert [row[0] for row in rows] == [256]
         assert rows[0][2] == pytest.approx(5.28e-2, rel=1e-3)
 
-    def test_trivial_integrand_zero_error(self, tmp_path):
+    def test_trivial_integrand_zero_error(self):
         study = resolve_config("quad", {}, 0, budgets=(3, 5, 7))
-        rows = run_quad_study(
-            study,
-            tmp_path,
-            target=ParametricMapFn(lambda rows: np.ones((len(rows), 1)), 1),
-            reference=1.0,
-        )
-        assert all(row[2] <= 1e-14 for row in rows)
+        ones = ParametricMapFn(lambda rows: np.ones((len(rows), 1)), 1)
+        sets, _ = cli._study_sets(study, 2)
+        assert sets
+        for selected in sets:
+            assert abs(float(smolyak.quadrature(selected, ones)[0]) - 1.0) <= 1e-14
 
     @pytest.mark.filterwarnings("error::numpy.exceptions.RankWarning")
     def test_rate_cell_empty_when_budgets_give_one_set(self, tmp_path):
@@ -767,12 +774,19 @@ class TestMainEntry:
         ("quad", "xi = nan\n", "xi, K must be positive"),
         ("quad", "K = nan\n", "xi, K must be positive"),
         ("quad", "eps_grid = nan\n", "key 'eps_grid'"),
+        ("ml-quad", "alpha = inf\n", "key 'alpha': must be positive and finite"),
+        ("quad", "system = sindecay\nd_max = 4\nr = 171\n", "r must be at most 170, got 171"),
+        ("ml-quad", "system = sindecay\nd_max = 4\nr = 500\n", "r must be at most 170, got 500"),
+        ("quad", "r = 171\nxi = 1\n", "r must be at most 170, got 171"),
+        ("quad", "system = sindecay\nd_max = 4\nK = inf\n", "K must be positive and finite"),
+        ("ml-quad", "xi = inf\n", "xi, K must be positive and finite"),
     ], ids=["q1-3", "q1-0", "p-0.7", "alpha-neg", "alpha-0", "r_decay-1", "constant-neg",
             "constant-abc", "blocks-0", "ell-0.3", "grid_m-0", "corr_length-neg",
             "kappa-0.5", "r-2", "tau-neg", "K-0", "xi-neg", "d_max-0", "smoothness-1.0",
             "x0-1.5", "x0-neg", "x0-nan", "r_decay-nan", "constant-nan", "blocks-nan",
             "corr_length-nan", "matern-corr_length-nan", "constant-inf", "blocks-inf",
-            "kappa-nan", "xi-nan", "K-nan", "eps_grid-nan"])
+            "kappa-nan", "xi-nan", "K-nan", "eps_grid-nan", "alpha-inf",
+            "r-171", "r-500", "r-171-xi-1", "K-inf", "xi-inf"])
     def test_rejected_values_are_config_errors(self, tmp_path, capsys, kind, text, named):
         cfg = write_cfg(tmp_path, text)
         assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out"),

@@ -5,22 +5,17 @@ import pytest
 import sympy
 
 from hermgrid.errors import LevelTooLarge
-from hermgrid.hermite import (
-    MAX_LEVEL,
-    gauss_hermite_rule,
-    hermite_eval,
-    hermite_eval_all,
-    tensor_hermite_eval,
-)
+from hermgrid.hermite import MAX_LEVEL, gauss_hermite_rule, hermite_eval_all
 from hermgrid.indexset import MultiIndex
+from hermgrid.smolyak import HermitePolynomial
 
 from util import gaussian_moment, golub_welsch_rule
 
 
 def test_point_values():
-    assert hermite_eval(0, 1.7) == 1.0
-    assert hermite_eval(1, 2.5) == 2.5
-    np.testing.assert_allclose(hermite_eval(2, 0.0), -1.0 / np.sqrt(2), rtol=1e-14)
+    assert hermite_eval_all(0, 1.7)[0] == 1.0
+    assert hermite_eval_all(1, 2.5)[1] == 2.5
+    np.testing.assert_allclose(hermite_eval_all(2, 0.0)[2], -1.0 / np.sqrt(2), rtol=1e-14)
 
 
 def test_eval_all_matches_single():
@@ -28,7 +23,7 @@ def test_eval_all_matches_single():
     for x in xs:
         table = hermite_eval_all(9, x)
         for k in range(10):
-            assert table[k] == pytest.approx(hermite_eval(k, x), rel=1e-15)
+            assert table[k] == pytest.approx(hermite_eval_all(k, x)[k], rel=1e-15)
 
 
 def test_eval_all_examples():
@@ -56,7 +51,7 @@ def test_against_symbolic_derivative_definition():
         )
         poly = sympy.lambdify(x, sympy.expand(expr), "numpy")
         expected = poly(points) * np.ones_like(points)
-        got = np.array([hermite_eval(k, float(p)) for p in points])
+        got = np.array([hermite_eval_all(k, float(p))[k] for p in points])
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
 
 
@@ -129,15 +124,20 @@ def test_level_cap():
         gauss_hermite_rule(MAX_LEVEL + 1)
 
 
+def tensor_hermite(nu, y) -> float:
+    """The tensor Hermite polynomial of ``nu`` at ``y``, as a one-term expansion."""
+    return HermitePolynomial({nu: [1.0]}, 1).eval(y)[0]
+
+
 def test_tensor_eval():
-    assert tensor_hermite_eval(MultiIndex(), [5.0, 1.0]) == 1.0
+    assert tensor_hermite(MultiIndex(), [5.0, 1.0]) == 1.0
     nu = MultiIndex.from_dict({0: 2})
     np.testing.assert_allclose(
-        tensor_hermite_eval(nu, [0.0, 3.0]), -1.0 / np.sqrt(2), rtol=1e-14
+        tensor_hermite(nu, [0.0, 3.0]), -1.0 / np.sqrt(2), rtol=1e-14
     )
     nu2 = MultiIndex.from_dict({0: 1, 2: 1})
-    assert tensor_hermite_eval(nu2, [2.0, 9.0, 3.0]) == pytest.approx(6.0)
+    assert tensor_hermite(nu2, [2.0, 9.0, 3.0]) == pytest.approx(6.0)
     # coordinates beyond the vector length count as zero
     nu3 = MultiIndex.from_dict({0: 1, 5: 2})
-    expected = 2.0 * hermite_eval(2, 0.0)
-    assert tensor_hermite_eval(nu3, [2.0]) == pytest.approx(expected, rel=1e-14)
+    expected = 2.0 * hermite_eval_all(2, 0.0)[2]
+    assert tensor_hermite(nu3, [2.0]) == pytest.approx(expected, rel=1e-14)

@@ -15,7 +15,6 @@ from hermgrid.indexset import (
     binomial_weight,
     build_threshold_set,
     degree_weight,
-    drop_unit_exponents,
     is_downward_closed,
     surrogate_weight,
 )
@@ -44,25 +43,10 @@ class TestMultiIndex:
         nu = mi({0: 2, 3: 1})
         assert nu.order == 3
         assert nu.support == (0, 3)
-        assert nu.exponent(3) == 1 and nu.exponent(1) == 0
         assert nu.max_dim() == 4 and MultiIndex().max_dim() == 0
-
-    @given(st.dictionaries(st.integers(0, 9), st.integers(1, 7), max_size=5))
-    def test_render_parse_roundtrip(self, entries):
-        nu = MultiIndex.from_dict(entries)
-        assert MultiIndex.parse(str(nu)) == nu
 
     def test_render_empty(self):
         assert str(MultiIndex()) == "-"
-        assert MultiIndex.parse("-") == MultiIndex()
-
-
-class TestSerialization:
-    def test_lines_roundtrip_with_comments(self):
-        original = IndexSet([MultiIndex(), mi({0: 1}), mi({0: 1, 3: 2})])
-        text = "# provenance note\n" + original.to_lines()
-        assert IndexSet.from_lines(text) == original
-        assert "-" in text.splitlines()[1]
 
 
 class TestWeights:
@@ -96,6 +80,11 @@ class TestWeights:
         norm = float(np.sum(b ** 0.5)) ** 2
         expected = b ** (-0.5) * 3.0 / (4.0 * math.sqrt(24) * norm)
         np.testing.assert_allclose(family.rho, expected, rtol=1e-14)
+        # at r = 170, the largest r whose r! is a double, the formula holds bitwise
+        family = WeightFamily(b=b, p=0.5, xi=3.0, r=170, tau=3.0, k=1, K=1.0)
+        norm = float(np.sum(b ** 0.5)) ** (1.0 / 0.5)
+        expected = b ** (0.5 - 1.0) * 3.0 / (4.0 * math.sqrt(math.factorial(170)) * norm)
+        np.testing.assert_array_equal(family.rho, expected)
 
     def test_family_validation(self):
         with pytest.raises(ValueError):
@@ -106,6 +95,14 @@ class TestWeights:
             WeightFamily(b=np.ones(2), p=0.5, xi=1.0, r=3, tau=3.0, k=1, K=1.0)
         with pytest.raises(ValueError):
             WeightFamily(b=np.ones(2), p=0.5, xi=1.0, r=4, tau=3.0, k=3, K=1.0)
+        # r! leaves the double range past 170; xi and K must be finite
+        for r in (171, 500):
+            with pytest.raises(ValueError, match=f"r must be at most 170, got {r}"):
+                WeightFamily(b=np.ones(2), p=0.5, xi=1.0, r=r, tau=3.0, k=1, K=1.0)
+        with pytest.raises(ValueError, match="xi, K must be positive and finite"):
+            WeightFamily(b=np.ones(2), p=0.5, xi=math.inf, r=4, tau=3.0, k=1, K=1.0)
+        with pytest.raises(ValueError, match="xi, K must be positive and finite"):
+            WeightFamily(b=np.ones(2), p=0.5, xi=1.0, r=4, tau=3.0, k=1, K=math.inf)
 
     @given(st.dictionaries(st.integers(0, 3), st.integers(1, 6), max_size=4))
     @settings(max_examples=50)
@@ -174,12 +171,6 @@ class TestDownwardClosed:
             dropped = data.draw(st.sampled_from(predecessors))
             cut = IndexSet(nu for nu in members if nu != dropped)
             assert not is_downward_closed(cut) and not downward_closed_oracle(cut)
-
-    def test_drop_unit_exponents(self):
-        full = IndexSet([MultiIndex(), mi({0: 1}), mi({0: 2})])
-        assert drop_unit_exponents(full) == IndexSet([MultiIndex(), mi({0: 2})])
-        assert drop_unit_exponents(IndexSet([MultiIndex()])) == IndexSet([MultiIndex()])
-        assert drop_unit_exponents(IndexSet([mi({0: 1, 1: 2})])) == IndexSet([])
 
 
 class TestThresholdWalk:
