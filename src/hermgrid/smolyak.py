@@ -19,7 +19,6 @@ and `_pattern_nodes` cache per term or pattern (the arrays read-only), and
 a `_Shared` map keeps its values by pattern and its weighted sums by term.
 """
 
-import heapq
 import itertools
 import math
 from functools import lru_cache
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import EmptyIndexSet, NotDownwardClosed
 from .hermite import MAX_LEVEL, gauss_hermite_rule, hermite_eval_all
-from .indexset import IndexSet, MultiIndex
+from .indexset import IndexSet, MultiIndex, ThresholdWalk
 
 
 def combination_coeffs(index_set: IndexSet) -> dict:
@@ -87,11 +86,11 @@ def largest_threshold_set(surrogate, budgets, d_max: int) -> list:
     """Largest threshold set ``{nu : 1/surrogate(nu) >= eps}`` on at most ``b``
     nodes, for each budget ``b`` in the sequence ``budgets``, in its order.
 
-    Walks the nested threshold family once, best-first in increasing
-    surrogate value (a child enters the heap once all its backward
-    neighbours are in), and keeps the combination coefficients and a
-    reference count of the grids' node patterns up to date, so the node
-    count of every prefix equals `evaluation_point_count`.  Values within a
+    Walks the nested threshold family once (`ThresholdWalk`, so the
+    surrogate must be monotone with anisotropy ordering, or `ValueError`
+    is raised), and keeps the combination coefficients and a reference
+    count of the grids' node patterns up to date, so the node count of
+    every prefix equals `evaluation_point_count`.  Values within a
     relative 1e-12 of a group's first value, and tied children pushed
     meanwhile, join that group; only group boundaries are candidate sets,
     and each budget keeps the longest whose node count fits it.
@@ -102,48 +101,35 @@ def largest_threshold_set(surrogate, budgets, d_max: int) -> list:
     True when it is the last set of the family that has rules, so that no
     larger budget would select more.
     """
-    origin = (0,) * d_max
-    heap = [(surrogate(MultiIndex()), origin)]
-    members, coeffs, patterns = [], {}, {}
+    walk = ThresholdWalk(surrogate, d_max)
+    coeffs, patterns = {}, {}
     nodes, best, limit = 0, [0] * len(budgets), max(budgets, default=-1)
 
     def prefixes(end=None):
-        sets = {k: IndexSet(MultiIndex.from_exponents(m) for m in members[:k]) for k in best}
+        sets = {k: IndexSet(walk.members[:k]) for k in best}
         for k, selected in sets.items():
             selected.complete = k == end
         return [sets[k] for k in best]
 
-    while heap and len(members) <= limit:
-        boundary = len(members)
-        bound = heap[0][0] * (1.0 + 1e-12)
-        while heap and heap[0][0] <= bound:
-            _, nu = heapq.heappop(heap)
-            if max(nu) > MAX_LEVEL:
+    while walk.heap and len(walk.members) <= limit:
+        boundary = len(walk.members)
+        bound = walk.head * (1.0 + 1e-12)
+        while walk.head <= bound:
+            entries = walk.pop()[1].entries
+            if max((e for _, e in entries), default=0) > MAX_LEVEL:
                 return prefixes(boundary)
-            members.append(nu)
-            support = [j for j in range(d_max) if nu[j]]
-            for picks in itertools.product((0, 1), repeat=len(support)):
-                mu = list(nu)
-                for j, used in zip(support, picks):
-                    mu[j] -= used
-                mu = tuple(mu)
+            for picks in itertools.product((0, 1), repeat=len(entries)):
+                mu = tuple((d, e - used) for (d, e), used in zip(entries, picks) if e - used)
                 old = coeffs.get(mu, 0)
                 coeffs[mu] = new = old + (-1) ** sum(picks)
                 if not old or not new:
                     step = 1 if new else -1
-                    for p in _patterns([(j, e) for j, e in enumerate(mu) if e]):
+                    for p in _patterns(mu):
                         refs = patterns.get(p, 0)
                         patterns[p] = refs + step
                         if not refs or not refs + step:  # the pattern came or went
                             nodes += step * _pattern_size(p)
-            for j in range(d_max):
-                child = nu[:j] + (nu[j] + 1,) + nu[j + 1:]
-                if all(child[:i] + (child[i] - 1,) + child[i + 1:] in coeffs
-                       for i in support if i != j):
-                    heapq.heappush(
-                        heap, (surrogate(MultiIndex.from_exponents(child)), child)
-                    )
-        best = [len(members) if nodes <= b else k for b, k in zip(budgets, best)]
+        best = [len(walk.members) if nodes <= b else k for b, k in zip(budgets, best)]
     return prefixes()
 
 

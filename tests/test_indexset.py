@@ -1,6 +1,7 @@
 """Multi-indices, weight families, and the threshold-set walk."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hermgrid.errors import ThresholdTooSmall
 from hermgrid.indexset import (
     IndexSet,
     MultiIndex,
+    ThresholdWalk,
     WeightFamily,
     binomial_weight,
     build_threshold_set,
@@ -18,13 +20,17 @@ from hermgrid.indexset import (
     is_downward_closed,
     surrogate_weight,
 )
+from hermgrid.smolyak import largest_threshold_set
 
 from util import (
     brute_force_threshold,
+    counting,
     downward_closed_oracle,
+    lattice_threshold_set,
     random_downward_closed,
     random_product_surrogate,
     shifted,
+    tied_product_surrogate,
 )
 
 mi = MultiIndex.from_dict
@@ -197,6 +203,10 @@ class TestThresholdWalk:
             build_threshold_set(
                 lambda nu: 1.001 ** nu.order, 1e-12, d_max=2, cap=50
             )
+        # the ladder {0, e_0, ..., 4 e_0} fits a cap of 5 members, not 4
+        assert len(build_threshold_set(lambda nu: 2.0 ** nu.order, 2.0 ** -4, 1, cap=5)) == 5
+        with pytest.raises(ThresholdTooSmall):
+            build_threshold_set(lambda nu: 2.0 ** nu.order, 2.0 ** -4, 1, cap=4)
 
     def test_randomized_against_brute_force(self):
         rng = np.random.default_rng(42)
@@ -212,3 +222,61 @@ class TestThresholdWalk:
             )
             assert result.downward_closed
             assert stats["tests"] <= 4 * len(result) + 1
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 64), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_walk_on_tied_surrogates(self, seed, d_max, t):
+        surrogate, _, _ = tied_product_surrogate(np.random.default_rng(seed), d_max)
+        counted, calls = counting(surrogate)
+        walk = ThresholdWalk(counted, d_max)
+        eps = 2.0 ** -t  # values are exact, so some sit on the threshold
+        values = []
+        while 1.0 / walk.head >= eps:
+            values.append(walk.pop()[0])
+        assert values == sorted(values)
+        # every index has one pusher: none is pushed twice
+        assert len(set(calls)) == len(calls) == walk.calls <= 3 * len(values) + 1
+        stats = {}
+        built = build_threshold_set(surrogate, eps, d_max, stats=stats)
+        assert built == IndexSet(walk.members) == lattice_threshold_set(surrogate, eps, d_max)
+        assert stats["tests"] == walk.calls
+
+    @given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(1, 300), min_size=1, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_budget_walk_cost_independent_of_truncation(self, seed, budgets):
+        surrogate, _, _ = tied_product_surrogate(np.random.default_rng(seed), 1024)
+        narrow, narrow_calls = counting(surrogate)
+        wide, wide_calls = counting(surrogate)
+        sets = largest_threshold_set(narrow, budgets, 64)
+        assert max(s.dimension() for s in sets) < 64
+        assert largest_threshold_set(wide, budgets, 1024) == sets
+        # truncation past the walk's dimensions costs no surrogate call
+        assert len(wide_calls) == len(narrow_calls)
+
+    @pytest.mark.parametrize("g, eps, box, size, lattice_size", [
+        ((3.0, 1.5, 1.2), 0.1, 12, 61, 55),
+        ((5.0, 1.1), 1e-3, 72, 195, 195),
+    ])
+    def test_unordered_surrogate_raises(self, g, eps, box, size, lattice_size):
+        # activating dimension 1 costs less than dimension 0, so the walk
+        # names the first index out of order; the unchecked lattice DFS
+        # silently misses members of the first set
+        c = lambda nu: math.prod(g[d] ** e for d, e in nu.entries)
+        assert len(brute_force_threshold(c, eps, len(g), box)) == size
+        assert len(lattice_threshold_set(c, eps, len(g))) == lattice_size
+        message = re.escape(f"surrogate {g[1]} at 1:1 is below {g[0]} at 0:1")
+        with pytest.raises(ValueError, match=message):
+            build_threshold_set(c, eps, len(g))
+        with pytest.raises(ValueError, match=message):
+            largest_threshold_set(c, [100], len(g))
+
+    @given(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=64), st.floats(0.1, 0.9),
+           st.floats(0.1, 10.0), st.integers(3, 12), st.floats(0.0, 1.0),
+           st.sampled_from([1, 2]), st.floats(1e-2, 1e6))
+    @settings(max_examples=40, deadline=None)
+    def test_weight_family_surrogates_are_ordered(self, b, p, xi, r, tau_frac, k, K):
+        family = WeightFamily(b=np.sort(b)[::-1], p=p, xi=xi, r=r, tau=tau_frac * (r - 1),
+                              k=k, K=K)
+        walk = ThresholdWalk(lambda nu: surrogate_weight(family, nu), family.d_max)
+        values = [walk.pop()[0] for _ in range(500)]
+        assert values == sorted(values)

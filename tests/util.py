@@ -17,7 +17,7 @@ from hermgrid.errors import (
     ThresholdTooSmall,
 )
 from hermgrid.hermite import MAX_LEVEL, gauss_hermite_rule
-from hermgrid.indexset import IndexSet, MultiIndex, build_threshold_set
+from hermgrid.indexset import IndexSet, MultiIndex
 from hermgrid.model import _MAX_DOUBLINGS, _panel_rule
 from hermgrid.multilevel import LevelAllocation, construct_levels, gamma_sets, work
 from hermgrid.smolyak import combination_coeffs, evaluation_point_count
@@ -132,6 +132,41 @@ def random_product_surrogate(rng, dims: int):
     return surrogate, activation, growth
 
 
+def tied_product_surrogate(rng, dims: int):
+    """Monotone, anisotropy-ordered product weight with exact ties.
+
+    ``c(nu) = prod_{j in supp nu} 2**k_j * nu_j**s`` with ``s`` 2 or 3 and
+    ``k`` nondecreasing in runs of one to three equal values (equal weights
+    across dimensions, as in `blocks`), starting at 0 or 1; at 0 the unit
+    index e_0 ties the empty index, as sindecay's rho_0 = 1 does.
+    Returns (callable, k, s).
+    """
+    k, level = [], int(rng.integers(0, 2))
+    while len(k) < dims:
+        k += [level] * int(rng.integers(1, 4))
+        level += 1
+    k, s = k[:dims], int(rng.integers(2, 4))
+
+    def surrogate(nu):
+        out = 1.0
+        for dim, exp in nu.entries:
+            out *= 2.0 ** k[dim] * float(exp) ** s
+        return out
+
+    return surrogate, k, s
+
+
+def counting(surrogate):
+    """``surrogate`` with a log: returns (callable, list of the indices it saw)."""
+    calls = []
+
+    def counted(nu):
+        calls.append(nu)
+        return surrogate(nu)
+
+    return counted, calls
+
+
 def brute_force_threshold(surrogate, eps: float, dims: int, box: int) -> set:
     """All indices in the box whose surrogate reciprocal clears the threshold."""
     out = set()
@@ -212,6 +247,65 @@ def listed_point_count(index_set: IndexSet) -> int:
     return len(keys)
 
 
+def lattice_threshold_set(surrogate, eps: float, d_max: int,
+                          cap: int = 10_000_000, stats: dict = None) -> IndexSet:
+    """Lattice DFS oracle for `build_threshold_set`, independent of its walk.
+
+    Walks dense ``d_max`` exponent lists depth-first with a memo of the
+    acceptance test ``1/surrogate(nu) >= eps``; ``stats["tests"]`` counts
+    the tests (at most ``4 |result| + 1``).  Assumes the surrogate is
+    monotone with anisotropy ordering; raises ``ThresholdTooSmall`` once the
+    result exceeds ``cap`` members.
+    """
+    memo = {}
+
+    def accept(dense_nu) -> bool:
+        key = tuple(dense_nu)
+        hit = memo.get(key)
+        if hit is None:
+            hit = 1.0 / surrogate(MultiIndex.from_exponents(dense_nu)) >= eps
+            memo[key] = hit
+        return hit
+
+    tests = 0
+    nu = [0] * d_max
+    tests += 1
+    if not accept(nu):
+        if stats is not None:
+            stats["tests"] = tests
+        return IndexSet([])
+    members = [MultiIndex()]
+
+    while True:
+        d = 0
+        while True:
+            tests += 1
+            if d < d_max:
+                nu[d] += 1
+                ok = accept(nu)
+                nu[d] -= 1
+                if ok:
+                    break
+            # candidate rejected (or beyond the truncation dimension)
+            if d < d_max and nu[d] != 0:
+                nu[d] = 0
+                d += 1
+            else:
+                support = [j for j in range(d_max) if nu[j] != 0]
+                if support:
+                    d = support[0]
+                else:
+                    if stats is not None:
+                        stats["tests"] = tests
+                    return IndexSet(members)
+        nu[d] += 1
+        members.append(MultiIndex.from_exponents(nu))
+        if len(members) > cap:
+            raise ThresholdTooSmall(
+                f"threshold set exceeded cap of {cap} members (eps={eps})"
+            )
+
+
 def bisection_threshold_set(surrogate, budget: int, d_max: int,
                             cap: int = 10_000_000, lo: float = 1e-30) -> IndexSet:
     """Slow oracle for `largest_threshold_set`: 40 geometric eps bisections.
@@ -224,12 +318,12 @@ def bisection_threshold_set(surrogate, budget: int, d_max: int,
 
     def cost(eps):
         try:
-            selected = build_threshold_set(surrogate, eps, d_max, cap=cap)
+            selected = lattice_threshold_set(surrogate, eps, d_max, cap=cap)
             return evaluation_point_count(selected) if len(selected) else 0
         except (ThresholdTooSmall, LevelTooLarge):
             return math.inf
 
-    return build_threshold_set(surrogate, bisect_epsilon(cost, budget, lo=lo), d_max)
+    return lattice_threshold_set(surrogate, bisect_epsilon(cost, budget, lo=lo), d_max)
 
 
 def scan_threshold_set(surrogate, budget: int, d_max: int,
@@ -246,7 +340,7 @@ def scan_threshold_set(surrogate, budget: int, d_max: int,
     eps = 1.0 / surrogate(MultiIndex())
     while True:
         try:
-            selected = build_threshold_set(surrogate, eps, d_max, cap=budget)
+            selected = lattice_threshold_set(surrogate, eps, d_max, cap=budget)
             if count(selected) <= budget:
                 best = selected
         except (ThresholdTooSmall, LevelTooLarge):
@@ -275,7 +369,7 @@ def construct_levels_loop(c_surrogate, d_surrogate, q1, alpha, eps, work_sequenc
     Sums the weights over the set in `IndexSet` iteration order and floors
     each member's cost bound with `floor_level_loop`.
     """
-    selected = build_threshold_set(c_surrogate, eps, d_max, cap=cap)
+    selected = lattice_threshold_set(c_surrogate, eps, d_max, cap=cap)
     if len(selected) == 0:
         raise EmptyAllocation(f"threshold {eps} admits no multi-indices")
     exponent = -1.0 / (1.0 + 2.0 * alpha)
