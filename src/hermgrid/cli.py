@@ -9,7 +9,6 @@ failure.
 """
 
 import argparse
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -20,9 +19,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    EmptyAllocation,
     HermgridError,
-    ThresholdTooSmall,
     UnsupportedSmoothness,
 )
 from .grf import CovarianceSpec, circulant_embed_1d, sample_grf
@@ -40,7 +37,7 @@ from .model import (
 )
 from .multilevel import (
     MemberTable,
-    construct_levels,
+    construct_levels,  # noqa: F401 (no caller here; perfbench/layers.py hooks the name)
     default_work_sequence,
     ml_interpolate,
     ml_quadrature,
@@ -231,29 +228,6 @@ def resolve_config(kind: str, cfg: dict, seed: int, budgets=None) -> StudyConfig
 
 # -- shared numerics --------------------------------------------------------
 
-def bisect_epsilon(cost, budget: float, lo: float = 1e-30, hi: float = 1e6,
-                   iters: int = 40) -> float:
-    """Geometric bisection of ``cost(eps) <= budget`` over [lo, hi].
-
-    ``cost`` must be nonincreasing in eps and 0 at ``hi``.  The result is
-    feasible and, after 40 steps on [1e-30, 1e6], within about 7.5e-11
-    relative of the infimum of the feasible eps.  `ml_work_cost` qualifies:
-    as eps falls, the set and S grow, and so does every level bound
-    ``eps**-((1/2 - q1/4)/alpha) * d * S**(1/(2 alpha))`` (q1 < 2, alpha > 0).
-    Only the decision ``cost(eps) <= budget`` steers the search, and since
-    ``cost(eps) >= cost(e)`` for every ``e > eps``, any such ``e`` priced
-    above the budget already decides a probe: `ml_work_cost` returns inf
-    there instead of pricing ``eps`` itself.
-    """
-    for _ in range(iters):
-        mid = math.sqrt(lo * hi)
-        if cost(mid) <= budget:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def threshold_set_for_budget(study: StudyConfig, k: int, budgets) -> list:
     """Largest threshold set whose evaluation-node count fits each point
     budget, all from one walk of the family."""
@@ -312,6 +286,13 @@ def write_meta(out_dir: Path, study: StudyConfig, extra: dict = None):
 
 # -- studies ----------------------------------------------------------------
 
+def _no_rows(study: StudyConfig, why: str) -> HermgridError:
+    """The failure of a study in which no budget (or eps) yields a row."""
+    rows = "eps grid" if study.eps_grid else "budgets"
+    values = ",".join(map(str, study.eps_grid or study.budgets))
+    return HermgridError(f"{study.kind}: no row at {rows} {values}: {why}")
+
+
 def _study_sets(study: StudyConfig, k: int, reference_budget=None) -> tuple:
     """One threshold set per row, from the eps grid or the largest fitting
     each budget, and the set at ``reference_budget`` (None without one);
@@ -350,8 +331,9 @@ def run_quad_study(study: StudyConfig, out_dir: Path) -> list:
         ns.append(n)
         errs.append(err)
         rows.append([n, n, err, None])
-    if rows:
-        rows[-1][3] = fit_rate(ns, errs)
+    if not rows:
+        raise _no_rows(study, "every threshold set is empty")
+    rows[-1][3] = fit_rate(ns, errs)
     write_csv(out_dir / "quad.csv", ("n_points", "work", "abs_error", "fitted_rate"), rows)
     write_meta(out_dir, study, {"reference": "analytic"})
     return rows
@@ -362,6 +344,8 @@ def run_interp_study(study: StudyConfig, out_dir: Path) -> list:
     problem = study.problem
     target = _shared(as_parametric_map(problem, ("exact",)))
     sets, ref_set = _study_sets(study, 1, 4 * study.budgets[-1])
+    if not any(len(selected) for selected in sets):
+        raise _no_rows(study, "every threshold set is empty")
     reference = interpolate(ref_set, target)
     rows = []
     for selected in sets:
@@ -385,57 +369,23 @@ def run_interp_study(study: StudyConfig, out_dir: Path) -> list:
     return rows
 
 
-_TABLE_STEP = 100.0  # eps factor by which `ml_work_cost` lowers its table
+def ml_work_cost(surrogate, q1: float, alpha: float, d_max: int,
+                 cap: int = 10_000_000) -> MemberTable:
+    """The `MemberTable` a multilevel study's budget rows share (it does not
+    depend on the work sequence), started at the origin's threshold:
+    ``table.price(eps, work_sequence)`` is ``work(construct_levels(eps))``,
+    and `MemberTable.eps_for_budget` sweeps its price events."""
+    return MemberTable(surrogate, surrogate, q1, alpha, 1.0 / surrogate(MultiIndex()),
+                       d_max, cap)
 
 
-def ml_work_cost(surrogate, q1: float, alpha: float, d_max: int, cap: int = 10_000_000):
-    """``cost(eps, work_sequence, budget=inf)``: ``work(construct_levels(eps))``,
-    or inf past ``cap`` members or on an active exponent above MAX_LEVEL.
-
-    Calls share one `MemberTable` (it does not depend on the work sequence),
-    started at the origin's threshold and lowered `_TABLE_STEP` at a time
-    below its eps; an eps on the way that prices above ``budget`` ends the
-    call with inf (`bisect_epsilon`), so values up to ``budget`` are exact.
-    ``cost.allocation(eps, work_sequence)`` reads the allocation at an eps
-    the table reaches, such as one priced at most its budget.
-    """
-    table = None
-
-    def price(eps, work_sequence):
-        rows, levels = table.levels(eps, work_sequence)
-        if np.any(table.max_exp[rows[levels > 0]] > MAX_LEVEL):
-            return math.inf
-        cumulative = list(itertools.accumulate(work_sequence.values))  # level 0 costs 0
-        return sum(table.points[i] * cumulative[l]
-                   for i, l in zip(rows.tolist(), levels.tolist()))
-
-    def cost(eps, work_sequence, budget=math.inf):
-        nonlocal table
-        while table is None or eps < table.eps:
-            if table is not None and price(table.eps, work_sequence) > budget:
-                return math.inf
-            # the first table starts at the origin's threshold (the set {0}) or eps
-            lower = 1.0 / surrogate(MultiIndex()) if table is None else table.eps / _TABLE_STEP
-            try:
-                table = MemberTable(surrogate, surrogate, q1, alpha, max(eps, lower), d_max, cap)
-            except ThresholdTooSmall:
-                return math.inf
-        return price(eps, work_sequence)
-
-    cost.allocation = lambda eps, work_sequence: table.allocation(eps, work_sequence)
-    return cost
-
-
-def _ml_allocation_for_budget(cost, budget: int):
-    """Allocation with the most work not exceeding the budget: 40 bisections
-    on the study's shared `ml_work_cost`, whose table gives the allocation."""
+def _ml_allocation_for_budget(table: MemberTable, budget: int):
+    """Allocation with the most work not exceeding the budget, and its work
+    sequence, read off the study's shared table (`ml_work_cost`) at the eps
+    of its event sweep."""
     levels = max(1, int(math.floor(math.log2(max(budget, 2)))))
     sw = default_work_sequence(levels)
-    eps = bisect_epsilon(lambda e: cost(e, sw, budget), budget)
-    try:
-        return cost.allocation(eps, sw), sw
-    except EmptyAllocation:
-        return None, sw
+    return table.allocation(table.eps_for_budget(budget, sw), sw), sw
 
 
 def run_ml_study(study: StudyConfig, out_dir: Path, quantity: str) -> list:
@@ -450,25 +400,20 @@ def run_ml_study(study: StudyConfig, out_dir: Path, quantity: str) -> list:
         ref_label = f"interpolant-{evaluation_point_count(ref_set)}-points"
 
     family = study.weight_family(k)
-    # one value per multi-index for every table build and row of the study
+    # one value per multi-index: the walk's pushes and the table's d weights
     surrogate = cache(lambda nu: surrogate_weight(family, nu))
-    if study.eps_grid:
+    table = ml_work_cost(surrogate, study.q1, study.alpha, family.d_max)
+    if study.eps_grid:  # an eps above the origin's threshold allocates nothing
         sw = default_work_sequence(20)
-        pairs = []
-        for eps in study.eps_grid:
-            try:
-                pairs.append((construct_levels(surrogate, surrogate, study.q1,
-                                               study.alpha, eps, sw, family.d_max),
-                              sw))
-            except EmptyAllocation:
-                pairs.append((None, sw))
+        pairs = [(table.allocation(eps, sw), sw) for eps in study.eps_grid]
     else:
-        cost = ml_work_cost(surrogate, study.q1, study.alpha, family.d_max)
-        pairs = [_ml_allocation_for_budget(cost, budget) for budget in study.budgets]
+        pairs = [_ml_allocation_for_budget(table, budget) for budget in study.budgets]
+    if all(alloc.max_level == 0 for alloc, _ in pairs):
+        raise _no_rows(study, "no allocation within them reaches level 1")
     rows = []
     fem = cache(lambda cells: _shared(as_parametric_map(problem, ("fem", cells))))
     for alloc, sw in pairs:
-        if alloc is None or alloc.max_level == 0:
+        if alloc.max_level == 0:
             continue
         levels = [fem(cells) for cells in sw.values[1:alloc.max_level + 1]]
         spent = work(alloc)

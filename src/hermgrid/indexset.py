@@ -230,11 +230,13 @@ class ThresholdWalk:
     first dimension past its support and, when ``nu`` ends in exponent 1,
     ``nu`` with that 1 moved one dimension on.  A pushed value below its
     pusher's raises `ValueError`: the surrogate is not monotone with
-    anisotropy ordering.  ``calls`` counts the surrogate calls.
+    anisotropy ordering.  ``calls`` counts the surrogate calls; ``members``
+    and ``values`` list the popped indices and their surrogate values.
     """
 
     def __init__(self, surrogate, d_max: int):
-        self.surrogate, self.d_max, self.calls, self.members = surrogate, d_max, 1, []
+        self.surrogate, self.d_max, self.calls = surrogate, d_max, 1
+        self.members, self.values = [], []
         self.heap = [(surrogate(MultiIndex()), (), MultiIndex())]
 
     @property
@@ -260,16 +262,16 @@ class ThresholdWalk:
                                  "it must be monotone with anisotropy ordering")
             heapq.heappush(self.heap, (pushed, child, mu))
         self.members.append(index)
+        self.values.append(value)
         return value, index
 
-    def lower(self, eps: float, cap: int) -> IndexSet:
-        """The members with ``1/value >= eps``; `ThresholdTooSmall` past ``cap``."""
+    def lower(self, eps: float, cap: int):
+        """Pop every member with ``1/value >= eps``; `ThresholdTooSmall` past ``cap``."""
         while 1.0 / self.head >= eps:
             if len(self.members) >= cap:
                 raise ThresholdTooSmall(
                     f"threshold set exceeded cap of {cap} members (eps={eps})")
             self.pop()
-        return IndexSet(self.members)
 
 
 def build_threshold_set(
@@ -295,7 +297,7 @@ def build_threshold_set(
     if eps <= 0:
         raise ValueError("eps must be positive")
     walk = ThresholdWalk(surrogate, d_max)
-    selected = walk.lower(eps, cap)
+    walk.lower(eps, cap)
     if stats is not None:
         stats["tests"] = walk.calls
-    return selected
+    return IndexSet(walk.members)

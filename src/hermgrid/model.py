@@ -98,20 +98,20 @@ class ModelProblem1D:
     _quad_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def truncated(self, y) -> np.ndarray:
-        """``y`` cut or zero-padded to d_max coordinates, row by row for a stack."""
+        """``y`` cut to at most d_max coordinates, row by row for a stack; the
+        coordinates past its width are 0 and left out."""
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        out = np.zeros(y.shape[:-1] + (self.system.d_max,))
-        take = min(y.shape[-1], self.system.d_max)
-        out[..., :take] = y[..., :take]
-        return out
+        return y[..., :self.system.d_max]
 
 
 def _log_coeff(rows, basis) -> np.ndarray:
     """``b(y, s)`` for each row of ``rows`` at the points of ``basis``, summed
-    mode by mode, so a row's values do not depend on the others (a matrix
-    product's would)."""
+    mode by mode over the modes the rows hold (the rest have coordinate 0),
+    so a row's values do not depend on the others (a matrix product's would)."""
+    if rows.shape[1] == 0:
+        return np.zeros((len(rows), len(basis)))
     out = rows[:, :1] * basis[:, 0]
-    for j in range(1, basis.shape[1]):
+    for j in range(1, min(rows.shape[1], basis.shape[1])):
         out += rows[:, j:j + 1] * basis[:, j]
     return out
 

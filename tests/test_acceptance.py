@@ -23,7 +23,6 @@ from hermgrid.cli import (
     resolve_config,
     run_quad_study,
     _ml_allocation_for_budget,
-    bisect_epsilon,
     ml_work_cost,
     threshold_set_for_budget,
 )
@@ -38,6 +37,7 @@ from hermgrid.indexset import (
 from hermgrid.smolyak import _projection_matrix
 
 from util import (
+    bisect_epsilon,
     brute_force_threshold,
     gauss_hermite_ratio,
     monomial_map,

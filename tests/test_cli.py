@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from hermgrid import cli, multilevel, smolyak
 from hermgrid.cli import (
     _ml_allocation_for_budget,
-    bisect_epsilon,
     build_problem,
     evaluation_point_count,
     fit_rate,
@@ -39,10 +38,13 @@ from hermgrid.multilevel import construct_levels, default_work_sequence, work
 from hermgrid.smolyak import sparse_grid_points
 
 from util import (
+    bisect_epsilon,
     bisection_ml_allocation,
+    event_midpoints,
     ml_work_oracle,
     random_product_surrogate,
     sample_file_text,
+    scan_budget_eps,
 )
 
 CONSTANT_CFG = "system = constant:0.5\nqoi = point\nx0 = 1.0\n"
@@ -215,7 +217,7 @@ class TestMlBudgetSearch:
             for p in picks
         ]
         for eps in probes + reciprocals:
-            assert cost(eps, sw) == oracle(eps)
+            assert cost.price(eps, sw) == oracle(eps)
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.floats(0.1, 1.9),
            st.floats(0.25, 3.0), st.lists(st.floats(-9.0, 1.0), min_size=2))
@@ -223,7 +225,7 @@ class TestMlBudgetSearch:
     def test_cost_nonincreasing_in_eps(self, seed, dims, q1, alpha, log_eps):
         surrogate, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
         cost = ml_work_cost(surrogate, q1, alpha, dims, 500)
-        costs = [cost(10.0 ** x, default_work_sequence(10)) for x in sorted(log_eps)]
+        costs = [cost.price(10.0 ** x, default_work_sequence(10)) for x in sorted(log_eps)]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.floats(0.1, 1.9),
@@ -234,7 +236,12 @@ class TestMlBudgetSearch:
         sw = default_work_sequence(max(1, int(math.log2(budget))))
         cost = ml_work_cost(surrogate, q1, alpha, dims, 300)
         oracle = ml_work_oracle(surrogate, q1, alpha, sw, dims, 300)
-        eps = bisect_epsilon(lambda e: cost(e, sw, budget), budget)
+        try:
+            eps = bisect_epsilon(lambda e: cost.price(e, sw), budget)
+        except ValueError:  # every probe fits: the infimum lies below the floor
+            with pytest.raises(ValueError):
+                bisect_epsilon(oracle, budget)
+            return
         assert eps == bisect_epsilon(oracle, budget)
         assert oracle(eps) <= budget
 
@@ -250,7 +257,7 @@ class TestMlBudgetSearch:
         cost = ml_work_cost(surrogate, q1, alpha, dims, 500)
 
         def check(eps, sw, budget):
-            value = cost(eps, sw, budget)
+            value = cost.price(eps, sw)
             exact = ml_work_oracle(surrogate, q1, alpha, sw, dims, 500)(eps)
             assert (value <= budget) == (exact <= budget)
             assert value == exact or (value == math.inf and exact > budget)
@@ -261,6 +268,44 @@ class TestMlBudgetSearch:
             exact = check(10.0 ** log_eps, sw, budget)
             if exact < math.inf:  # a table eps priced exactly at the budget
                 check(10.0 ** log_eps * (1.0 - 1e-9), sw, exact)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.floats(0.1, 1.9),
+           st.floats(0.25, 3.0), st.integers(1, 2), st.lists(st.integers(0, 2), max_size=11),
+           st.lists(st.integers(1, 5000), min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_matches_event_scan(self, seed, dims, q1, alpha, first, steps, budgets):
+        # W_l = 2 W_{l-1} + step keeps every bound of `WorkSequence`
+        values = [0, first]
+        for step in steps:
+            values.append(2 * values[-1] + step)
+        sw = multilevel.WorkSequence(tuple(values))
+        surrogate, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
+        table = ml_work_cost(surrogate, q1, alpha, dims, 200)
+        for budget in budgets:
+            eps = table.eps_for_budget(budget, sw)
+            expected = scan_budget_eps(table, budget, sw)
+            assert table.allocation(eps, sw).levels == table.allocation(expected, sw).levels
+            assert (eps == math.inf) == (expected == math.inf)
+            assert table.price(eps, sw) <= budget
+
+    def test_large_alpha_answer_is_exact(self):
+        # at alpha = 20 the level bounds grow so slowly that 256 cell units
+        # buy eps = 4.0e-29: 58968 members, 28 of them at level 1 or above
+        study = sin_study(alpha="20")
+        family = study.weight_family(2)
+        calls = []
+        surrogate = lambda nu: calls.append(nu) or surrogate_weight(family, nu)
+        table = ml_work_cost(surrogate, study.q1, study.alpha, family.d_max)
+        alloc, sw = _ml_allocation_for_budget(table, 256)
+        assert work(alloc) <= 256 and len(alloc.levels) == 28
+        eps = table.eps_for_budget(256, sw)
+        below = next(event_midpoints(table, sw, math.log(eps)))
+        assert table.price(math.exp(below), sw) > 256
+        # one walk, each member popped once: no table is rebuilt (the other
+        # calls are one d weight a member and the origin's threshold)
+        assert len(set(table.members)) == len(table.members)
+        assert len(calls) == table.walk.calls + len(table.members) + 1
+        assert table.walk.calls <= 3 * len(table.members) + 1
 
     @pytest.mark.parametrize("overrides, k, budget", [
         ({}, 2, 4096),
@@ -317,12 +362,12 @@ class TestMlBudgetSearch:
         cost = ml_work_cost(surrogate, 1.0, 1.0, 1)
         oracle = ml_work_oracle(surrogate, 1.0, 1.0, sw, 1)
         # member 70 is active at its own threshold; member 60 has a rule
-        assert cost(1.0 / surrogate(MultiIndex(((0, 70),))), sw) == math.inf
+        assert cost.price(1.0 / surrogate(MultiIndex(((0, 70),))), sw) == math.inf
         assert oracle(1.0 / surrogate(MultiIndex(((0, 70),)))) == math.inf
-        finite = cost(1.0 / surrogate(MultiIndex(((0, 60),))), sw)
+        finite = cost.price(1.0 / surrogate(MultiIndex(((0, 60),))), sw)
         assert 0 < finite < math.inf
         assert finite == oracle(1.0 / surrogate(MultiIndex(((0, 60),))))
-        assert cost(2.0, sw) == 0
+        assert cost.price(2.0, sw) == 0
 
 
 class TestQuadStudy:
@@ -557,14 +602,19 @@ class TestOneBudgetSearchPerStudy:
         # three rows, and for interp the reference interpolant's set
         assert searches == [("walk", True, 3 if kind == "quad" else 4)]
 
-    def test_ml_study_shares_one_lowered_table(self, tmp_path, searches):
+    def test_ml_study_lowers_one_table(self, tmp_path, searches, monkeypatch):
+        tables = []
+        init = multilevel.MemberTable.__init__
+        monkeypatch.setattr(multilevel.MemberTable, "__init__",
+                            lambda self, *args: tables.append(self) or init(self, *args))
         study = sin_study(budgets="4096,16384,65536")
         run_ml_study(study, tmp_path, "quad")
-        # the reference is closed-form, so every budget search is a table build
-        assert all(kind == "table" and inside for kind, inside, _ in searches)
-        # lowered a factor 100 at a time from {0}; built straight at each
-        # probe's eps, the 65536 budget's probe at 1e-21 alone holds 5221
-        assert [size for *_, size in searches] == [2, 4, 9, 21, 47, 109, 232, 465]
+        # the reference is closed-form, and the budget rows build no set from
+        # the origin: they share one table, lowered by resuming its walk
+        assert searches == []
+        table, = tables
+        assert len(set(table.members)) == len(table.members) == 406
+        assert table.walk.calls <= 3 * len(table.members) + 1
 
     @pytest.fixture
     def coeff_calls(self, monkeypatch):
@@ -703,6 +753,23 @@ class TestMainEntry:
             "npd.cfg",
         )
         assert main(["grf", "--config", str(npd), "--out", str(out)]) == 3
+
+    @pytest.mark.parametrize("kind, cfg_text, budgets", [
+        # every 0/1 index of blocks ties the origin: 1024 members, no set fits
+        ("quad", "system = blocks\nd_max = 10\n", "25,50"),
+        ("interp", "system = blocks\nd_max = 10\n", "25,50"),
+        # a level-1 member costs at least 2 cell units
+        ("ml-quad", SIN_CFG, "1,2"),
+        ("ml-interp", SIN_CFG, "1,2"),
+    ])
+    def test_study_without_rows_fails(self, tmp_path, capsys, kind, cfg_text, budgets):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, cfg_text)
+        assert main([kind, "--config", str(cfg), "--out", str(out),
+                     "--budgets", budgets]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure") and f"budgets {budgets}" in err
+        assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("seed", [str(2 ** 64 + 5), "-1"], ids=["2**64+5", "-1"])
     def test_seed_outside_u64_is_config_error(self, tmp_path, capsys, seed):

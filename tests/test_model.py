@@ -433,6 +433,20 @@ class TestBatchedMaps:
             assert ulps(row, oracle, scale) <= ULPS
             assert ulps(fem_solve_point(problem, y, n_cells), oracle, scale) <= ULPS
 
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 80), st.integers(1, 4),
+           st.sampled_from(QOIS))
+    @settings(max_examples=30, deadline=None)
+    def test_narrow_stack_equals_zero_padded(self, seed, width, n, qoi):
+        # the maps sum only the modes a stack holds; each term left out is
+        # y_j psi_j = +-0.0, so the values match to the bit
+        problem = sin_problem(3.0, 64, qoi=qoi)
+        stack = np.random.default_rng(seed).normal(0.0, 2.0, (n, width))
+        padded = np.zeros((n, 64))
+        padded[:, :min(width, 64)] = stack[:, :64]
+        for fidelity in [("exact",), ("fem", 16)]:
+            fn = as_parametric_map(problem, fidelity).batch
+            assert fn(stack).tobytes() == fn(padded).tobytes()
+
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 20))
     @settings(max_examples=40, deadline=None)
     def test_bayes_rows_match_point_oracle(self, seed, n):

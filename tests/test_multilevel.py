@@ -157,6 +157,20 @@ class TestMemberTable:
             )
             assert {table.members[i]: l for i, l in zip(rows, levels) if l} == alloc.levels
 
+    def test_budget_eps_never_splits_near_ties(self):
+        # e_0 and e_1 enter a relative 1e-13 apart: one event group, so no
+        # budget reads its allocation between them
+        activation = [2.0, 2.0 * (1.0 + 1e-13)]
+        c = lambda nu: math.prod(activation[d] * 3.0 ** e for d, e in nu.entries)
+        table = MemberTable(c, c, 1.0, 1.0, 1.0, 2)
+        sw = default_work_sequence(6)
+        t0, t1 = 1.0 / c(mi({0: 1})), 1.0 / c(mi({1: 1}))
+        assert t1 < t0
+        for budget in range(1, 400):
+            eps = table.eps_for_budget(budget, sw)
+            assert not t1 < eps < t0
+            assert table.price(eps, sw) <= budget
+
     def test_validation(self):
         c = lambda nu: 2.0 ** nu.order
         with pytest.raises(ValueError):

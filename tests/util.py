@@ -9,7 +9,7 @@ import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
 from hermgrid._accel import _REF_POINTS, _REF_WEIGHTS
-from hermgrid.cli import _format, bisect_epsilon
+from hermgrid.cli import _format
 from hermgrid.errors import (
     EmptyAllocation,
     LevelTooLarge,
@@ -306,6 +306,28 @@ def lattice_threshold_set(surrogate, eps: float, d_max: int,
             )
 
 
+def bisect_epsilon(cost, budget: float, lo: float = 1e-30, hi: float = 1e6,
+                   iters: int = 40) -> float:
+    """Geometric bisection of ``cost(eps) <= budget`` over [lo, hi].
+
+    ``cost`` must be nonincreasing in eps and 0 at ``hi``.  The result is
+    feasible and, after 40 steps on [1e-30, 1e6], within about 7.5e-11
+    relative of the infimum of the feasible eps.  Raises ``ValueError``
+    when no probe priced above the budget: the infimum may then lie below
+    ``lo``, and the result would be clamped to it.
+    """
+    priced_over = False
+    for _ in range(iters):
+        mid = math.sqrt(lo * hi)
+        if cost(mid) <= budget:
+            hi = mid
+        else:
+            lo, priced_over = mid, True
+    if not priced_over:
+        raise ValueError(f"no probe in [{lo}, {hi}] priced above budget {budget}")
+    return hi
+
+
 def bisection_threshold_set(surrogate, budget: int, d_max: int,
                             cap: int = 10_000_000, lo: float = 1e-30) -> IndexSet:
     """Slow oracle for `largest_threshold_set`: 40 geometric eps bisections.
@@ -392,7 +414,7 @@ def work_level_major(allocation: LevelAllocation) -> int:
 
 
 def ml_work_oracle(surrogate, q1, alpha, work_sequence, d_max, cap=10_000_000):
-    """Slow oracle for `hermgrid.cli.ml_work_cost`: a fresh allocation per eps."""
+    """Slow oracle for `MemberTable.price`: a fresh allocation per eps."""
 
     def cost(eps):
         try:
@@ -409,9 +431,54 @@ def ml_work_oracle(surrogate, q1, alpha, work_sequence, d_max, cap=10_000_000):
     return cost
 
 
+def event_midpoints(table, work_sequence, top=math.inf):
+    """Brute-force scan of a `MemberTable`'s price events, for
+    `MemberTable.eps_for_budget`: every entry (log ``t``) and, between two
+    distinct entries, every level step of the rows entered (log eps
+    ``(log d_i + log S/(2 alpha) - log W_l)/gamma`` with ``S`` summed over
+    the rows in member order), in descending log eps; yields the midpoint
+    of each gap wider than 1e-12 between consecutive events below ``top``,
+    down to the walk's next member.
+    """
+    t = np.append(np.sort(table.t)[::-1], 1.0 / table.walk.head)
+    log_t = np.log(t)
+    gamma = (0.5 - table.q1 / 4.0) / table.alpha
+    log_w = np.log(np.asarray(work_sequence.values[1:], dtype=np.float64))
+    previous = None
+    for n in range(1, log_t.size):
+        hi, lo = log_t[n - 1], log_t[n]
+        if lo >= top or lo == hi:
+            continue
+        rows = sorted((i for i in range(len(table.members)) if table.t[i] >= t[n - 1]),
+                      key=lambda i: table.members[i].sort_key())
+        total = sum(table.d[rows].tolist())
+        steps = ((np.log(table.d[rows])[:, None] + math.log(total) / (2.0 * table.alpha)
+                  - log_w) / gamma).ravel()
+        for x in [hi] + sorted(steps[(steps > lo) & (steps < hi)].tolist(), reverse=True):
+            if previous is not None and previous - x > 1e-12 and (previous + x) / 2 < top:
+                yield (previous + x) / 2
+            previous = x
+    if previous is not None and previous - log_t[-1] > 1e-12 and (previous + log_t[-1]) / 2 < top:
+        yield (previous + log_t[-1]) / 2
+
+
+def scan_budget_eps(table, budget, work_sequence):
+    """Exact oracle for `MemberTable.eps_for_budget` on the rows the table
+    holds: the midpoint just above the first event group priced over the
+    budget (`MemberTable.price` at the midpoint below it), inf above the
+    first entry; past the table's last midpoint, its next member is taken
+    to price inf (the table stops growing at ``cap``)."""
+    above = math.inf
+    for x in event_midpoints(table, work_sequence):
+        if table.price(math.exp(x), work_sequence) > budget:
+            break
+        above = math.exp(x)
+    return above
+
+
 def bisection_ml_allocation(surrogate, q1, alpha, budget, work_sequence, d_max,
                             cap=10_000_000):
-    """Slow oracle for `hermgrid.cli.ml_allocation_for_budget`: 40 eps
+    """Slow oracle for `hermgrid.cli._ml_allocation_for_budget`: 40 eps
     bisections, each probe a fresh `construct_levels` call."""
     eps = bisect_epsilon(ml_work_oracle(surrogate, q1, alpha, work_sequence, d_max, cap),
                          budget)
