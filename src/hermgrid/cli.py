@@ -361,7 +361,7 @@ def run_interp_study(study: StudyConfig, out_dir: Path) -> list:
         if len(selected) == 0:
             continue
         poly = interpolate(selected, target)
-        err = reference.minus(poly).l2_norm()
+        err = (reference - poly).l2_norm()
         rows.append([evaluation_point_count(selected), err])
     write_csv(out_dir / "interp.csv", ("n_points", "l2_error"), rows)
     label = f"interpolant-{evaluation_point_count(ref_set)}-points"
@@ -369,20 +369,10 @@ def run_interp_study(study: StudyConfig, out_dir: Path) -> list:
     return rows
 
 
-def ml_work_cost(surrogate, q1: float, alpha: float, d_max: int,
-                 cap: int = 10_000_000) -> MemberTable:
-    """The `MemberTable` a multilevel study's budget rows share (it does not
-    depend on the work sequence), started at the origin's threshold:
-    ``table.price(eps, work_sequence)`` is ``work(construct_levels(eps))``,
-    and `MemberTable.eps_for_budget` sweeps its price events."""
-    return MemberTable(surrogate, surrogate, q1, alpha, 1.0 / surrogate(MultiIndex()),
-                       d_max, cap)
-
-
 def _ml_allocation_for_budget(table: MemberTable, budget: int):
     """Allocation with the most work not exceeding the budget, and its work
-    sequence, read off the study's shared table (`ml_work_cost`) at the eps
-    of its event sweep."""
+    sequence, read off the study's shared `MemberTable` at the eps of its
+    event sweep."""
     levels = max(1, int(math.floor(math.log2(max(budget, 2)))))
     sw = default_work_sequence(levels)
     return table.allocation(table.eps_for_budget(budget, sw), sw), sw
@@ -402,7 +392,7 @@ def run_ml_study(study: StudyConfig, out_dir: Path, quantity: str) -> list:
     family = study.weight_family(k)
     # one value per multi-index: the walk's pushes and the table's d weights
     surrogate = cache(lambda nu: surrogate_weight(family, nu))
-    table = ml_work_cost(surrogate, study.q1, study.alpha, family.d_max)
+    table = MemberTable(surrogate, surrogate, study.q1, study.alpha, family.d_max)
     if study.eps_grid:  # an eps above the origin's threshold allocates nothing
         sw = default_work_sequence(20)
         pairs = [(table.allocation(eps, sw), sw) for eps in study.eps_grid]
@@ -422,7 +412,7 @@ def run_ml_study(study: StudyConfig, out_dir: Path, quantity: str) -> list:
             err = abs(value - reference)
         else:
             poly = ml_interpolate(alloc, levels)
-            err = reference.minus(poly).l2_norm()
+            err = (reference - poly).l2_norm()
         rows.append([spent, err])
     name = "ml_quad.csv" if quantity == "quad" else "ml_interp.csv"
     write_csv(out_dir / name, ("work", "error"), rows)

@@ -216,6 +216,10 @@ def _normals(seed: int, shape) -> np.ndarray:
 
 def _synthesize(plan: EmbeddingPlan, draws: np.ndarray) -> np.ndarray:
     """Colour i.i.d. normals by the circulant square root via one inverse FFT."""
+    if not plan.positive:
+        raise NotPositiveDefinite(
+            "embedding is not positive semidefinite; increase the half-period"
+        )
     s = plan.extended_size
     half = s // 2
     amp = plan.amplitudes
@@ -230,18 +234,9 @@ def _synthesize(plan: EmbeddingPlan, draws: np.ndarray) -> np.ndarray:
 
 def sample_grf(plan: EmbeddingPlan, seed: int) -> np.ndarray:
     """One exact draw of the field on the original grid (deterministic in seed)."""
-    if not plan.positive:
-        raise NotPositiveDefinite(
-            "embedding is not positive semidefinite; increase the half-period"
-        )
     return _synthesize(plan, _normals(seed, plan.extended_size))
 
 
 def sample_grf_batch(plan: EmbeddingPlan, seed: int, n_samples: int) -> np.ndarray:
     """Stack of draws from one seeded stream, shaped (n_samples, m + 1)."""
-    if not plan.positive:
-        raise NotPositiveDefinite(
-            "embedding is not positive semidefinite; increase the half-period"
-        )
-    draws = _normals(seed, (n_samples, plan.extended_size))
-    return _synthesize(plan, draws)
+    return _synthesize(plan, _normals(seed, (n_samples, plan.extended_size)))

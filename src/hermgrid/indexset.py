@@ -221,6 +221,9 @@ def surrogate_weight(family: WeightFamily, nu: MultiIndex) -> float:
 
 # -- threshold set construction -------------------------------------------
 
+TIE = 1e-12  # relative gap below which the walk's values (or their logs) form one group
+
+
 class ThresholdWalk:
     """Best-first walk of the threshold family of ``surrogate`` on ``d_max``
     dimensions: `pop` takes members in nondecreasing surrogate value.

@@ -247,17 +247,14 @@ def fem_solve_1d(problem: ModelProblem1D, y, n_cells: int) -> np.ndarray:
 
 
 def _qoi_from_nodal(problem: ModelProblem1D, nodal: np.ndarray) -> np.ndarray:
-    kind = problem.qoi[0]
+    x0, mean = _qoi_span(problem)
     n = nodal.shape[-1] - 1
-    if kind == "point":
-        x0 = float(problem.qoi[1])
-        pos = x0 * n
-        i = min(int(pos), n - 1)
-        frac = pos - i
-        return (1.0 - frac) * nodal[..., i] + frac * nodal[..., i + 1]
-    if kind == "mean":
+    if mean:
         return (0.5 * nodal[..., 0] + nodal[..., 1:-1].sum(axis=-1) + 0.5 * nodal[..., -1]) / n
-    raise ValueError(f"unknown QoI kind {kind!r}")
+    pos = x0 * n
+    i = min(int(pos), n - 1)
+    frac = pos - i
+    return (1.0 - frac) * nodal[..., i] + frac * nodal[..., i + 1]
 
 
 class ParametricMapFn:

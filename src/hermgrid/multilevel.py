@@ -2,8 +2,9 @@
 
 A level allocation assigns each multi-index a discretization level for the
 underlying approximation family (for instance FEM meshes of growing
-resolution).  The induced nested index sets drive telescoped interpolation
-and quadrature sums whose cost is measured by an abstract work sequence.
+resolution).  The induced nested index sets drive one telescoped sum,
+``sum_j (A(Gamma_j) - A(Gamma_{j+1})) u_j`` for the Smolyak interpolation
+or quadrature operator A, whose cost is measured by an abstract work sequence.
 """
 
 import bisect
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import EmptyAllocation, ThresholdTooSmall
 from .hermite import MAX_LEVEL
 # build_threshold_set has no caller here; perfbench/layers.py hooks this name
-from .indexset import IndexSet, MultiIndex, ThresholdWalk, build_threshold_set  # noqa: F401
+from .indexset import TIE, IndexSet, MultiIndex, ThresholdWalk, build_threshold_set  # noqa: F401
 from .smolyak import HermitePolynomial, _shared, interpolate, quadrature, zero_polynomial
 
 
@@ -90,9 +91,6 @@ class LevelAllocation:
         return max(self.levels.values(), default=0)
 
 
-_TIE = 1e-12  # events closer in log eps chain into one group (`largest_threshold_set`'s tie)
-
-
 class MemberTable:
     """The threshold family of ``c_surrogate``, one row a member, lowered on demand.
 
@@ -101,11 +99,12 @@ class MemberTable:
     ``t >= e`` are the threshold set at any ``e`` above the walk's head.
     ``order`` lists the rows in `IndexSet.sorted_members` order; ``d`` holds
     ``d(nu)**(-1/(1+2 alpha))``, ``points`` the tensor point count
-    ``prod_j (nu_j + 1)`` and ``max_exp`` the largest exponent.
+    ``prod_j (nu_j + 1)`` and ``max_exp`` the largest exponent.  The table
+    starts empty; `lower`, `allocation`, `price` and `eps_for_budget` grow it.
     """
 
-    def __init__(self, c_surrogate, d_surrogate, q1: float, alpha: float, eps: float,
-                 d_max: int, cap: int = 10_000_000):
+    def __init__(self, c_surrogate, d_surrogate, q1: float, alpha: float, d_max: int,
+                 cap: int = 10_000_000):
         if not 0.0 < q1 < 2.0:
             raise ValueError("q1 must lie in (0, 2)")
         if not 0.0 < alpha < math.inf:
@@ -115,7 +114,6 @@ class MemberTable:
         self.members, self._d, self._points, self._max_exp = self.walk.members, [], [], []
         self._keys, self._order = [], []
         self._append(0)
-        self.lower(eps)
 
     def lower(self, eps: float):
         """Append the rows with ``t >= eps``; `ThresholdTooSmall` past ``cap``."""
@@ -176,7 +174,7 @@ class MemberTable:
         the empty set fits), by a sweep over the price's events in log eps:
         entries at ``log t`` and, between entries, level steps at ``(log d_i
         + log S/(2 alpha) - log W_l)/gamma``, ``gamma = (1/2 - q1/4)/alpha``.
-        Events less than `_TIE` apart form one group and prices are read at
+        Events less than `TIE` apart form one group and prices are read at
         the midpoints between groups.  The price never falls with eps, so
         binary searches over the entry intervals (by their lowest midpoint)
         and inside one find the first group over the budget; the result is
@@ -192,7 +190,7 @@ class MemberTable:
             total = sum(self.d[self.order[self.order < n]].tolist())
             x = (log_d[:n, None] + math.log(total) / (2.0 * self.alpha) - log_w) / gamma
             x = np.concatenate(([hi], np.sort(x[(x > lo) & (x < hi)])[::-1], [lo]))
-            return ((x[:-1] + x[1:]) / 2.0)[x[:-1] - x[1:] > _TIE]
+            return ((x[:-1] + x[1:]) / 2.0)[x[:-1] - x[1:] > TIE]
 
         def lowest(k):  # the lowest midpoint of intervals 0..k
             return next((m[-1] for j in range(k, -1, -1) if (m := midpoints(j)).size), None)
@@ -201,8 +199,8 @@ class MemberTable:
 
         while True:
             log_t, log_d, head = np.log(self.t), np.log(self.d), np.log(1.0 / self.walk.head)
-            ends = (np.flatnonzero(log_t[:-1] - log_t[1:] > _TIE) + 1).tolist()
-            if log_t.size and log_t[-1] - head > _TIE:  # the last group is whole
+            ends = (np.flatnonzero(log_t[:-1] - log_t[1:] > TIE) + 1).tolist()
+            if log_t.size and log_t[-1] - head > TIE:  # the last group is whole
                 ends.append(log_t.size)
             start = len(self.members)
             if start >= self.cap or over(len(ends) - 1):
@@ -233,7 +231,8 @@ def construct_levels(
     Every member of the threshold set receives its `MemberTable.levels`
     level; indices outside the set stay at level 0.
     """
-    table = MemberTable(c_surrogate, d_surrogate, q1, alpha, eps, d_max, cap)
+    table = MemberTable(c_surrogate, d_surrogate, q1, alpha, d_max, cap)
+    table.lower(eps)
     if not table.members:
         raise EmptyAllocation(f"threshold {eps} admits no multi-indices")
     return table.allocation(eps, work_sequence)
@@ -259,43 +258,30 @@ def work(allocation: LevelAllocation) -> int:
     )
 
 
+def _telescope(allocation: LevelAllocation, u_levels, operator, zero):
+    """``sum_j operator(Gamma_j, u_j) - operator(Gamma_{j+1}, u_j)``, the terms
+    added in level order (the empty set above the top is 0); ``zero`` below level 1."""
+    top = allocation.max_level
+    if top == 0:
+        return zero
+    if len(u_levels) < top:
+        raise ValueError(f"need {top} level approximations, got {len(u_levels)}")
+    gammas, maps = gamma_sets(allocation), [_shared(u) for u in u_levels[:top]]
+    terms = [operator(g, u) - operator(h, u) for g, h, u in zip(gammas, gammas[1:], maps)]
+    terms.append(operator(gammas[-1], maps[-1]))
+    return sum(terms[1:], terms[0])
+
+
 def ml_interpolate(allocation: LevelAllocation, u_levels) -> HermitePolynomial:
     """Telescoped multilevel interpolant over the allocation's nested sets.
 
     ``u_levels[j-1]``, the level-j approximation of the target map, is called
     once per node of its two sets; the empty set above the top level is 0.
     """
-    top = allocation.max_level
-    if top == 0:
-        return zero_polynomial()
-    if len(u_levels) < top:
-        raise ValueError(f"need {top} level approximations, got {len(u_levels)}")
-    gammas = gamma_sets(allocation)
-    result = None
-    for j in range(1, top + 1):
-        u = _shared(u_levels[j - 1])
-        term = interpolate(gammas[j - 1], u)
-        if j < top and len(gammas[j]) > 0:
-            term = term.minus(interpolate(gammas[j], u))
-        result = term if result is None else result.plus(term)
-    return result
+    return _telescope(allocation, u_levels, interpolate, zero_polynomial())
 
 
 def ml_quadrature(allocation: LevelAllocation, u_levels) -> np.ndarray:
     """Telescoped multilevel quadrature; matches the constant coefficient of
     `ml_interpolate` on the same inputs and calls each level map as often."""
-    top = allocation.max_level
-    if top == 0:
-        return np.zeros(1)
-    if len(u_levels) < top:
-        raise ValueError(f"need {top} level approximations, got {len(u_levels)}")
-    gammas = gamma_sets(allocation)
-    result = None
-    for j in range(1, top + 1):
-        u = _shared(u_levels[j - 1])
-        term = quadrature(gammas[j - 1], u)
-        if j < top and len(gammas[j]) > 0:
-            term = term - quadrature(gammas[j], u)
-        result = term if result is None else result + term
-    return result
-
+    return _telescope(allocation, u_levels, quadrature, np.zeros(1))

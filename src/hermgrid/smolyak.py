@@ -13,10 +13,11 @@ subset of the even ones; the distinct-node count sums, over the distinct
 patterns of the grids with nonzero coefficient, prod_{j in S} (nu_j + 1 -
 [nu_j even]).  The studies evaluate each map once per node and fidelity.
 
-Work is shared across calls: `_terms` and `_set_patterns` keep the terms
-and node patterns of recent set contents, `_term_layout`, `_term_weights`
-and `_pattern_nodes` cache per term or pattern (the arrays read-only), and
-a `_Shared` map keeps its values by pattern and its weighted sums by term.
+The operators take a `ParametricMapFn` (or a `_Shared` one).  Work is
+shared across calls: `_terms` and `_set_patterns` keep the terms and node
+patterns of recent set contents, `_term_layout`, `_term_weights` and
+`_pattern_nodes` cache per term or pattern (the arrays read-only), and a
+`_Shared` map keeps its values by pattern and its weighted sums by term.
 """
 
 import itertools
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import EmptyIndexSet, NotDownwardClosed
 from .hermite import MAX_LEVEL, gauss_hermite_rule, hermite_eval_all
-from .indexset import IndexSet, MultiIndex, ThresholdWalk
+from .indexset import TIE, IndexSet, MultiIndex, ThresholdWalk
 
 
 def combination_coeffs(index_set: IndexSet) -> dict:
@@ -91,15 +92,16 @@ def largest_threshold_set(surrogate, budgets, d_max: int) -> list:
     is raised), and keeps the combination coefficients and a reference
     count of the grids' node patterns up to date, so the node count of
     every prefix equals `evaluation_point_count`.  Values within a
-    relative 1e-12 of a group's first value, and tied children pushed
+    relative `TIE` of a group's first value, and tied children pushed
     meanwhile, join that group; only group boundaries are candidate sets,
     and each budget keeps the longest whose node count fits it.
-    The walk stops once a prefix has more members than the largest budget
-    (the operators reproduce P_Lambda, so they need at least |Lambda| nodes)
-    or meets an exponent above MAX_LEVEL, whose rule does not exist.  Equal
-    prefixes come back as one `IndexSet` object.  Each set's ``complete`` is
-    True when it is the last set of the family that has rules, so that no
-    larger budget would select more.
+    A group is popped first; the walk stops once more members than the
+    largest budget are popped, inside a group too (the operators reproduce
+    P_Lambda, so they need at least |Lambda| nodes), or at a group with an
+    exponent above MAX_LEVEL, whose rule does not exist.  Equal prefixes
+    come back as one `IndexSet` object.  Each set's ``complete`` is True when
+    it is the last set of the family that has rules, so that no larger
+    budget would select more; no prefix below an unfinished group is.
     """
     walk = ThresholdWalk(surrogate, d_max)
     coeffs, patterns = {}, {}
@@ -111,13 +113,17 @@ def largest_threshold_set(surrogate, budgets, d_max: int) -> list:
             selected.complete = k == end
         return [sets[k] for k in best]
 
-    while walk.heap and len(walk.members) <= limit:
+    while walk.heap:
         boundary = len(walk.members)
-        bound = walk.head * (1.0 + 1e-12)
-        while walk.head <= bound:
-            entries = walk.pop()[1].entries
-            if max((e for _, e in entries), default=0) > MAX_LEVEL:
-                return prefixes(boundary)
+        bound = walk.head * (1.0 + TIE)
+        while walk.head <= bound and len(walk.members) <= limit:
+            walk.pop()
+        group = walk.members[boundary:]
+        if max((e for nu in group for _, e in nu.entries), default=0) > MAX_LEVEL:
+            return prefixes(boundary)
+        if len(walk.members) > limit:  # the group fits no budget: leave it unfinished
+            return prefixes()
+        for entries in (nu.entries for nu in group):
             for picks in itertools.product((0, 1), repeat=len(entries)):
                 mu = tuple((d, e - used) for (d, e), used in zip(entries, picks) if e - used)
                 old = coeffs.get(mu, 0)
@@ -193,19 +199,18 @@ class HermitePolynomial:
             total += float(np.dot(coeff, coeff))
         return np.sqrt(total)
 
-    def plus(self, other: "HermitePolynomial", sign: float = 1.0) -> "HermitePolynomial":
+    def __add__(self, other: "HermitePolynomial") -> "HermitePolynomial":
+        """Coefficientwise sum; `ValueError` when the output dimensions differ."""
         if other.output_dim != self.output_dim:
             raise ValueError("output dimensions differ")
-        acc = {nu: c.copy() for nu, c in self.coefficients.items()}
+        acc = dict(self.coefficients)
         for nu, c in other.coefficients.items():
-            if nu in acc:
-                acc[nu] = acc[nu] + sign * c
-            else:
-                acc[nu] = sign * c
+            acc[nu] = acc[nu] + c if nu in acc else c
         return HermitePolynomial(acc, self.output_dim)
 
-    def minus(self, other: "HermitePolynomial") -> "HermitePolynomial":
-        return self.plus(other, sign=-1.0)
+    def __sub__(self, other: "HermitePolynomial") -> "HermitePolynomial":
+        return self + HermitePolynomial({nu: -c for nu, c in other.coefficients.items()},
+                                        other.output_dim)
 
 
 def zero_polynomial(output_dim: int = 1) -> HermitePolynomial:
@@ -268,13 +273,10 @@ class _Shared:
     nonzero node is fixed by its (dim, level, index) triples, whatever the
     padding): ``values[pattern]`` holds them in `_pattern_nodes` order, and
     ``sums[entries]`` the weighted sum over a term's grid once `quadrature`
-    formed it.  A ``batch`` method (`ParametricMapFn`) is called on stacks,
-    a bare callable row by row."""
+    formed it.  The map's ``batch`` method is called on stacks."""
 
     def __init__(self, u):
-        self.rows = getattr(u, "batch", None) or (lambda nodes: np.array(
-            [np.atleast_1d(np.asarray(u(y), dtype=np.float64)) for y in nodes]))
-        self.values, self.sums = {}, {}
+        self.rows, self.values, self.sums = u.batch, {}, {}
 
     def evaluate(self, patterns, width: int):
         """One map call on the nodes of the patterns not evaluated yet, if any."""
@@ -297,7 +299,9 @@ class _Shared:
 
 
 def _shared(u):
-    """``u`` as a `_Shared` map; a shared map is returned as it is."""
+    """``u`` as a `_Shared` map (a shared one as it is); `TypeError` without ``batch``."""
+    if not isinstance(u, _Shared) and not hasattr(u, "batch"):
+        raise TypeError(f"expected a ParametricMapFn, got {type(u).__name__}")
     return u if isinstance(u, _Shared) else _Shared(u)
 
 
@@ -314,9 +318,8 @@ def _evaluate(index_set: IndexSet, u) -> tuple:
 def interpolate(index_set: IndexSet, u) -> HermitePolynomial:
     """Smolyak interpolant of ``u``, exact on the span of monomials in the set.
 
-    ``u`` is a `ParametricMapFn`, called on an (n, d) stack of nodes, or a
-    per-point callable of one node; d is the set's dimension (nodes are
-    padded with zeros), and the output is an output-space vector or scalar.
+    ``u`` is a `ParametricMapFn` (or a `_Shared` one), called on an (n, d)
+    stack of nodes; d is the set's dimension (nodes are padded with zeros).
     """
     terms, u = _evaluate(index_set, u)
     acc = {}

@@ -23,7 +23,6 @@ from hermgrid.cli import (
     resolve_config,
     run_quad_study,
     _ml_allocation_for_budget,
-    ml_work_cost,
     threshold_set_for_budget,
 )
 from hermgrid.errors import LevelTooLarge, ThresholdTooSmall
@@ -34,6 +33,7 @@ from hermgrid.indexset import (
     degree_weight,
     surrogate_weight,
 )
+from hermgrid.multilevel import MemberTable
 from hermgrid.smolyak import _projection_matrix
 
 from util import (
@@ -41,6 +41,7 @@ from util import (
     brute_force_threshold,
     gauss_hermite_ratio,
     monomial_map,
+    pointwise,
     random_downward_closed,
     random_product_surrogate,
     tensor_moment,
@@ -133,7 +134,7 @@ def test_criterion_04_smolyak_exactness():
         def u(y):
             return sum(c * monomial_map(nu)(y)[0] for nu, c in coeffs.items())
 
-        poly = hg.interpolate(lam, u)
+        poly = hg.interpolate(lam, pointwise(u))
         scale = 1.0 + sum(abs(c) for c in coeffs.values())
         for _ in range(100):
             y = rng.uniform(-3.0, 3.0, 3)
@@ -190,7 +191,7 @@ def test_criterion_06_telescoping_and_work_model():
         lam = random_downward_closed(rng, 3, 15)
         sw = hg.default_work_sequence(3)
         alloc = hg.LevelAllocation({nu: 2 for nu in lam}, sw)
-        v = lambda y: float(np.exp(0.2 * y[0]) + (y[1] if len(y) > 1 else 0.0) ** 2)
+        v = pointwise(lambda y: float(np.exp(0.2 * y[0]) + (y[1] if len(y) > 1 else 0.0) ** 2))
         ml = hg.ml_interpolate(alloc, [v, v])
         sl = hg.interpolate(lam, v)
         for nu in set(ml.coefficients) | set(sl.coefficients):
@@ -277,7 +278,7 @@ def test_criterion_09_multilevel_vs_single_level(tmp_path):
     family = study.weight_family(2)
     surrogate = lambda nu: surrogate_weight(family, nu)
 
-    cost = ml_work_cost(surrogate, study.q1, study.alpha, family.d_max)
+    cost = MemberTable(surrogate, surrogate, study.q1, study.alpha, family.d_max)
     wins = 0
     details = []
     for budget in study.budgets:

@@ -19,7 +19,6 @@ from hermgrid.cli import (
     evaluation_point_count,
     fit_rate,
     main,
-    ml_work_cost,
     parse_config,
     resolve_config,
     run_bayes,
@@ -34,7 +33,7 @@ from hermgrid.grf import CovarianceSpec, circulant_embed_1d, sample_grf
 from hermgrid.hermite import MAX_LEVEL
 from hermgrid.indexset import MultiIndex, surrogate_weight
 from hermgrid.model import ParametricMapFn, as_parametric_map
-from hermgrid.multilevel import construct_levels, default_work_sequence, work
+from hermgrid.multilevel import MemberTable, construct_levels, default_work_sequence, work
 from hermgrid.smolyak import sparse_grid_points
 
 from util import (
@@ -192,7 +191,8 @@ def study_surrogate(study, k):
 def study_cost(study, k):
     """The study's shared multilevel cost, as `run_ml_study` makes it."""
     family = study.weight_family(k)
-    return ml_work_cost(study_surrogate(study, k), study.q1, study.alpha, family.d_max)
+    surrogate = study_surrogate(study, k)
+    return MemberTable(surrogate, surrogate, study.q1, study.alpha, family.d_max)
 
 
 class TestMlBudgetSearch:
@@ -207,7 +207,7 @@ class TestMlBudgetSearch:
                                            log_eps, picks):
         surrogate, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
         sw = default_work_sequence(top)
-        cost = ml_work_cost(surrogate, q1, alpha, dims, 500)
+        cost = MemberTable(surrogate, surrogate, q1, alpha, dims, 500)
         oracle = ml_work_oracle(surrogate, q1, alpha, sw, dims, 500)
         # probes in the given order go above and below the table's eps;
         # exact reciprocals put a member right on the threshold
@@ -224,7 +224,7 @@ class TestMlBudgetSearch:
     @settings(max_examples=50, deadline=None)
     def test_cost_nonincreasing_in_eps(self, seed, dims, q1, alpha, log_eps):
         surrogate, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
-        cost = ml_work_cost(surrogate, q1, alpha, dims, 500)
+        cost = MemberTable(surrogate, surrogate, q1, alpha, dims, 500)
         costs = [cost.price(10.0 ** x, default_work_sequence(10)) for x in sorted(log_eps)]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
 
@@ -234,7 +234,7 @@ class TestMlBudgetSearch:
     def test_bisection_takes_the_oracle_path(self, seed, dims, q1, alpha, budget):
         surrogate, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
         sw = default_work_sequence(max(1, int(math.log2(budget))))
-        cost = ml_work_cost(surrogate, q1, alpha, dims, 300)
+        cost = MemberTable(surrogate, surrogate, q1, alpha, dims, 300)
         oracle = ml_work_oracle(surrogate, q1, alpha, sw, dims, 300)
         try:
             eps = bisect_epsilon(lambda e: cost.price(e, sw), budget)
@@ -254,7 +254,7 @@ class TestMlBudgetSearch:
         # one table serves every work sequence and budget, probed in any order;
         # a probe priced above its budget may read inf instead of its value
         surrogate, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
-        cost = ml_work_cost(surrogate, q1, alpha, dims, 500)
+        cost = MemberTable(surrogate, surrogate, q1, alpha, dims, 500)
 
         def check(eps, sw, budget):
             value = cost.price(eps, sw)
@@ -280,7 +280,7 @@ class TestMlBudgetSearch:
             values.append(2 * values[-1] + step)
         sw = multilevel.WorkSequence(tuple(values))
         surrogate, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
-        table = ml_work_cost(surrogate, q1, alpha, dims, 200)
+        table = MemberTable(surrogate, surrogate, q1, alpha, dims, 200)
         for budget in budgets:
             eps = table.eps_for_budget(budget, sw)
             expected = scan_budget_eps(table, budget, sw)
@@ -295,16 +295,16 @@ class TestMlBudgetSearch:
         family = study.weight_family(2)
         calls = []
         surrogate = lambda nu: calls.append(nu) or surrogate_weight(family, nu)
-        table = ml_work_cost(surrogate, study.q1, study.alpha, family.d_max)
+        table = MemberTable(surrogate, surrogate, study.q1, study.alpha, family.d_max)
         alloc, sw = _ml_allocation_for_budget(table, 256)
         assert work(alloc) <= 256 and len(alloc.levels) == 28
         eps = table.eps_for_budget(256, sw)
         below = next(event_midpoints(table, sw, math.log(eps)))
         assert table.price(math.exp(below), sw) > 256
         # one walk, each member popped once: no table is rebuilt (the other
-        # calls are one d weight a member and the origin's threshold)
+        # calls are one d weight a member)
         assert len(set(table.members)) == len(table.members)
-        assert len(calls) == table.walk.calls + len(table.members) + 1
+        assert len(calls) == table.walk.calls + len(table.members)
         assert table.walk.calls <= 3 * len(table.members) + 1
 
     @pytest.mark.parametrize("overrides, k, budget", [
@@ -359,7 +359,7 @@ class TestMlBudgetSearch:
     def test_exponent_without_rule_costs_inf(self):
         surrogate = lambda nu: 1.05 ** nu.order
         sw = default_work_sequence(6)
-        cost = ml_work_cost(surrogate, 1.0, 1.0, 1)
+        cost = MemberTable(surrogate, surrogate, 1.0, 1.0, 1)
         oracle = ml_work_oracle(surrogate, 1.0, 1.0, sw, 1)
         # member 70 is active at its own threshold; member 60 has a rule
         assert cost.price(1.0 / surrogate(MultiIndex(((0, 70),))), sw) == math.inf
@@ -466,7 +466,7 @@ class TestInterpStudy:
         ref_set, = threshold_set_for_budget(study, 1, [4 * 64])
         target = as_parametric_map(study.problem, ("exact",))
         reference = interpolate(ref_set, target)
-        assert reference.minus(reference).l2_norm() == 0.0
+        assert (reference - reference).l2_norm() == 0.0
 
     def test_row_equal_to_reference_set_is_refused(self, tmp_path, capsys):
         # on blocks one tie group of 256 nodes is the largest set both within
@@ -758,6 +758,8 @@ class TestMainEntry:
         # every 0/1 index of blocks ties the origin: 1024 members, no set fits
         ("quad", "system = blocks\nd_max = 10\n", "25,50"),
         ("interp", "system = blocks\nd_max = 10\n", "25,50"),
+        # at d_max 16 the walk leaves that group after 51 of its 65536 members
+        ("quad", "system = blocks\nd_max = 16\n", "25,50"),
         # a level-1 member costs at least 2 cell units
         ("ml-quad", SIN_CFG, "1,2"),
         ("ml-interp", SIN_CFG, "1,2"),

@@ -1,5 +1,7 @@
 """Random-field generators: series expansions and circulant sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,9 @@ class TestSynthesisOracle:
         plan = circulant_embed_1d(CovarianceSpec.matern(2.0, 1.5), 16, 1.0)
         assert not plan.positive and plan.eigenvalues.min() < 0.0
         draws = _normals(11, (4, plan.extended_size))
+        with pytest.raises(NotPositiveDefinite):
+            _synthesize(plan, draws)
+        plan = dataclasses.replace(plan, positive=True)  # the clipped amplitudes alone
         assert np.array_equal(_synthesize(plan, draws), synthesize_loop(plan, draws))
         assert np.array_equal(_synthesize(plan, draws[0]), synthesize_loop(plan, draws[0]))
 

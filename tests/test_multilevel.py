@@ -26,6 +26,7 @@ from util import (
     construct_levels_loop,
     floor_level_loop,
     node_key,
+    pointwise,
     random_downward_closed,
     random_product_surrogate,
     work_level_major,
@@ -142,7 +143,8 @@ class TestMemberTable:
 
     def test_rows_above_threshold_form_smaller_sets(self):
         c, _, _ = random_product_surrogate(np.random.default_rng(5), 3)
-        table = MemberTable(c, c, 1.0, 1.0, 1e-4, 3)
+        table = MemberTable(c, c, 1.0, 1.0, 3)
+        table.lower(1e-4)
         sw = default_work_sequence(8)
         for eps in (1e-4, 1e-3, float(table.t[7]), 0.5, 2.0):
             rows, levels = table.levels(eps, sw)
@@ -162,7 +164,8 @@ class TestMemberTable:
         # budget reads its allocation between them
         activation = [2.0, 2.0 * (1.0 + 1e-13)]
         c = lambda nu: math.prod(activation[d] * 3.0 ** e for d, e in nu.entries)
-        table = MemberTable(c, c, 1.0, 1.0, 1.0, 2)
+        table = MemberTable(c, c, 1.0, 1.0, 2)
+        table.lower(1.0)
         sw = default_work_sequence(6)
         t0, t1 = 1.0 / c(mi({0: 1})), 1.0 / c(mi({1: 1}))
         assert t1 < t0
@@ -171,15 +174,39 @@ class TestMemberTable:
             assert not t1 < eps < t0
             assert table.price(eps, sw) <= budget
 
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.floats(0.1, 1.9),
+           st.floats(0.25, 3.0),
+           st.lists(st.tuples(st.floats(-8.0, 0.5), st.integers(1, 3000)),
+                    min_size=1, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_empty_start_answers_like_origin_start(self, seed, dims, q1, alpha, probes):
+        c, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
+        empty, lowered = (MemberTable(c, c, q1, alpha, dims, 300) for _ in range(2))
+        assert not empty.members
+        lowered.lower(1.0 / c(MultiIndex()))
+        sw = default_work_sequence(8)
+
+        def allocation(table, eps):
+            try:
+                return table.allocation(eps, sw).levels
+            except ThresholdTooSmall:
+                return None
+
+        for log_eps, budget in probes:
+            eps = 10.0 ** log_eps
+            assert empty.price(eps, sw) == lowered.price(eps, sw)
+            assert allocation(empty, eps) == allocation(lowered, eps)
+            assert empty.eps_for_budget(budget, sw) == lowered.eps_for_budget(budget, sw)
+
     def test_validation(self):
         c = lambda nu: 2.0 ** nu.order
         with pytest.raises(ValueError):
-            MemberTable(c, c, 2.0, 1.0, 0.1, 2)
+            MemberTable(c, c, 2.0, 1.0, 2)
         with pytest.raises(ValueError):
-            MemberTable(c, c, 1.0, 0.0, 0.1, 2)
+            MemberTable(c, c, 1.0, 0.0, 2)
         # every level floors to 0 at alpha = inf, so a budget search never ends
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
-            MemberTable(c, c, 1.0, math.inf, 0.1, 2)
+            MemberTable(c, c, 1.0, math.inf, 2)
 
 
 class TestGammaSets:
@@ -200,7 +227,7 @@ class TestTelescoping:
         lam = IndexSet([MultiIndex(), mi({0: 1}), mi({0: 2}), mi({1: 1})])
         sw = default_work_sequence(3)
         alloc = LevelAllocation({nu: 2 for nu in lam}, sw)
-        v = lambda y: float(np.sin(y[0]) + np.cos(y[1] if len(y) > 1 else 0.0))
+        v = pointwise(lambda y: float(np.sin(y[0]) + np.cos(y[1] if len(y) > 1 else 0.0)))
         ml = ml_interpolate(alloc, [v, v])
         sl = interpolate(lam, v)
         union = set(ml.coefficients) | set(sl.coefficients)
@@ -215,7 +242,7 @@ class TestTelescoping:
     def test_single_level_identity(self):
         lam = IndexSet([MultiIndex(), mi({0: 1})])
         alloc = LevelAllocation({nu: 1 for nu in lam}, default_work_sequence(2))
-        v = lambda y: float(np.exp(0.2 * y[0]))
+        v = pointwise(lambda y: float(np.exp(0.2 * y[0])))
         ml = ml_interpolate(alloc, [v])
         sl = interpolate(lam, v)
         for nu in set(ml.coefficients) | set(sl.coefficients):
@@ -224,7 +251,7 @@ class TestTelescoping:
     def test_zero_maps(self):
         lam = IndexSet([MultiIndex(), mi({0: 1})])
         alloc = LevelAllocation({nu: 2 for nu in lam}, default_work_sequence(2))
-        zero = lambda y: 0.0
+        zero = pointwise(lambda y: 0.0)
         ml = ml_interpolate(alloc, [zero, zero])
         assert ml.l2_norm() == 0.0
 
@@ -232,18 +259,25 @@ class TestTelescoping:
         sw = default_work_sequence(2)
         lam = IndexSet([MultiIndex(), mi({0: 1}), mi({0: 2})])
         alloc = LevelAllocation({nu: 2 for nu in lam}, sw)
-        square = lambda y: y[0] ** 2
+        square = pointwise(lambda y: y[0] ** 2)
         assert ml_quadrature(alloc, [square, square])[0] == pytest.approx(1.0)
-        const = lambda y: 4.25
+        const = pointwise(lambda y: 4.25)
         assert ml_quadrature(alloc, [const, const])[0] == pytest.approx(4.25)
+
+    def test_bare_callable_is_refused(self):
+        alloc = LevelAllocation({MultiIndex(): 1}, default_work_sequence(2))
+        with pytest.raises(TypeError, match="got function"):
+            ml_quadrature(alloc, [lambda y: 1.0])
+        with pytest.raises(TypeError, match="got function"):
+            ml_interpolate(alloc, [lambda y: 1.0])
 
     def test_quadrature_matches_interpolant_constant_coefficient(self):
         sw = default_work_sequence(3)
         lam1 = IndexSet([MultiIndex(), mi({0: 1}), mi({0: 2}), mi({1: 1})])
         levels = {nu: (2 if nu.order <= 1 else 1) for nu in lam1}
         alloc = LevelAllocation(levels, sw)
-        maps = [lambda y: float(np.exp(0.3 * y[0])),
-                lambda y: float(np.exp(0.3 * y[0]) + 0.1 * y[0])]
+        maps = [pointwise(lambda y: float(np.exp(0.3 * y[0]))),
+                pointwise(lambda y: float(np.exp(0.3 * y[0]) + 0.1 * y[0]))]
         q = ml_quadrature(alloc, maps)
         p = ml_interpolate(alloc, maps)
         assert abs(q[0] - p.coefficient(MultiIndex())[0]) <= 1e-12
@@ -263,7 +297,7 @@ class TestSharedLevelValues:
             def u(y):
                 calls[j].append(node_key(y))
                 return [np.exp(0.3 * np.sum(y)) + j, float(y[0]) ** 2 / (j + 1)]
-            return u
+            return pointwise(u, 2)
 
         return alloc, [level_map(j) for j in range(alloc.max_level)], calls
 
@@ -298,8 +332,8 @@ class TestSharedLevelValues:
         for j in range(1, top + 1):
             term = interpolate(gammas[j - 1], maps[j - 1])
             if j < top and len(gammas[j]) > 0:
-                term = term.minus(interpolate(gammas[j], maps[j - 1]))
-            want = term if want is None else want.plus(term)
+                term = term - interpolate(gammas[j], maps[j - 1])
+            want = term if want is None else want + term
         assert got.coefficients.keys() == want.coefficients.keys()
         for nu, coeff in want.coefficients.items():
             np.testing.assert_array_equal(got.coefficients[nu], coeff)

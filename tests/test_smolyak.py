@@ -1,6 +1,7 @@
 """Single-level Smolyak interpolation and quadrature."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hermgrid import smolyak
 from hermgrid.cli import resolve_config
 from hermgrid.errors import EmptyIndexSet, LevelTooLarge, NotDownwardClosed
 from hermgrid.hermite import MAX_LEVEL, gauss_hermite_rule, hermite_eval_all
-from hermgrid.indexset import IndexSet, MultiIndex, degree_weight, surrogate_weight
+from hermgrid.indexset import (IndexSet, MultiIndex, ThresholdWalk, degree_weight,
+                               surrogate_weight)
 from hermgrid.model import ParametricMapFn
 from hermgrid.smolyak import (
     HermitePolynomial,
@@ -27,10 +29,13 @@ from hermgrid.smolyak import (
 
 from util import (
     bisection_threshold_set,
+    counting,
     listed_point_count,
+    merged_coefficients,
     monomial_map,
     node_key,
     pad,
+    pointwise,
     product_map,
     quadrature_oracle,
     random_downward_closed,
@@ -123,7 +128,7 @@ class TestSparseGrid:
                 calls.append(np.array(y))
                 return float(np.sum(y))
 
-            operator(lam, u)
+            operator(lam, pointwise(u))
             assert len(calls) == evaluation_point_count(lam)
             np.testing.assert_array_equal(np.array(calls), sparse_grid_points(lam))
 
@@ -277,15 +282,26 @@ class TestLargestThresholdSet:
         assert not any(s.complete for s in
                        largest_threshold_set(sindecay_surrogate(16), [25, 800], 16))
 
+    @pytest.mark.parametrize("d_max", [12, 64])
+    def test_tie_group_past_the_budget_is_left_unfinished(self, monkeypatch, d_max):
+        # every 0/1 index ties the origin at 1, as on `blocks`: the first group
+        # has 2**d_max members, and no budget fits it (nodes >= members)
+        pops, pop = [], ThresholdWalk.pop
+        monkeypatch.setattr(ThresholdWalk, "pop", lambda walk: pops.append(1) or pop(walk))
+        surrogate, calls = counting(lambda nu: math.prod(float(e) ** 2 for _, e in nu.entries))
+        walked = largest_threshold_set(surrogate, [25, 50], d_max)
+        assert walked == [IndexSet([])] * 2 and not any(s.complete for s in walked)
+        assert len(pops) <= 52 and len(calls) <= 3 * 52 + 1
+
 
 class TestInterpolate:
     def test_constant(self):
-        poly = interpolate(IndexSet([MultiIndex()]), lambda y: 3.0)
+        poly = interpolate(IndexSet([MultiIndex()]), pointwise(lambda y: 3.0))
         assert poly.coefficients.keys() == {MultiIndex()}
         assert poly.eval([0.4])[0] == pytest.approx(3.0)
 
     def test_square_in_hermite_basis(self):
-        poly = interpolate(ladder(2), lambda y: y[0] ** 2)
+        poly = interpolate(ladder(2), pointwise(lambda y: y[0] ** 2))
         assert poly.coefficient(MultiIndex())[0] == pytest.approx(1.0, abs=1e-12)
         assert poly.coefficient(mi({0: 2}))[0] == pytest.approx(np.sqrt(2), rel=1e-12)
         assert abs(poly.coefficient(mi({0: 1}))[0]) < 1e-14
@@ -294,10 +310,8 @@ class TestInterpolate:
     def test_truncation_error_against_dense_quadrature(self):
         # distance of H_3 to its degree-2 interpolant, measured two ways
         target = lambda y: hermite_eval_all(3, float(y[0]))[3]
-        poly = interpolate(ladder(2), target)
-        diff_sq = poly.plus(
-            HermitePolynomial({mi({0: 3}): np.array([-1.0])}, 1), sign=1.0
-        )
+        poly = interpolate(ladder(2), pointwise(target))
+        diff_sq = poly + HermitePolynomial({mi({0: 3}): np.array([-1.0])}, 1)
         parseval = diff_sq.l2_norm()
         rule = gauss_hermite_rule(40)
         vals = np.array([target([x]) - poly.eval([x])[0] for x in rule.nodes])
@@ -309,7 +323,7 @@ class TestInterpolate:
             [MultiIndex(), mi({0: 1}), mi({1: 1}), mi({0: 1, 1: 1}), mi({0: 2})]
         )
         u = lambda y: float(np.sin(y[0]) + y[1] ** 2 + 0.3 * y[0] * y[1])
-        poly = interpolate(lam, u)
+        poly = interpolate(lam, pointwise(u))
         expansion = combination_coeffs(lam)
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -341,14 +355,14 @@ class TestInterpolate:
             def u(y):
                 return sum(c * monomial_map(nu)(y)[0] for nu, c in coeffs.items())
 
-            poly = interpolate(lam, u)
+            poly = interpolate(lam, pointwise(u))
             scale = 1.0 + sum(abs(c) for c in coeffs.values())
             for _ in range(20):
                 y = rng.uniform(-3, 3, 3)
                 assert abs(poly.eval(y)[0] - u(y)) <= 1e-9 * scale
 
     def test_vector_outputs_componentwise(self):
-        poly = interpolate(ladder(2), lambda y: [y[0] ** 2, 2.0])
+        poly = interpolate(ladder(2), pointwise(lambda y: [y[0] ** 2, 2.0], 2))
         np.testing.assert_allclose(
             poly.coefficient(mi({0: 2})), [np.sqrt(2), 0.0], atol=1e-13
         )
@@ -368,13 +382,13 @@ class TestInterpolate:
 
 class TestQuadrature:
     def test_odd_monomial_outside_set(self):
-        assert quadrature(IndexSet([MultiIndex()]), lambda y: y[0])[0] == 0.0
+        assert quadrature(IndexSet([MultiIndex()]), pointwise(lambda y: y[0]))[0] == 0.0
 
     def test_second_moment(self):
-        assert quadrature(ladder(2), lambda y: y[0] ** 2)[0] == pytest.approx(1.0)
+        assert quadrature(ladder(2), pointwise(lambda y: y[0] ** 2))[0] == pytest.approx(1.0)
 
     def test_lognormal_moment(self):
-        got = quadrature(ladder(10), lambda y: np.exp(0.5 * y[0]))[0]
+        got = quadrature(ladder(10), pointwise(lambda y: np.exp(0.5 * y[0])))[0]
         assert got == pytest.approx(np.exp(0.125), abs=1e-10)
 
     def test_exactness_on_set_and_unit_exponents(self):
@@ -393,13 +407,20 @@ class TestQuadrature:
         rng = np.random.default_rng(31)
         for _ in range(6):
             lam = random_downward_closed(rng, 2, 12)
-            u = lambda y: float(np.exp(0.3 * pad(y, 2)[0]) * np.cos(0.5 * pad(y, 2)[1]))
+            u = pointwise(lambda y: float(np.exp(0.3 * pad(y, 2)[0]) * np.cos(0.5 * pad(y, 2)[1])))
             q = quadrature(lam, u)[0]
             c = interpolate(lam, u).coefficient(MultiIndex())[0]
             assert abs(q - c) <= 1e-12
 
 
 class TestShared:
+    @pytest.mark.parametrize("operator", [quadrature, interpolate])
+    def test_bare_callable_is_refused(self, operator):
+        with pytest.raises(TypeError, match="got function"):
+            operator(ladder(2), lambda y: y[0] ** 2)
+        with pytest.raises(TypeError, match="got ufunc"):
+            operator(ladder(2), np.sin)
+
     def test_wrapping_twice_is_one_cache(self):
         calls = []
 
@@ -407,7 +428,7 @@ class TestShared:
             calls.append(tuple((j, v) for j, v in enumerate(y.tolist()) if v))
             return float(np.sum(np.cos(y)))
 
-        once = _shared(u)
+        once = _shared(pointwise(u))
         assert _shared(once) is once
         lam = random_downward_closed(np.random.default_rng(5), 3, 14)
         quadrature(lam, once)
@@ -484,6 +505,33 @@ class TestCaches:
         np.testing.assert_array_equal(sparse_grid_points(lam), expected)
 
 
+class TestArithmetic:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_sum_and_difference_match_dict_merge(self, seed, output_dim):
+        rng = np.random.default_rng(seed)
+        keys = list(random_downward_closed(rng, 3, 12))
+
+        def poly():
+            picked = [keys[i] for i in rng.permutation(len(keys)) if rng.random() < 0.6]
+            values = rng.standard_normal((len(picked), output_dim))
+            values[rng.random(values.shape) < 0.2] = -0.0
+            return HermitePolynomial(dict(zip(picked, values)), output_dim)
+
+        a, b = poly(), poly()
+        for got, sign in ((a + b, 1.0), (a - b, -1.0)):
+            want = merged_coefficients(a, b, sign)
+            assert list(got.coefficients) == list(want) and got.output_dim == output_dim
+            assert all(got.coefficients[nu].tobytes() == c.tobytes() for nu, c in want.items())
+
+    def test_unequal_output_dims_raise(self):
+        a = HermitePolynomial({MultiIndex(): np.ones(2)}, 2)
+        with pytest.raises(ValueError, match="output dimensions differ"):
+            a + zero_polynomial(1)
+        with pytest.raises(ValueError, match="output dimensions differ"):
+            a - zero_polynomial(3)
+
+
 class TestNorms:
     def test_examples(self):
         assert HermitePolynomial({MultiIndex(): np.array([3.0])}, 1).l2_norm() == 3.0
@@ -507,5 +555,5 @@ class TestNorms:
             target = lambda y: float(
                 np.prod([hermite_eval_all(e, y[d])[e] for d, e in mu.entries] or [1.0])
             )
-            poly = interpolate(lam, target)
+            poly = interpolate(lam, pointwise(target))
             assert poly.l2_norm() <= degree_weight(mu, 3.0, 1.0) * (1 + 1e-10)

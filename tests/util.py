@@ -18,7 +18,7 @@ from hermgrid.errors import (
 )
 from hermgrid.hermite import MAX_LEVEL, gauss_hermite_rule
 from hermgrid.indexset import IndexSet, MultiIndex
-from hermgrid.model import _MAX_DOUBLINGS, _panel_rule
+from hermgrid.model import _MAX_DOUBLINGS, ParametricMapFn, _panel_rule
 from hermgrid.multilevel import LevelAllocation, construct_levels, gamma_sets, work
 from hermgrid.smolyak import combination_coeffs, evaluation_point_count
 
@@ -192,8 +192,15 @@ def node_key(y):
     return tuple((j, v) for j, v in enumerate(np.asarray(y, dtype=float).tolist()) if v)
 
 
-def monomial_map(nu: MultiIndex):
-    """The monomial ``y**nu`` as a scalar parametric map."""
+def pointwise(fn, output_dim: int = 1) -> ParametricMapFn:
+    """The per-point map ``fn`` (a 1-d node in, an output vector or scalar
+    out) as a `ParametricMapFn` that calls it once per row of a stack."""
+    return ParametricMapFn(lambda rows: np.array(
+        [np.atleast_1d(np.asarray(fn(y), dtype=np.float64)) for y in rows]), output_dim)
+
+
+def monomial_map(nu: MultiIndex) -> ParametricMapFn:
+    """The monomial ``y**nu`` as a scalar parametric map, called per point."""
     needed = nu.max_dim()
 
     def fn(y):
@@ -203,7 +210,17 @@ def monomial_map(nu: MultiIndex):
             out *= float(y[dim]) ** exp
         return [out]
 
-    return fn
+    return pointwise(fn)
+
+
+def merged_coefficients(a, b, sign: float) -> dict:
+    """Dict-merge oracle for ``a + b`` (``sign`` 1) and ``a - b`` (``sign`` -1)
+    on `HermitePolynomial`s: a's terms in order, each plus ``sign`` times b's
+    term, then b's other terms times ``sign``."""
+    out = {nu: c.copy() for nu, c in a.coefficients.items()}
+    for nu, c in b.coefficients.items():
+        out[nu] = out[nu] + sign * c if nu in out else sign * c
+    return out
 
 
 def tensor_moment(nu: MultiIndex) -> float:
