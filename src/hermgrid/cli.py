@@ -1,6 +1,6 @@
 """Reproducible convergence studies and sample generation.
 
-Subcommands ``interp``, ``quad``, ``ml-interp``, ``ml-quad``, ``grf`` and
+Studies ``interp``, ``quad``, ``ml-interp``, ``ml-quad``, ``grf`` and
 ``bayes`` read a plain-text key-value configuration, run the study, and
 emit CSV rows plus a ``meta.txt`` echoing the resolved configuration.
 Reruns with identical configuration and seed produce byte-identical
@@ -346,18 +346,18 @@ def run_interp_study(study: StudyConfig, out_dir: Path) -> list:
     sets, ref_set = _study_sets(study, 1, 4 * study.budgets[-1])
     if not any(len(selected) for selected in sets):
         raise _no_rows(study, "every threshold set is empty")
+    # a complete reference is as resolved as the rules allow: rows may equal it
+    for selected in sets:
+        if len(selected) and not ref_set.complete and not selected.members < ref_set.members:
+            raise HermgridError(
+                f"interp row of {evaluation_point_count(selected)} points: its set is "
+                f"not a proper subset of the reference set (the largest fitting "
+                f"{4 * study.budgets[-1]} points), so its error would read 0 or the "
+                "reference's own error; keep every row's set below the reference"
+            )
     reference = interpolate(ref_set, target)
     rows = []
     for selected in sets:
-        # a row equal to a reference the budget cut short would read 0; equal
-        # to the family's last set, it is as resolved as the rules allow
-        if selected == ref_set and not ref_set.complete:
-            raise HermgridError(
-                f"interp row of {evaluation_point_count(selected)} points: its "
-                f"set is the reference set (the largest fitting "
-                f"{4 * study.budgets[-1]} points), so its error would read 0; "
-                "lower the budgets"
-            )
         if len(selected) == 0:
             continue
         poly = interpolate(selected, target)
@@ -514,18 +514,11 @@ def _run(kind: str, args) -> int:
     study = resolve_config(kind, cfg, args.seed, budgets)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if kind == "quad":
-        run_quad_study(study, out_dir)
-    elif kind == "interp":
-        run_interp_study(study, out_dir)
-    elif kind == "ml-quad":
-        run_ml_study(study, out_dir, "quad")
-    elif kind == "ml-interp":
-        run_ml_study(study, out_dir, "interp")
-    elif kind == "grf":
-        run_grf(study, out_dir)
-    elif kind == "bayes":
-        run_bayes(study, out_dir)
+    if kind.startswith("ml-"):
+        run_ml_study(study, out_dir, kind.removeprefix("ml-"))
+    else:
+        {"quad": run_quad_study, "interp": run_interp_study, "grf": run_grf,
+         "bayes": run_bayes}[kind](study, out_dir)
     return 0
 
 
@@ -534,13 +527,11 @@ def main(argv=None) -> int:
         prog="hermgrid",
         description="Sparse-grid Gauss-Hermite convergence studies",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for kind in ("interp", "quad", "ml-interp", "ml-quad", "grf", "bayes"):
-        cmd = sub.add_parser(kind)
-        cmd.add_argument("--config", default=None, help="key = value study file")
-        cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--budgets", default=None, help="comma-separated budgets")
+    parser.add_argument("command", choices=_DEFAULT_BUDGETS, help="study to run")
+    parser.add_argument("--config", default=None, help="key = value study file")
+    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--budgets", default=None, help="comma-separated budgets")
     try:
         args = parser.parse_args(argv)
         return _run(args.command, args)

@@ -173,6 +173,7 @@ class WeightFamily:
     k: int
     K: float
     rho: np.ndarray = field(init=False, repr=False)
+    factors: tuple = field(init=False, repr=False)  # max(1, K rho_j)**(2k) as floats
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=np.float64)
@@ -192,6 +193,8 @@ class WeightFamily:
         rho = b ** (self.p - 1.0) * self.xi / (4.0 * _root_factorial(self.r) * norm_p)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "factors",
+                           tuple(max(1.0, self.K * x) ** (2 * self.k) for x in rho.tolist()))
         self.b.setflags(write=False)
         self.rho.setflags(write=False)
 
@@ -209,13 +212,11 @@ def surrogate_weight(family: WeightFamily, nu: MultiIndex) -> float:
     Monotone increasing in the exponents and anisotropy-ordered whenever
     ``rho`` is nondecreasing (guaranteed by nonincreasing ``b``).
     """
-    out = 1.0
+    out, factors = 1.0, family.factors
     for dim, e in nu.entries:
-        if dim >= family.rho.size:
+        if dim >= len(factors):
             raise ValueError(f"dimension {dim} outside weight family truncation")
-        out *= max(1.0, family.K * family.rho[dim]) ** (2 * family.k) * float(e) ** (
-            family.r - family.tau
-        )
+        out *= factors[dim] * float(e) ** (family.r - family.tau)
     return out
 
 

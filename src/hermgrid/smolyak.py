@@ -13,11 +13,13 @@ subset of the even ones; the distinct-node count sums, over the distinct
 patterns of the grids with nonzero coefficient, prod_{j in S} (nu_j + 1 -
 [nu_j even]).  The studies evaluate each map once per node and fidelity.
 
-The operators take a `ParametricMapFn` (or a `_Shared` one).  Work is
-shared across calls: `_terms` and `_set_patterns` keep the terms and node
-patterns of recent set contents, `_term_layout`, `_term_weights` and
-`_pattern_nodes` cache per term or pattern (the arrays read-only), and a
-`_Shared` map keeps its values by pattern and its weighted sums by term.
+The operators take a `ParametricMapFn` (or a `_Shared` one).  These caches
+share work across calls, and no others: `_terms` and `_set_patterns` keep
+the terms and node patterns of recent set contents, `_term_layout`,
+`_term_weights` and `_pattern_nodes` cache per term or pattern (the arrays
+read-only), `_projection_matrix` per level, and a `_Shared` map keeps its
+values by pattern and its weighted sums by term.  The threshold walk keeps
+each grid's patterns in a table that lives for one walk.
 """
 
 import itertools
@@ -41,12 +43,20 @@ def combination_coeffs(index_set: IndexSet) -> dict:
     _require_admissible(index_set)
     acc = {}
     for mu in index_set:
-        for picks in itertools.product((0, 1), repeat=len(mu.entries)):
-            nu = tuple((d, e - used) for (d, e), used in zip(mu.entries, picks) if e - used)
-            acc[nu] = acc.get(nu, 0) + (-1 if sum(picks) % 2 else 1)
+        for nu, sign in _downs(mu.entries):
+            acc[nu] = acc.get(nu, 0) + sign
     terms = sorted((nu for nu, c in acc.items() if c),
                    key=lambda nu: (sum(e for _, e in nu), nu))
     return {MultiIndex(nu): acc[nu] for nu in terms}
+
+
+def _downs(entries) -> list:
+    """``(nu - e, (-1)**|e|)`` as entry tuples, for every e in {0,1}^supp(nu)."""
+    downs = [((), 1)]
+    for d, e in entries:
+        low = ((d, e - 1),) if e > 1 else ()
+        downs = [q for mu, s in downs for q in ((mu + ((d, e),), s), (mu + low, -s))]
+    return downs
 
 
 @lru_cache(maxsize=256)
@@ -67,9 +77,11 @@ def _require_admissible(index_set: IndexSet):
 def _patterns(entries):
     """Node patterns of the tensor grid with these (dim, exp) entries: the
     (dim, level) pairs of a node's nonzero coordinates, that is every odd
-    entry plus any subset of the even ones."""
-    choices = [((d, e),) if e % 2 else ((d, e), None) for d, e in entries]
-    return [tuple(p for p in combo if p) for combo in itertools.product(*choices)]
+    entry plus any subset of the even ones, the last entry's choice varying fastest."""
+    out = [()]
+    for d, e in entries:
+        out = [q for p in out for q in ((p + ((d, e),),) if e % 2 else (p + ((d, e),), p))]
+    return out
 
 
 def _pattern_size(pattern) -> int:
@@ -104,7 +116,7 @@ def largest_threshold_set(surrogate, budgets, d_max: int) -> list:
     budget would select more; no prefix below an unfinished group is.
     """
     walk = ThresholdWalk(surrogate, d_max)
-    coeffs, patterns = {}, {}
+    coeffs, patterns, grids = {}, {}, {}  # grids: each grid's patterns and their sizes
     nodes, best, limit = 0, [0] * len(budgets), max(budgets, default=-1)
 
     def prefixes(end=None):
@@ -123,18 +135,19 @@ def largest_threshold_set(surrogate, budgets, d_max: int) -> list:
             return prefixes(boundary)
         if len(walk.members) > limit:  # the group fits no budget: leave it unfinished
             return prefixes()
-        for entries in (nu.entries for nu in group):
-            for picks in itertools.product((0, 1), repeat=len(entries)):
-                mu = tuple((d, e - used) for (d, e), used in zip(entries, picks) if e - used)
+        for nu in group:
+            for mu, sign in _downs(nu.entries):
                 old = coeffs.get(mu, 0)
-                coeffs[mu] = new = old + (-1) ** sum(picks)
+                coeffs[mu] = new = old + sign
                 if not old or not new:
                     step = 1 if new else -1
-                    for p in _patterns(mu):
+                    if mu not in grids:
+                        grids[mu] = [(p, _pattern_size(p)) for p in _patterns(mu)]
+                    for p, size in grids[mu]:
                         refs = patterns.get(p, 0)
                         patterns[p] = refs + step
                         if not refs or not refs + step:  # the pattern came or went
-                            nodes += step * _pattern_size(p)
+                            nodes += step * size
         best = [len(walk.members) if nodes <= b else k for b, k in zip(budgets, best)]
     return prefixes()
 
@@ -233,10 +246,9 @@ def _projection_matrix(level: int) -> np.ndarray:
 def _pattern_nodes(pattern, width: int) -> np.ndarray:
     """The pattern's nodes in C order over its (dim, level) pairs, ``width``
     coordinates a row (0 off the pattern); read-only."""
-    axes = [gauss_hermite_rule(e).nodes for _, e in pattern]
     nodes = np.zeros((_pattern_size(pattern), width))
-    for (dim, _), grid in zip(pattern, np.meshgrid(*(a[a != 0.0] for a in axes), indexing="ij")):
-        nodes[:, dim] = grid.ravel()
+    nodes[:, [d for d, _ in pattern]] = list(itertools.product(
+        *([x for x in gauss_hermite_rule(e).nodes.tolist() if x] for _, e in pattern)))
     nodes.setflags(write=False)
     return nodes
 
@@ -254,12 +266,17 @@ def _term_weights(entries) -> np.ndarray:
 @lru_cache(maxsize=1 << 14)
 def _term_layout(entries) -> tuple:
     """The patterns of the tensor grid with these entries, and the order that
-    takes their nodes, pattern after pattern, to the grid's C order."""
-    patterns, shape = _patterns(entries), [e + 1 for _, e in entries]
-    rows = [np.ravel(np.ravel_multi_index(np.ix_(*[
-        np.flatnonzero(gauss_hermite_rule(e).nodes) if (d, e) in p else [e // 2]
-        for d, e in entries]), shape)) for p in patterns]
-    return patterns, np.argsort(np.concatenate(rows))
+    takes their nodes, pattern after pattern, to the grid's C order: the
+    inverse of a stable sort of the grid by pattern number (which even
+    entries sit at their zero node, numbered in `_patterns` order)."""
+    rank, bit = np.zeros([gauss_hermite_rule(e).nodes.size for _, e in entries], np.intp), 1
+    for axis, (_, e) in reversed(list(enumerate(entries))):
+        if e % 2 == 0:
+            rank[(slice(None),) * axis + (e // 2,)] += bit
+            bit *= 2
+    grouped, order = np.argsort(rank.ravel(), kind="stable"), np.empty(rank.size, np.intp)
+    order[grouped] = np.arange(rank.size)
+    return _patterns(entries), order
 
 
 @lru_cache(maxsize=256)

@@ -1,0 +1,63 @@
+"""Run the determinism configs through the CLI and print one digest each.
+
+    PYTHONPATH=src python tests/determinism.py OUT
+
+Each config runs through `hermgrid.cli.main` into its own directory under
+OUT.  A line reads ``name exit-code sha256``, the SHA-256 over every output
+file's name and bytes in name order (`meta.txt` included).  Run it at two
+commits and compare the lines: a change that claims byte-identical study
+outputs must print the same ones.  Not a pytest module (pytest collects only
+``test_*.py``); it takes a few seconds.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+from hermgrid.cli import main
+
+SIN16 = "system = sindecay\nr_decay = 3.0\nd_max = 16\n"
+
+# (name, study, config text, budgets or None for the defaults, seed)
+CONFIGS = (
+    ("criterion-8", "quad", SIN16, "400,1200,4000,10000,20000", 0),
+    ("quad-sin64-mean", "quad", "system = sindecay\nd_max = 64\nqoi = mean\n", None, 0),
+    ("quad-blocks8", "quad", "system = blocks\nd_max = 8\n", "25,100,400", 0),
+    ("ml-quad-sin4", "ml-quad", "system = sindecay\nd_max = 4\n", None, 0),
+    ("ml-interp-sin4", "ml-interp", "system = sindecay\nd_max = 4\n", None, 0),
+    ("interp-sin16", "interp", SIN16, "250,500,1000,2000", 0),
+    ("interp-default", "interp", "", None, 0),
+    ("bayes-default", "bayes", "", None, 0),
+    ("quad-sin16", "quad", SIN16, "25,50,100,200", 0),
+    ("mlquad-fem", "ml-quad", "system = sindecay\nr_decay = 3.0\nd_max = 4\nalpha = 1.0\n",
+     "4096,16384,65536", 0),
+    ("grf-write", "grf", "cov = matern\ncorr_length = 0.5\nsmoothness = 1.5\ngrid_m = 256\n"
+     "ell = 4.0\nkappa = 3.0\nspline_order = 2\n", "50", 5),
+)
+
+
+def digest(out_dir: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()) if out_dir.is_dir() else ():
+        h.update(path.name.encode() + b"\0")
+        h.update(path.read_bytes())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def run(root: Path):
+    root.mkdir(parents=True, exist_ok=True)
+    for name, study, text, budgets, seed in CONFIGS:
+        cfg, out = root / f"{name}.cfg", root / name
+        cfg.write_text(text)
+        args = [study, "--config", str(cfg), "--out", str(out), "--seed", str(seed)]
+        if budgets:
+            args += ["--budgets", budgets]
+        code = main(args)
+        print(name, code, digest(out), flush=True)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tests/determinism.py OUT")
+    run(Path(sys.argv[1]))

@@ -476,6 +476,17 @@ class TestInterpStudy:
                      "--budgets", "25,50,100,200,400"]) == 3
         assert "row of 256 points" in capsys.readouterr().err
 
+    def test_eps_row_beyond_reference_is_refused(self, tmp_path, capsys):
+        # the 1e-6 row holds 1263 points, the reference at most 4 x 50
+        cfg = write_cfg(tmp_path, "system = sindecay\nd_max = 16\n"
+                                  "eps_grid = 1e-2,1e-4,1e-6\n")
+        out = tmp_path / "out"
+        assert main(["interp", "--config", str(cfg), "--out", str(out),
+                     "--budgets", "50"]) == 3
+        err = capsys.readouterr().err
+        assert "row of 1263 points" in err and "fitting 200 points" in err
+        assert not (out / "interp.csv").exists()
+
     def test_rows_equal_to_the_last_set_of_the_family_are_written(self, tmp_path):
         # the 1-d ladder ends at 65 nodes, so budgets 100..800 and the
         # reference all select it: rows resolved as far as the rules go
@@ -772,6 +783,22 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure") and f"budgets {budgets}" in err
         assert not list(out.glob("*.csv"))
+
+    def test_unknown_study_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["quadrature", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'quadrature'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_lists_every_study(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        choices = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0]
+        assert sorted(choices.split(",")) == ["bayes", "grf", "interp", "ml-interp", "ml-quad",
+                                              "quad"]
 
     @pytest.mark.parametrize("seed", [str(2 ** 64 + 5), "-1"], ids=["2**64+5", "-1"])
     def test_seed_outside_u64_is_config_error(self, tmp_path, capsys, seed):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermgrid.errors import ThresholdTooSmall
+from hermgrid.hermite import MAX_LEVEL
 from hermgrid.indexset import (
     IndexSet,
     MultiIndex,
@@ -30,6 +31,7 @@ from util import (
     random_downward_closed,
     random_product_surrogate,
     shifted,
+    surrogate_weight_oracle,
     tied_product_surrogate,
 )
 
@@ -122,6 +124,25 @@ class TestWeights:
             assert degree_weight(nu, 3.0, 1.0) == 1.0
             assert binomial_weight(nu, 4, family.rho) == 1.0
             assert surrogate_weight(family, nu) == 1.0
+
+    @given(st.lists(st.floats(0.05, 20.0), min_size=2, max_size=8), st.floats(0.05, 0.95),
+           st.floats(0.0, 6.0), st.integers(1, 2), st.integers(1, 6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_surrogate_weight_matches_per_entry_oracle(self, b, p, tau, k, extra, data):
+        # K puts K rho_j below 1 up to some dimension and above 1 after it
+        b = np.sort(np.unique(b))[::-1]
+        if b.size < 2:
+            b = np.array([2.0, 1.0])
+        r = math.floor(max(tau, k)) + extra
+        base = WeightFamily(b=b, p=p, xi=1.0, r=r, tau=tau, k=k, K=1.0)
+        cut = data.draw(st.integers(0, b.size - 2))
+        family = WeightFamily(b=b, p=p, xi=1.0, r=r, tau=tau, k=k,
+                              K=1.0 / math.sqrt(base.rho[cut] * base.rho[cut + 1]))
+        assert min(family.K * family.rho) < 1.0 < max(family.K * family.rho)
+        nu = MultiIndex.from_dict(data.draw(st.dictionaries(
+            st.integers(0, b.size - 1), st.integers(1, MAX_LEVEL), max_size=b.size)))
+        got = surrogate_weight(family, nu)
+        assert type(got) is float and got == surrogate_weight_oracle(family, nu)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_binomial_dominates_surrogate(self, k):

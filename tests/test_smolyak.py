@@ -29,12 +29,14 @@ from hermgrid.smolyak import (
 
 from util import (
     bisection_threshold_set,
+    combination_coeffs_oracle,
     counting,
     listed_point_count,
     merged_coefficients,
     monomial_map,
     node_key,
     pad,
+    pattern_nodes_oracle,
     pointwise,
     product_map,
     quadrature_oracle,
@@ -42,6 +44,7 @@ from util import (
     random_product_surrogate,
     scan_threshold_set,
     tensor_moment,
+    term_layout_oracle,
 )
 
 mi = MultiIndex.from_dict
@@ -67,6 +70,13 @@ class TestCombination:
         lam = IndexSet([MultiIndex(), mi({0: 1}), mi({1: 1})])
         terms = combination_coeffs(lam)
         assert terms == {MultiIndex(): -1, mi({0: 1}): 1, mi({1: 1}): 1}
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pick_by_pick_oracle(self, seed, dims, size):
+        lam = random_downward_closed(np.random.default_rng(seed), dims, size)
+        assert list(combination_coeffs(lam).items()) == list(
+            combination_coeffs_oracle(lam).items())
 
     def test_coefficients_sum_to_one(self):
         rng = np.random.default_rng(5)
@@ -474,6 +484,39 @@ class TestShared:
             assert quadrature(lam, shared).tobytes() == cold
             assert all(nu.entries in shared.sums for nu in combination_coeffs(lam))
             assert quadrature(lam, shared).tobytes() == cold
+
+
+@st.composite
+def grid_entries(draw, max_dims: int):
+    """(dim, level) pairs with increasing dims, at most two levels above 4 (up
+    to MAX_LEVEL), so a grid has at most 65**2 * 5**(max_dims - 2) nodes."""
+    dims = sorted(draw(st.sets(st.integers(0, 7), max_size=max_dims)))
+    big = draw(st.permutations(dims))[:2]
+    return tuple((d, draw(st.integers(1, MAX_LEVEL if d in big else 4))) for d in dims)
+
+
+class TestKernelOracles:
+    @given(grid_entries(3), st.integers(0, 4))
+    @example(((0, MAX_LEVEL), (3, MAX_LEVEL - 1)), 0)
+    @example((), 0)
+    @settings(max_examples=150, deadline=None)
+    def test_pattern_nodes_match_meshgrid(self, entries, pad_width):
+        for pattern in smolyak._patterns(entries):
+            width = max((d + 1 for d, _ in pattern), default=1) + pad_width
+            got = smolyak._pattern_nodes.__wrapped__(pattern, width)
+            want = pattern_nodes_oracle(pattern, width)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(grid_entries(4))
+    @example(((0, MAX_LEVEL), (2, 2), (7, MAX_LEVEL)))
+    @example(((1, MAX_LEVEL - 1),))
+    @example(())
+    @settings(max_examples=150, deadline=None)
+    def test_term_layout_matches_ravel_multi_index(self, entries):
+        patterns, order = smolyak._term_layout.__wrapped__(entries)
+        want_patterns, want_order = term_layout_oracle(entries)
+        assert patterns == want_patterns
+        assert order.dtype == want_order.dtype and order.tobytes() == want_order.tobytes()
 
 
 class TestCaches:

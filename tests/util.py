@@ -264,6 +264,55 @@ def listed_point_count(index_set: IndexSet) -> int:
     return len(keys)
 
 
+def combination_coeffs_oracle(index_set: IndexSet) -> dict:
+    """`combination_coeffs` pick by pick: for each member and each e in
+    {0,1}^supp, nu - e built by a generator over the picks, signed by their
+    parity, then the nonzero terms in `MultiIndex.sort_key` order."""
+    acc = {}
+    for mu in index_set:
+        for picks in itertools.product((0, 1), repeat=len(mu.entries)):
+            nu = tuple((d, e - used) for (d, e), used in zip(mu.entries, picks) if e - used)
+            acc[nu] = acc.get(nu, 0) + (-1 if sum(picks) % 2 else 1)
+    terms = sorted((nu for nu, c in acc.items() if c), key=lambda nu: (sum(e for _, e in nu), nu))
+    return {MultiIndex(nu): acc[nu] for nu in terms}
+
+
+def pattern_nodes_oracle(pattern, width: int) -> np.ndarray:
+    """`smolyak._pattern_nodes` by `np.meshgrid` over the nonzero nodes of
+    each (dim, level) pair: the pattern's nodes in C order, ``width``
+    coordinates a row."""
+    axes = [gauss_hermite_rule(e).nodes for _, e in pattern]
+    nodes = np.zeros((math.prod(e + e % 2 for _, e in pattern), width))
+    for (dim, _), grid in zip(pattern, np.meshgrid(*(a[a != 0.0] for a in axes), indexing="ij")):
+        nodes[:, dim] = grid.ravel()
+    return nodes
+
+
+def term_layout_oracle(entries) -> tuple:
+    """`smolyak._term_layout` by flat C-order indices: the patterns as a
+    product over each entry's choices (an even level may sit at its zero
+    node), each pattern's nodes located in the grid with `np.ix_` and
+    `np.ravel_multi_index`, then the argsort of their concatenation."""
+    choices = [((d, e),) if e % 2 else ((d, e), None) for d, e in entries]
+    patterns = [tuple(p for p in combo if p) for combo in itertools.product(*choices)]
+    shape = [e + 1 for _, e in entries]
+    rows = [np.ravel(np.ravel_multi_index(np.ix_(*[
+        np.flatnonzero(gauss_hermite_rule(e).nodes) if (d, e) in p else [e // 2]
+        for d, e in entries]), shape)) for p in patterns]
+    return patterns, np.argsort(np.concatenate(rows))
+
+
+def surrogate_weight_oracle(family, nu: MultiIndex) -> float:
+    """`surrogate_weight` entry by entry from ``family.rho``, numpy-scalar
+    arithmetic included: ``prod_j max(1, K rho_j)**(2k) nu_j**(r - tau)``."""
+    out = 1.0
+    for dim, e in nu.entries:
+        out *= max(1.0, family.K * family.rho[dim]) ** (2 * family.k) * float(e) ** (
+            family.r - family.tau
+        )
+    return out
+
+
 def lattice_threshold_set(surrogate, eps: float, d_max: int,
                           cap: int = 10_000_000, stats: dict = None) -> IndexSet:
     """Lattice DFS oracle for `build_threshold_set`, independent of its walk.
