@@ -32,7 +32,6 @@ from .multilevel import (
     WorkSequence,
     construct_levels,
     default_work_sequence,
-    gamma_sets,
     ml_interpolate,
     ml_quadrature,
     work,

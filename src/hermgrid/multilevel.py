@@ -1,10 +1,11 @@
-"""Multilevel Smolyak operators: level allocation, nested sets, and work.
+"""Multilevel Smolyak operators: level allocation, net coefficients, and work.
 
 A level allocation assigns each multi-index a discretization level for the
 underlying approximation family (for instance FEM meshes of growing
-resolution).  The induced nested index sets drive one telescoped sum,
-``sum_j (A(Gamma_j) - A(Gamma_{j+1})) u_j`` for the Smolyak interpolation
-or quadrature operator A, whose cost is measured by an abstract work sequence.
+resolution).  Its nested sets Gamma_j, the indices at level j or above,
+define ``sum_j (A(Gamma_j) - A(Gamma_{j+1})) u_j`` for the Smolyak operator
+A, summed from the net coefficients of each level; its cost is measured by
+an abstract work sequence.
 """
 
 import bisect
@@ -14,11 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyAllocation, ThresholdTooSmall
+from .errors import EmptyAllocation, NotDownwardClosed, ThresholdTooSmall
 from .hermite import MAX_LEVEL
-# build_threshold_set has no caller here; perfbench/layers.py hooks this name
-from .indexset import TIE, IndexSet, MultiIndex, ThresholdWalk, build_threshold_set  # noqa: F401
-from .smolyak import HermitePolynomial, _shared, interpolate, quadrature, zero_polynomial
+# build_threshold_set and quadrature have no caller here; perfbench/layers.py hooks these names
+from .indexset import TIE, MultiIndex, ThresholdWalk, build_threshold_set  # noqa: F401
+from .smolyak import quadrature  # noqa: F401
+from .smolyak import (HermitePolynomial, _projection_sum, _shared, _signed_terms, _term_patterns,
+                      _weighted_sum, zero_polynomial)
 
 
 @dataclass(frozen=True)
@@ -238,14 +241,6 @@ def construct_levels(
     return table.allocation(eps, work_sequence)
 
 
-def gamma_sets(allocation: LevelAllocation) -> list:
-    """Nested downward closed sets of indices at or above each level."""
-    out = []
-    for j in range(1, allocation.max_level + 1):
-        out.append(IndexSet(nu for nu, l in allocation.levels.items() if l >= j))
-    return out
-
-
 def _point_factor(nu: MultiIndex) -> int:
     return math.prod(exp + 1 for _, exp in nu.entries)
 
@@ -258,30 +253,42 @@ def work(allocation: LevelAllocation) -> int:
     )
 
 
-def _telescope(allocation: LevelAllocation, u_levels, operator, zero):
-    """``sum_j operator(Gamma_j, u_j) - operator(Gamma_{j+1}, u_j)``, the terms
-    added in level order (the empty set above the top is 0); ``zero`` below level 1."""
-    top = allocation.max_level
-    if top == 0:
-        return zero
+def _net_levels(allocation: LevelAllocation, u_levels) -> list:
+    """``(terms, u)`` for each level j with nonzero net coefficients, in level
+    order: ``c(Gamma_j) - c(Gamma_{j+1})``, the `_signed_terms` of the members
+    at level j, and ``u_levels[j-1]`` as a `_Shared` map evaluated on their
+    nodes.  `NotDownwardClosed` names a member above the level of one of its
+    predecessors, which is when some Gamma_j is not downward closed."""
+    top, levels = allocation.max_level, allocation.levels
     if len(u_levels) < top:
         raise ValueError(f"need {top} level approximations, got {len(u_levels)}")
-    gammas, maps = gamma_sets(allocation), [_shared(u) for u in u_levels[:top]]
-    terms = [operator(g, u) - operator(h, u) for g, h, u in zip(gammas, gammas[1:], maps)]
-    terms.append(operator(gammas[-1], maps[-1]))
-    return sum(terms[1:], terms[0])
+    maps = [_shared(u) for u in u_levels[:top]]
+    by_level, level_of = [[] for _ in range(top)], {nu.entries: l for nu, l in levels.items()}
+    for mu, level in levels.items():
+        for i, (d, e) in enumerate(entries := mu.entries):
+            down = entries[:i] + (((d, e - 1),) if e > 1 else ()) + entries[i + 1:]
+            if level_of.get(down, 0) < level:
+                raise NotDownwardClosed(f"{mu} sits at level {level}, above its predecessor "
+                                        f"{MultiIndex(down)} at level {level_of.get(down, 0)}")
+        by_level[level - 1].append(mu)
+    width = max(max((nu.max_dim() for nu in levels), default=0), 1)
+    out = []
+    for members, u in zip(by_level, maps):
+        if terms := _signed_terms(members):
+            u.evaluate(_term_patterns(terms), width)
+            out.append((terms, u))
+    return out
 
 
 def ml_interpolate(allocation: LevelAllocation, u_levels) -> HermitePolynomial:
-    """Telescoped multilevel interpolant over the allocation's nested sets.
-
-    ``u_levels[j-1]``, the level-j approximation of the target map, is called
-    once per node of its two sets; the empty set above the top level is 0.
-    """
-    return _telescope(allocation, u_levels, interpolate, zero_polynomial())
+    """Multilevel interpolant, 0 below level 1.  ``u_levels[j-1]``, the
+    level-j approximation of the target map, is called once, on the nodes of
+    level j's nonzero net terms (not at all for a level without members)."""
+    levels = _net_levels(allocation, u_levels)
+    return _projection_sum(levels) if levels else zero_polynomial()
 
 
 def ml_quadrature(allocation: LevelAllocation, u_levels) -> np.ndarray:
-    """Telescoped multilevel quadrature; matches the constant coefficient of
-    `ml_interpolate` on the same inputs and calls each level map as often."""
-    return _telescope(allocation, u_levels, quadrature, np.zeros(1))
+    """Multilevel quadrature; matches the constant coefficient of
+    `ml_interpolate` on the same inputs and calls the level maps alike."""
+    return _weighted_sum(_net_levels(allocation, u_levels))

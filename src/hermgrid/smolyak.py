@@ -41,8 +41,14 @@ def combination_coeffs(index_set: IndexSet) -> dict:
     (coefficients vanish automatically outside it).
     """
     _require_admissible(index_set)
+    return _signed_terms(index_set)
+
+
+def _signed_terms(members) -> dict:
+    """The nonzero sums of the members' signed down-neighbours (`_downs`), in
+    `MultiIndex.sort_key` order: `combination_coeffs`, linear in the members."""
     acc = {}
-    for mu in index_set:
+    for mu in members:
         for nu, sign in _downs(mu.entries):
             acc[nu] = acc.get(nu, 0) + sign
     terms = sorted((nu for nu, c in acc.items() if c),
@@ -279,17 +285,22 @@ def _term_layout(entries) -> tuple:
     return _patterns(entries), order
 
 
+def _term_patterns(terms) -> tuple:
+    """The node patterns of the terms' grids, in first-occurrence order."""
+    return tuple(dict.fromkeys(p for nu in terms for p in _term_layout(nu.entries)[0]))
+
+
 @lru_cache(maxsize=256)
 def _set_patterns(index_set: IndexSet) -> tuple:
-    """The node patterns of the `_terms` grids, in first-occurrence order."""
-    return tuple(dict.fromkeys(p for nu in _terms(index_set) for p in _term_layout(nu.entries)[0]))
+    """The node patterns of the `_terms` grids."""
+    return _term_patterns(_terms(index_set))
 
 
 class _Shared:
     """A map's values at every node it was evaluated on, by node pattern (a
     nonzero node is fixed by its (dim, level, index) triples, whatever the
     padding): ``values[pattern]`` holds them in `_pattern_nodes` order, and
-    ``sums[entries]`` the weighted sum over a term's grid once `quadrature`
+    ``sums[entries]`` the weighted sum over a term's grid once `weighted_sum`
     formed it.  The map's ``batch`` method is called on stacks."""
 
     def __init__(self, u):
@@ -300,8 +311,8 @@ class _Shared:
         new = [p for p in patterns if p not in self.values]
         if new:
             fresh = self.rows(np.vstack([_pattern_nodes(p, width) for p in new]))
-            ends = list(itertools.accumulate(map(_pattern_size, new)))
-            self.values.update(zip(new, np.split(fresh, ends[:-1])))
+            ends = list(itertools.accumulate(map(_pattern_size, new), initial=0))
+            self.values.update((p, fresh[a:b]) for p, a, b in zip(new, ends, ends[1:]))
 
     def grid(self, entries) -> np.ndarray:
         """Values on the tensor grid with these entries, in C order."""
@@ -332,32 +343,44 @@ def _evaluate(index_set: IndexSet, u) -> tuple:
     return terms, u
 
 
+def _projection_sum(levels) -> HermitePolynomial:
+    """``sum sigma * I_nu(u)`` over the ``(terms, u)`` pairs in order, each
+    ``u`` a `_Shared` map evaluated on its terms' grids."""
+    acc = {}
+    for terms, u in levels:
+        for nu, sigma in terms.items():
+            term_values = u.grid(nu.entries)
+            shape = tuple(exp + 1 for _, exp in nu.entries)
+            tensor = term_values.reshape(shape + term_values.shape[1:])
+            for axis, (_, exp) in enumerate(nu.entries):
+                proj = _projection_matrix(exp)
+                tensor = np.moveaxis(np.tensordot(proj, tensor, axes=(1, axis)), 0, axis)
+            dims = nu.support
+            for local in np.ndindex(*shape):
+                mu = MultiIndex(
+                    tuple((d, int(e)) for d, e in zip(dims, local) if e != 0)
+                )
+                contrib = sigma * tensor[local]
+                if mu in acc:
+                    acc[mu] = acc[mu] + contrib
+                else:
+                    acc[mu] = contrib.copy()
+    return HermitePolynomial(acc, term_values.shape[1])
+
+
+def _weighted_sum(levels) -> np.ndarray:
+    """``sum sigma * S_nu(u)`` over the ``(terms, u)`` pairs in order, from 0."""
+    return sum((sigma * u.weighted_sum(nu.entries) for terms, u in levels
+                for nu, sigma in terms.items()), np.zeros(1))
+
+
 def interpolate(index_set: IndexSet, u) -> HermitePolynomial:
     """Smolyak interpolant of ``u``, exact on the span of monomials in the set.
 
     ``u`` is a `ParametricMapFn` (or a `_Shared` one), called on an (n, d)
     stack of nodes; d is the set's dimension (nodes are padded with zeros).
     """
-    terms, u = _evaluate(index_set, u)
-    acc = {}
-    for nu, sigma in terms.items():
-        term_values = u.grid(nu.entries)
-        shape = tuple(exp + 1 for _, exp in nu.entries)
-        tensor = term_values.reshape(shape + term_values.shape[1:])
-        for axis, (_, exp) in enumerate(nu.entries):
-            proj = _projection_matrix(exp)
-            tensor = np.moveaxis(np.tensordot(proj, tensor, axes=(1, axis)), 0, axis)
-        dims = nu.support
-        for local in np.ndindex(*shape):
-            mu = MultiIndex(
-                tuple((d, int(e)) for d, e in zip(dims, local) if e != 0)
-            )
-            contrib = sigma * tensor[local]
-            if mu in acc:
-                acc[mu] = acc[mu] + contrib
-            else:
-                acc[mu] = contrib.copy()
-    return HermitePolynomial(acc, term_values.shape[1])
+    return _projection_sum([_evaluate(index_set, u)])
 
 
 def quadrature(index_set: IndexSet, u) -> np.ndarray:
@@ -367,9 +390,4 @@ def quadrature(index_set: IndexSet, u) -> np.ndarray:
     exact for monomials whose index lies in the set or carries no exponent
     equal to 1.
     """
-    terms, u = _evaluate(index_set, u)
-    sums = [u.weighted_sum(nu.entries) for nu in terms]
-    out = np.zeros(sums[0].shape[0])
-    for sigma, term_sum in zip(terms.values(), sums):
-        out += sigma * term_sum
-    return out
+    return _weighted_sum([_evaluate(index_set, u)])

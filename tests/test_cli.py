@@ -648,22 +648,32 @@ class TestOneBudgetSearchPerStudy:
         assert len(coeff_calls) == len({id(s) for s in coeff_calls}) == (
             4 if kind == "quad" else 5)
 
-    def test_ml_combination_terms_once_per_set_content(self, tmp_path, monkeypatch,
-                                                       coeff_calls):
-        # the rows' allocations repeat Gamma_j sets as new objects: the
-        # mlquad-fem config builds 30 of them on 16 distinct contents
-        gammas = []
-        inner = multilevel.gamma_sets
+    def test_ml_level_maps_follow_net_terms(self, tmp_path, monkeypatch):
+        # the mlquad-fem config: each row calls each FEM level map at most
+        # once, on the nodes of that level's nonzero net terms not evaluated
+        # by an earlier row (1653 rows and 44 846 cell units when every level
+        # evaluated both of its nested sets)
+        calls, row = [], [0]
+        make, inner = cli.as_parametric_map, cli.ml_quadrature
 
-        def recorded(allocation):
-            sets = inner(allocation)
-            gammas.extend(sets)
-            return sets
+        def counted(problem, fidelity):
+            u = make(problem, fidelity)
+            if fidelity[0] != "fem":
+                return u
+            return ParametricMapFn(
+                lambda rows: calls.append((row[0], fidelity[1], len(rows))) or u.fn(rows),
+                u.output_dim, u.cost, u.label)
 
-        monkeypatch.setattr(multilevel, "gamma_sets", recorded)
+        def next_row(allocation, u_levels):
+            row[0] += 1
+            return inner(allocation, u_levels)
+
+        monkeypatch.setattr(cli, "as_parametric_map", counted)
+        monkeypatch.setattr(cli, "ml_quadrature", next_row)
         run_ml_study(sin_study(budgets="4096,16384,65536"), tmp_path, "quad")
-        assert len(gammas) == 30 and len({id(s) for s in gammas}) == 30
-        assert len(coeff_calls) == len(set(coeff_calls)) == len(set(gammas)) == 16
+        assert sum(n for _, _, n in calls) == 1450
+        assert sum(cells * n for _, cells, n in calls) == 34_938
+        assert len({(r, cells) for r, cells, _ in calls}) == len(calls)
 
 
 class TestGrfStudy:

@@ -129,8 +129,10 @@ class TestWeights:
            st.floats(0.0, 6.0), st.integers(1, 2), st.integers(1, 6), st.data())
     @settings(max_examples=200, deadline=None)
     def test_surrogate_weight_matches_per_entry_oracle(self, b, p, tau, k, extra, data):
-        # K puts K rho_j below 1 up to some dimension and above 1 after it
-        b = np.sort(np.unique(b))[::-1]
+        # K puts K rho_j below 1 up to some dimension and above 1 after it;
+        # b values an ulp apart would give K rho_j == 1.0 on both sides of the
+        # cut, so they are rounded apart first
+        b = np.sort(np.unique(np.round(b, 6)))[::-1]
         if b.size < 2:
             b = np.array([2.0, 1.0])
         r = math.floor(max(tau, k)) + extra

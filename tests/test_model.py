@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hermgrid import _accel, model
 from hermgrid.errors import DegenerateNormalization, QuadratureNonconvergence, SingularSystem
 from hermgrid.indexset import IndexSet, MultiIndex
+from hermgrid.multilevel import LevelAllocation, default_work_sequence
 from hermgrid.model import (
     BayesSetup,
     ModelProblem1D,
@@ -25,6 +26,7 @@ from hermgrid.model import (
     posterior_density,
     posterior_expectation,
 )
+from hermgrid.smolyak import _shared, combination_coeffs, quadrature
 from util import (
     fem_cell_data,
     fem_solve_fsum,
@@ -37,6 +39,9 @@ from util import (
     panel_integral_point,
     posterior_density_fsum,
     posterior_density_point,
+    gamma_sets,
+    summation_bound,
+    telescope,
     ulps,
 )
 
@@ -366,8 +371,6 @@ class TestPosterior:
             posterior_expectation(spiky, phi, ladder(3))
 
     def test_multilevel_selector(self):
-        from hermgrid.multilevel import LevelAllocation, default_work_sequence
-
         lam = ladder(8)
         alloc = LevelAllocation({nu: 1 for nu in lam}, default_work_sequence(1))
         phi = ParametricMapFn(lambda rows: rows[:, :1], 1)
@@ -377,6 +380,42 @@ class TestPosterior:
         )
         assert multi.mean[0] == pytest.approx(single.mean[0], abs=1e-14)
         assert multi.normalization == pytest.approx(single.normalization, abs=1e-14)
+
+    def test_multilevel_selector_with_two_fem_levels(self):
+        # two distinct forward levels: the joint map [phi * density, density]
+        # of each level enters with its level's net terms, within the rounding
+        # bound of the telescoped pair of single-level quadratures per level
+        problem = sin_problem(3.0, 2)
+        forward = [as_parametric_map(problem, ("fem", cells)) for cells in (4, 16)]
+        setup = BayesSetup(forward[-1], [0.4], [[0.09]])
+        phi = ParametricMapFn(lambda rows: 1.0 + rows[:, :1] - rows[:, 1:2] ** 2, 1)
+        levels = {(): 2, ((0, 1),): 2, ((1, 1),): 2, ((0, 2),): 1, ((0, 1), (1, 1)): 1,
+                  ((0, 3),): 1, ((1, 2),): 1}
+        alloc = LevelAllocation({MultiIndex(nu): l for nu, l in levels.items()},
+                                default_work_sequence(2))
+
+        def joint(forward_map):
+            inner = BayesSetup(forward_map, setup.data, setup.noise_cov)
+
+            def fn(rows):
+                density = posterior_density(inner, rows)
+                return np.column_stack([phi.batch(rows) * density[:, None], density])
+
+            return _shared(ParametricMapFn(fn, 2))
+
+        maps = [joint(f) for f in forward]
+        want = telescope(alloc, maps, quadrature, np.zeros(1))
+        gammas, pairs = gamma_sets(alloc), []
+        for j, u in enumerate(maps):
+            for sign, gamma in zip((1, -1), gammas[j:j + 2]):
+                pairs += [(sign * c, u.weighted_sum(nu.entries))
+                          for nu, c in combination_coeffs(gamma).items()]
+        estimate = posterior_expectation(setup, phi, alloc, forward_levels=forward)
+        got = np.append(estimate.numerator, estimate.normalization)
+        assert np.all(np.abs(got - want) <= 2 * summation_bound(pairs))
+        # the two levels differ: the fine map alone gives another value
+        single = posterior_expectation(setup, phi, IndexSet(alloc.levels))
+        assert abs(single.numerator[0] - estimate.numerator[0]) > 1e-4
 
 
 SYSTEMS = {

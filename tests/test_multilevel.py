@@ -1,4 +1,4 @@
-"""Level allocation, telescoped operators, work model, and (k, nu) sets."""
+"""Level allocation, multilevel operators, work model, and (k, nu) sets."""
 
 import math
 
@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermgrid.errors import EmptyAllocation, ThresholdTooSmall
+from hermgrid import multilevel, smolyak
+from hermgrid.errors import EmptyAllocation, NotDownwardClosed, ThresholdTooSmall
 from hermgrid.indexset import IndexSet, MultiIndex, build_threshold_set
 from hermgrid.multilevel import (
     LevelAllocation,
@@ -15,20 +16,30 @@ from hermgrid.multilevel import (
     WorkSequence,
     construct_levels,
     default_work_sequence,
-    gamma_sets,
     ml_interpolate,
     ml_quadrature,
     work,
 )
-from hermgrid.smolyak import interpolate, quadrature, sparse_grid_points
+from hermgrid.smolyak import (
+    _shared,
+    combination_coeffs,
+    interpolate,
+    quadrature,
+    sparse_grid_points,
+)
 
 from util import (
     construct_levels_loop,
     floor_level_loop,
+    gamma_sets,
+    grid_node_keys,
     node_key,
     pointwise,
     random_downward_closed,
+    random_monotone_allocation,
     random_product_surrogate,
+    shifted,
+    summation_bound,
     work_level_major,
 )
 
@@ -284,14 +295,14 @@ class TestTelescoping:
 
 
 class TestSharedLevelValues:
-    """Each level map is called once per distinct node of the two sets it
-    serves, and the sums equal the unshared telescoped sums bit for bit."""
+    """Level j's net coefficients are ``c(Gamma_j) - c(Gamma_{j+1})`` exactly;
+    its map is called once per node of its nonzero net terms, nodes the two
+    nested sets hold; and the sums lie within the rounding bound of a
+    `math.fsum` of the same terms."""
 
-    def build(self, seed):
-        lam = random_downward_closed(np.random.default_rng(seed), 3, 25)
-        levels = {nu: max(1, 4 - nu.order) for nu in lam}  # nested gammas
-        alloc = LevelAllocation(levels, default_work_sequence(4))
-        calls = [[] for _ in range(alloc.max_level)]
+    def build(self, rng, dims=3, size=25, top=4):
+        alloc = random_monotone_allocation(rng, dims, size, top)
+        calls = [[] for _ in range(top)]
 
         def level_map(j):
             def u(y):
@@ -299,44 +310,119 @@ class TestSharedLevelValues:
                 return [np.exp(0.3 * np.sum(y)) + j, float(y[0]) ** 2 / (j + 1)]
             return pointwise(u, 2)
 
-        return alloc, [level_map(j) for j in range(alloc.max_level)], calls
+        return alloc, [_shared(level_map(j)) for j in range(top)], calls
 
-    def check_calls(self, alloc, calls):
-        gammas = gamma_sets(alloc)
-        for j, made in enumerate(calls):
+    def net_levels(self, alloc, maps, calls):
+        """The (terms, map) pairs of the levels with net terms, checked
+        against the nested sets and the calls made so far."""
+        levels = multilevel._net_levels(alloc, maps)  # the maps hold every value
+        net = {id(u): terms for terms, u in levels}
+        gammas = gamma_sets(alloc) + [IndexSet([])]
+        for j, u in enumerate(maps):
+            want = dict(combination_coeffs(gammas[j]))
+            if len(gammas[j + 1]):
+                for nu, c in combination_coeffs(gammas[j + 1]).items():
+                    want[nu] = want.get(nu, 0) - c
+            got = net.get(id(u), {})
+            assert got == {nu: c for nu, c in want.items() if c}
+            assert list(got) == sorted(got, key=MultiIndex.sort_key)
+            nodes = set().union(*map(grid_node_keys, got))
+            assert len(calls[j]) == len(set(calls[j])) and set(calls[j]) == nodes
             served = [g for g in gammas[j:j + 2] if len(g)]
-            nodes = {node_key(y) for g in served for y in sparse_grid_points(g)}
-            assert len(made) == len(set(made)) and set(made) == nodes
+            assert nodes <= {node_key(y) for g in served for y in sparse_grid_points(g)}
+        return levels
+
+    def check_quadrature(self, alloc, maps, calls):
+        got = ml_quadrature(alloc, maps)
+        pairs = [(c, u.weighted_sum(nu.entries)) for terms, u in self.net_levels(alloc, maps, calls)
+                 for nu, c in terms.items()]
+        want = [math.fsum(c * s[k] for c, s in pairs) for k in range(2)]
+        assert np.all(np.abs(got - want) <= summation_bound(pairs))
+
+    def check_interpolate(self, alloc, maps, calls):
+        got = ml_interpolate(alloc, maps)
+        per_term = [(c, smolyak._projection_sum([({nu: 1}, u)]).coefficients)
+                    for terms, u in self.net_levels(alloc, maps, calls)
+                    for nu, c in terms.items()]
+        assert got.coefficients.keys() == set().union(*(t for _, t in per_term))
+        for mu, coeff in got.coefficients.items():
+            pairs = [(c, t[mu]) for c, t in per_term if mu in t]
+            want = [math.fsum(c * s[k] for c, s in pairs) for k in range(2)]
+            assert np.all(np.abs(coeff - want) <= summation_bound(pairs))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_quadrature(self, seed):
-        alloc, maps, calls = self.build(seed)
-        got = ml_quadrature(alloc, maps)
-        self.check_calls(alloc, calls)
-        gammas, top = gamma_sets(alloc), alloc.max_level
-        want = None
-        for j in range(1, top + 1):
-            term = quadrature(gammas[j - 1], maps[j - 1])
-            if j < top and len(gammas[j]) > 0:
-                term = term - quadrature(gammas[j], maps[j - 1])
-            want = term if want is None else want + term
-        np.testing.assert_array_equal(got, want)
+        self.check_quadrature(*self.build(np.random.default_rng(seed)))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_interpolate(self, seed):
-        alloc, maps, calls = self.build(seed)
-        got = ml_interpolate(alloc, maps)
-        self.check_calls(alloc, calls)
-        gammas, top = gamma_sets(alloc), alloc.max_level
-        want = None
-        for j in range(1, top + 1):
-            term = interpolate(gammas[j - 1], maps[j - 1])
-            if j < top and len(gammas[j]) > 0:
-                term = term - interpolate(gammas[j], maps[j - 1])
-            want = term if want is None else want + term
-        assert got.coefficients.keys() == want.coefficients.keys()
-        for nu, coeff in want.coefficients.items():
-            np.testing.assert_array_equal(got.coefficients[nu], coeff)
+        self.check_interpolate(*self.build(np.random.default_rng(seed)))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 30),
+           st.integers(1, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_random_monotone_allocations(self, seed, dims, size, top):
+        self.check_quadrature(*self.build(np.random.default_rng(seed), dims, size, top))
+        self.check_interpolate(*self.build(np.random.default_rng(seed), dims, size, top))
+
+
+class TestAdmissibility:
+    """Every Gamma_j must be downward closed: each member's single-step
+    predecessors sit at its level or above."""
+
+    one = pointwise(lambda y: 1.0)
+
+    @pytest.mark.parametrize("operator", [ml_quadrature, ml_interpolate])
+    @pytest.mark.parametrize("levels, named", [
+        ({(): 1, ((0, 1),): 2}, "0:1"),  # above its predecessor's level
+        ({(): 2, ((0, 2),): 1}, "0:2"),  # its predecessor missing
+        ({(): 2, ((0, 1),): 2, ((1, 1),): 1, ((0, 1), (1, 1)): 2}, "0:1 1:1"),
+    ])
+    def test_raises_naming_the_member(self, operator, levels, named):
+        alloc = LevelAllocation({MultiIndex(nu): l for nu, l in levels.items()},
+                                default_work_sequence(2))
+        with pytest.raises(NotDownwardClosed, match=f"^{named} sits"):
+            operator(alloc, [self.one, self.one])
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 3), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_raises_exactly_when_a_gamma_is_not_closed(self, seed, dims, top, shift):
+        # random levels on a downward closed set, or on one whose members were
+        # shifted up at random (so predecessors go missing)
+        rng = np.random.default_rng(seed)
+        members = {shifted(nu, int(rng.integers(0, dims)), int(shift and rng.integers(0, 2)))
+                   for nu in random_downward_closed(rng, dims, 12)}
+        alloc = LevelAllocation({nu: int(rng.integers(0, top + 1)) for nu in members},
+                                default_work_sequence(top))
+        closed = all(g.downward_closed for g in gamma_sets(alloc))
+        for operator in (ml_quadrature, ml_interpolate):
+            if closed:
+                operator(alloc, [self.one] * top)
+            else:
+                with pytest.raises(NotDownwardClosed):
+                    operator(alloc, [self.one] * top)
+
+    @pytest.mark.parametrize("operator", [ml_quadrature, ml_interpolate])
+    def test_too_few_level_maps(self, operator):
+        alloc = LevelAllocation({MultiIndex(): 3}, default_work_sequence(3))
+        with pytest.raises(ValueError, match="need 3 level approximations, got 2"):
+            operator(alloc, [self.one, self.one])
+
+    def test_no_level_above_zero_gives_zero(self):
+        alloc = LevelAllocation({MultiIndex(): 0, mi({0: 1}): 0}, default_work_sequence(2))
+        q = ml_quadrature(alloc, [])
+        assert q.shape == (1,) and q[0] == 0.0
+        p = ml_interpolate(alloc, [])
+        assert p.coefficients == {} and p.output_dim == 1
+
+    def test_empty_levels_call_no_map(self):
+        # levels 1 and 2 hold no member: their net terms cancel, so only the
+        # level-3 map is called
+        calls = []
+        maps = [pointwise(lambda y, j=j: calls.append(j) or float(j)) for j in range(3)]
+        alloc = LevelAllocation({MultiIndex(): 3}, default_work_sequence(3))
+        assert ml_quadrature(alloc, maps)[0] == 2.0
+        assert calls == [2]
 
 
 class TestWork:

@@ -19,8 +19,8 @@ from hermgrid.errors import (
 from hermgrid.hermite import MAX_LEVEL, gauss_hermite_rule
 from hermgrid.indexset import IndexSet, MultiIndex
 from hermgrid.model import _MAX_DOUBLINGS, ParametricMapFn, _panel_rule
-from hermgrid.multilevel import LevelAllocation, construct_levels, gamma_sets, work
-from hermgrid.smolyak import combination_coeffs, evaluation_point_count
+from hermgrid.multilevel import LevelAllocation, construct_levels, default_work_sequence, work
+from hermgrid.smolyak import _shared, combination_coeffs, evaluation_point_count
 
 
 def gaussian_moment(degree: int) -> float:
@@ -81,6 +81,33 @@ def random_downward_closed(rng, dims: int, max_size: int) -> IndexSet:
         if admissible:
             members.add(candidate)
     return IndexSet(members)
+
+
+def random_monotone_allocation(rng, dims: int, max_size: int, top: int) -> LevelAllocation:
+    """Random levels in 0..top on a `random_downward_closed` set, never rising
+    along it (so every Gamma_j is downward closed): ``top`` at the origin, and
+    each other member's level drawn up to the least level of its single-step
+    predecessors."""
+    levels = {}
+    for nu in random_downward_closed(rng, dims, max_size):  # predecessors first
+        cap = min((levels[shifted(nu, d, -1)] for d in nu.support), default=top)
+        levels[nu] = int(rng.integers(0, cap + 1)) if nu.entries else top
+    return LevelAllocation(levels, default_work_sequence(top))
+
+
+def grid_node_keys(nu: MultiIndex) -> set:
+    """`node_key` of every node of the tensor grid of ``nu``."""
+    rules = [gauss_hermite_rule(e).nodes.tolist() for _, e in nu.entries]
+    return {tuple((d, v) for d, v in zip(nu.support, point) if v)
+            for point in itertools.product(*rules)}
+
+
+def summation_bound(pairs) -> np.ndarray:
+    """``n * eps * sum |c * s|`` over ``n`` (coefficient, value) pairs: to first
+    order in eps, how far any order of summing the products ``c * s`` can
+    land from their exact sum."""
+    total = sum(abs(c) * np.abs(s) for c, s in pairs)
+    return len(pairs) * np.finfo(np.float64).eps * total
 
 
 def product_map(rows) -> np.ndarray:
@@ -469,6 +496,30 @@ def construct_levels_loop(c_surrogate, d_surrogate, q1, alpha, eps, work_sequenc
         for nu in selected
     }
     return LevelAllocation(levels, work_sequence)
+
+
+def gamma_sets(allocation: LevelAllocation) -> list:
+    """The nested sets Gamma_1, ..., Gamma_top of the indices at or above
+    each level."""
+    return [IndexSet(nu for nu, l in allocation.levels.items() if l >= j)
+            for j in range(1, allocation.max_level + 1)]
+
+
+def telescope(allocation: LevelAllocation, u_levels, operator, zero):
+    """Oracle for `ml_quadrature` (``operator`` `quadrature`, ``zero``
+    ``np.zeros(1)``) and `ml_interpolate` (`interpolate`, the zero
+    polynomial): ``sum_j operator(Gamma_j, u_j) - operator(Gamma_{j+1}, u_j)``
+    as two single-level operators a level, added in level order (the empty
+    set above the top is 0)."""
+    top = allocation.max_level
+    if top == 0:
+        return zero
+    if len(u_levels) < top:
+        raise ValueError(f"need {top} level approximations, got {len(u_levels)}")
+    gammas, maps = gamma_sets(allocation), [_shared(u) for u in u_levels[:top]]
+    terms = [operator(g, u) - operator(h, u) for g, h, u in zip(gammas, gammas[1:], maps)]
+    terms.append(operator(gammas[-1], maps[-1]))
+    return sum(terms[1:], terms[0])
 
 
 def work_level_major(allocation: LevelAllocation) -> int:
