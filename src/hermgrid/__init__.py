@@ -45,7 +45,6 @@ from .grf import (
     levy_ciesielski,
     matern_cov,
     sample_grf,
-    sample_grf_batch,
 )
 from .model import (
     BayesSetup,

@@ -4,12 +4,14 @@ Studies ``interp``, ``quad``, ``ml-interp``, ``ml-quad``, ``grf`` and
 ``bayes`` read a plain-text key-value configuration, run the study, and
 emit CSV rows plus a ``meta.txt`` echoing the resolved configuration.
 Reruns with identical configuration and seed produce byte-identical
-output.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure.
+output.  Exit codes: 0 success, 2 configuration error or unwritable
+output, 3 numerical failure.
 """
 
 import argparse
 import math
+import mmap
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import cache
@@ -20,6 +22,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     HermgridError,
+    OutputError,
     UnsupportedSmoothness,
 )
 from .grf import CovarianceSpec, circulant_embed_1d, sample_grf
@@ -257,11 +260,27 @@ def _format(value) -> str:
     return str(value)
 
 
+def _write(path: Path, text: str):
+    """Write ``text`` to ``path`` with one ``os.write``; any OS failure or a
+    short write is an `OutputError`."""
+    data = text.encode()
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            written = os.write(fd, data)
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise OutputError(f"{path}: {exc.strerror or exc}") from exc
+    if written != len(data):
+        raise OutputError(f"{path}: wrote {written} of {len(data)} bytes")
+
+
 def write_csv(path: Path, header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_format(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _sample_template(grid) -> str:
@@ -281,7 +300,7 @@ def write_meta(out_dir: Path, study: StudyConfig, extra: dict = None):
     for key in sorted(extra or {}):
         items[key] = (extra or {})[key]
     lines = [f"{k} = {_format(v)}" for k, v in sorted(items.items())]
-    (out_dir / "meta.txt").write_text("\n".join(lines) + "\n")
+    _write(out_dir / "meta.txt", "\n".join(lines) + "\n")
 
 
 # -- studies ----------------------------------------------------------------
@@ -420,6 +439,56 @@ def run_ml_study(study: StudyConfig, out_dir: Path, quantity: str) -> list:
     return rows
 
 
+#: Seeds coloured per `sample_grf` call in the grf study: a block's normals
+#: and spectrum stay a few hundred kB whatever the sample count.
+_SAMPLE_BLOCK = 8
+
+
+def _write_samples(plan, seed: int, n_samples: int, out_dir: Path) -> np.ndarray:
+    """Draw the seeds ``seed .. seed + n_samples - 1`` and write one
+    ``sample_<seed>.csv`` each; return the (n_samples, m + 1) stack.
+
+    The rows live in one shared anonymous mapping.  A forked child draws and
+    writes the upper half of the seeds while this process does the lower
+    half, both in blocks of `_SAMPLE_BLOCK` rows.  The child reports any
+    failure on stderr and leaves through ``os._exit``; a child that does not
+    exit 0 is an `OutputError` here once it has been waited for.
+    """
+    samples = np.frombuffer(mmap.mmap(-1, n_samples * plan.n_points * 8))
+    samples = samples.reshape(n_samples, plan.n_points)
+    template = _sample_template(plan.grid)  # the x column is the same in every file
+
+    def draw_and_write(rows: range):
+        for start in range(rows.start, rows.stop, _SAMPLE_BLOCK):
+            block = samples[start:min(start + _SAMPLE_BLOCK, rows.stop)]
+            block[:] = sample_grf(plan, seed + start, len(block))
+            for i, values in enumerate(block.tolist(), seed + start):
+                _write(out_dir / f"sample_{i}.csv", template % tuple(values))
+
+    half = n_samples // 2
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            draw_and_write(range(half, n_samples))
+            status = 0
+        except BaseException as exc:
+            reason = exc if isinstance(exc, OutputError) else f"{type(exc).__name__}: {exc}"
+            os.write(2, f"cannot write output: {reason}\n".encode())
+        finally:
+            os._exit(status)
+    try:
+        draw_and_write(range(half))
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status:
+        raise OutputError(
+            f"the process writing samples {seed + half}..{seed + n_samples - 1} "
+            f"exited with status {os.waitstatus_to_exitcode(status)}"
+        )
+    return samples
+
+
 def run_grf(study: StudyConfig, out_dir: Path) -> dict:
     """Seeded field samples plus an empirical covariance report."""
     n_samples = study.budgets[-1]
@@ -450,12 +519,7 @@ def run_grf(study: StudyConfig, out_dir: Path) -> dict:
         raise HermgridError(
             f"embedding not positive semidefinite; retry with ell >= {suggested}"
         )
-    samples = np.empty((n_samples, plan.n_points))
-    template = _sample_template(plan.grid)  # the x column is the same in every file
-    for i in range(n_samples):
-        seed = study.seed + i
-        samples[i] = sample_grf(plan, seed)  # one draw per file keeps peak memory flat
-        (out_dir / f"sample_{seed}.csv").write_text(template % tuple(samples[i].tolist()))
+    samples = _write_samples(plan, study.seed, n_samples, out_dir)
     target = spec.rho(plan.grid[:, None] - plan.grid[None, :])
     empirical = (samples.T @ samples) / n_samples
     cov_dev = float(np.abs(empirical - target).max())
@@ -513,7 +577,10 @@ def _run(kind: str, args) -> int:
             raise ConfigError("--budgets: expected comma-separated integers")
     study = resolve_config(kind, cfg, args.seed, budgets)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"{out_dir}: {exc.strerror or exc}") from exc
     if kind.startswith("ml-"):
         run_ml_study(study, out_dir, kind.removeprefix("ml-"))
     else:
@@ -537,6 +604,9 @@ def main(argv=None) -> int:
         return _run(args.command, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OutputError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
     except HermgridError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

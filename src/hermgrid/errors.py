@@ -47,3 +47,7 @@ class DegenerateNormalization(HermgridError):
 
 class ConfigError(HermgridError):
     """Malformed study or problem configuration."""
+
+
+class OutputError(HermgridError):
+    """An output directory or file could not be written."""

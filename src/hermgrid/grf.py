@@ -208,10 +208,21 @@ def circulant_embed_1d(spec: CovarianceSpec, m: int, ell: float,
     return plan
 
 
-def _normals(seed: int, shape) -> np.ndarray:
-    """Counter-based standard normals; a fixed seed pins the whole stream."""
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    return gen.standard_normal(shape)
+def _normals(seed: int, size: int, n_rows: int = 1) -> np.ndarray:
+    """Counter-based standard normals, one stream per seed: an (n_rows, size)
+    stack whose row i is the first ``size`` draws of
+    ``Generator(Philox(key=seed + i))``.
+
+    One generator serves every row: resetting its key and counter is
+    cheaper than building a new one, and leaves it in the same state."""
+    bits = np.random.Philox(key=np.uint64(seed))
+    gen, state = np.random.Generator(bits), bits.state
+    out = np.empty((n_rows, size))
+    for i, row in enumerate(out):
+        state["state"]["key"][0] = seed + i
+        bits.state = state
+        gen.standard_normal(out=row)
+    return out
 
 
 def _synthesize(plan: EmbeddingPlan, draws: np.ndarray) -> np.ndarray:
@@ -232,11 +243,16 @@ def _synthesize(plan: EmbeddingPlan, draws: np.ndarray) -> np.ndarray:
     return field[..., : plan.n_points]
 
 
-def sample_grf(plan: EmbeddingPlan, seed: int) -> np.ndarray:
-    """One exact draw of the field on the original grid (deterministic in seed)."""
-    return _synthesize(plan, _normals(seed, plan.extended_size))
+def sample_grf(plan: EmbeddingPlan, seed: int, n_samples: int = None) -> np.ndarray:
+    """Exact draw of the field on the original grid, deterministic in seed.
 
-
-def sample_grf_batch(plan: EmbeddingPlan, seed: int, n_samples: int) -> np.ndarray:
-    """Stack of draws from one seeded stream, shaped (n_samples, m + 1)."""
-    return _synthesize(plan, _normals(seed, (n_samples, plan.extended_size)))
+    With ``n_samples``, a stack shaped (n_samples, m + 1) whose row i is
+    bitwise ``sample_grf(plan, seed + i)``, coloured by one inverse FFT.
+    """
+    rows = 1 if n_samples is None else n_samples
+    if rows < 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
+    if not 0 <= seed <= 2 ** 64 - rows:
+        raise ValueError(f"seeds {seed}..{seed + rows - 1} must lie in [0, 2**64 - 1]")
+    field = _synthesize(plan, _normals(seed, plan.extended_size, rows))
+    return field[0] if n_samples is None else field

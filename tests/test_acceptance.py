@@ -320,7 +320,7 @@ def test_criterion_09_multilevel_vs_single_level(tmp_path):
 def test_criterion_10_grf_statistics():
     n_samples = 100_000
     plan = hg.circulant_embed_1d(hg.CovarianceSpec.exponential(1.0), 64, 2.0)
-    samples = hg.sample_grf_batch(plan, 7, n_samples)
+    samples = hg.sample_grf(plan, 7, n_samples)
     target = plan.spec.rho(plan.grid[:, None] - plan.grid[None, :])
     cov_dev = float(np.abs(samples.T @ samples / n_samples - target).max())
     cov_tol = 4.0 * math.sqrt(2.0 / n_samples)

@@ -28,7 +28,7 @@ from hermgrid.cli import (
     run_quad_study,
     threshold_set_for_budget,
 )
-from hermgrid.errors import ConfigError
+from hermgrid.errors import ConfigError, OutputError
 from hermgrid.grf import CovarianceSpec, circulant_embed_1d, sample_grf
 from hermgrid.hermite import MAX_LEVEL
 from hermgrid.indexset import MultiIndex, surrogate_weight
@@ -676,6 +676,12 @@ class TestOneBudgetSearchPerStudy:
         assert len({(r, cells) for r, cells, _ in calls}) == len(calls)
 
 
+def assert_no_child_left():
+    # no running child and no zombie: the study waited for what it forked
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestGrfStudy:
     def test_report_and_sample_files(self, tmp_path):
         study = resolve_config(
@@ -713,20 +719,56 @@ class TestGrfStudy:
         text = cli._sample_template(grid) % tuple(values.tolist())
         assert text == sample_file_text(grid, values)
 
-    def test_one_sample_grf_call_per_sample(self, tmp_path, monkeypatch):
-        # One draw per file, through the `hermgrid.cli` name: the benchmark's
-        # grf.sample_grf span hooks that name, and a batched draw of every
-        # sample would hold the whole spectrum stack in memory at once.
-        seeds = []
+    def test_each_seed_drawn_once_in_bounded_blocks(self, tmp_path, monkeypatch):
+        # Every draw goes through the `hermgrid.cli` name, which the
+        # benchmark's grf.sample_grf span hooks, and no call colours more than
+        # `_SAMPLE_BLOCK` rows, so the spectrum stack stays small.  The forked
+        # child's calls reach the log because it is a file opened for append.
+        log = tmp_path / "calls.txt"
 
-        def counted(plan, seed):
-            seeds.append(seed)
-            return sample_grf(plan, seed)
+        def counted(plan, seed, n_samples):
+            with open(log, "a") as calls:
+                calls.write(f"{seed} {n_samples}\n")
+            return sample_grf(plan, seed, n_samples)
 
         monkeypatch.setattr(cli, "sample_grf", counted)
-        first = 2 ** 64 - 5
-        run_grf(resolve_config("grf", {"grid_m": "8"}, first, budgets=(5,)), tmp_path)
-        assert seeds == list(range(first, first + 5))
+        n = 2 * cli._SAMPLE_BLOCK + 5
+        first = 2 ** 64 - n
+        out = tmp_path / "out"
+        out.mkdir()
+        run_grf(resolve_config("grf", {"grid_m": "8"}, first, budgets=(n,)), out)
+        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert max(count for _, count in calls) <= cli._SAMPLE_BLOCK
+        drawn = sorted(seed + i for seed, count in calls for i in range(count))
+        assert drawn == list(range(first, first + n))
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_no_process_outlives_the_study(self, tmp_path, n):
+        # at n = 1 this process's half of the seeds is empty
+        report = run_grf(resolve_config("grf", {"grid_m": "8"}, 3, budgets=(n,)), tmp_path)
+        assert_no_child_left()
+        assert report["n_samples"] == n
+        plan = circulant_embed_1d(CovarianceSpec.exponential(1.0), 8, 2.0)
+        for seed in range(3, 3 + n):
+            expected = sample_file_text(plan.grid, sample_grf(plan, seed))
+            assert (tmp_path / f"sample_{seed}.csv").read_bytes() == expected.encode()
+        assert len(list(tmp_path.glob("sample_*.csv"))) == n
+
+    def test_failing_child_is_an_output_error(self, tmp_path, monkeypatch, capfd):
+        def upper_half_fails(plan, seed, n_samples):
+            if seed >= 8:
+                raise RuntimeError("no draw for the upper half")
+            return sample_grf(plan, seed, n_samples)
+
+        monkeypatch.setattr(cli, "sample_grf", upper_half_fails)
+        study = resolve_config("grf", {"grid_m": "8"}, 3, budgets=(10,))
+        with pytest.raises(OutputError, match=r"samples 8\.\.12 exited with status 1"):
+            run_grf(study, tmp_path)
+        assert_no_child_left()
+        assert "RuntimeError: no draw for the upper half" in capfd.readouterr().err
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+            f"sample_{seed}.csv" for seed in range(3, 8)
+        ]
 
 
 class TestBayesStudy:
@@ -838,6 +880,42 @@ class TestMainEntry:
         assert sorted(p.name for p in out.glob("sample_*.csv")) == [
             f"sample_{top - 1}.csv", f"sample_{top}.csv"
         ]
+
+    @pytest.mark.parametrize("out", ["file", "file/out"])
+    def test_out_under_a_regular_file_exits_2(self, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("")
+        assert main(["grf", "--out", str(tmp_path / out), "--budgets", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output") and str(tmp_path / out) in err
+
+    @pytest.mark.parametrize("kind, name", [
+        ("grf", "sample_3.csv"),  # a sample of this process's half
+        ("grf", "grf_report.csv"),
+        ("grf", "meta.txt"),
+        ("quad", "quad.csv"),
+    ])
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys, kind, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)  # a directory cannot be opened for writing
+        assert main([kind, "--out", str(out), "--budgets", "4", "--seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output") and name in err
+        assert_no_child_left()
+
+    def test_unwritable_sample_of_the_child_exits_2(self, tmp_path, capfd):
+        out = tmp_path / "out"
+        (out / "sample_6.csv").mkdir(parents=True)  # seeds 5 and 6 are the child's
+        assert main(["grf", "--out", str(out), "--budgets", "4", "--seed", "3"]) == 2
+        err = capfd.readouterr().err
+        assert f"cannot write output: {out / 'sample_6.csv'}: Is a directory" in err
+        assert "the process writing samples 5..6 exited with status 1" in err
+        assert_no_child_left()
+
+    def test_short_write_is_an_output_error(self, tmp_path, monkeypatch):
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:-1]))
+        with pytest.raises(OutputError, match="wrote 2 of 3 bytes"):
+            cli._write(tmp_path / "short.csv", "x,\n")
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_grf_without_samples_is_config_error(self, tmp_path, capsys, count):

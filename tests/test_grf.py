@@ -17,8 +17,8 @@ from hermgrid.grf import (
     levy_ciesielski,
     matern_cov,
     sample_grf,
-    sample_grf_batch,
 )
+from hermgrid.cli import _SAMPLE_BLOCK
 from util import hat_series_loop, synthesize_loop
 
 N_DRAWS = 100_000
@@ -206,14 +206,23 @@ class TestSampling:
 
     def test_batch_shape_and_determinism(self):
         plan = circulant_embed_1d(CovarianceSpec.exponential(1.0), 16, 2.0)
-        x = sample_grf_batch(plan, 5, 10)
-        y = sample_grf_batch(plan, 5, 10)
+        x = sample_grf(plan, 5, 10)
+        y = sample_grf(plan, 5, 10)
         assert x.shape == (10, 17)
         np.testing.assert_array_equal(x, y)
 
+    @pytest.mark.parametrize("seed, n, named", [
+        (-1, None, "2\\*\\*64 - 1"), (2 ** 64, None, "2\\*\\*64 - 1"),
+        (2 ** 64 - 3, 4, "2\\*\\*64 - 1"), (0, 0, "positive"), (0, -1, "positive"),
+    ])
+    def test_rejects_seeds_outside_u64_and_empty_stacks(self, seed, n, named):
+        plan = circulant_embed_1d(CovarianceSpec.exponential(1.0), 4, 2.0)
+        with pytest.raises(ValueError, match=named):
+            sample_grf(plan, seed, n)
+
     def test_moments(self):
         plan = circulant_embed_1d(CovarianceSpec.exponential(1.0), 64, 2.0)
-        samples = sample_grf_batch(plan, 7, N_DRAWS)
+        samples = sample_grf(plan, 7, N_DRAWS)
         target = plan.spec.rho(plan.grid[:, None] - plan.grid[None, :])
         empirical = samples.T @ samples / N_DRAWS
         assert np.abs(empirical - target).max() <= 4.0 * np.sqrt(2.0 / N_DRAWS)
@@ -242,22 +251,35 @@ class TestSynthesisOracle:
         plan = circulant_embed_1d(spec, m, ell, cutoff=cutoff)
         assert plan.positive
         for seed in (0, 5, 12345, 2 ** 64 - 1):
-            draws = _normals(seed, plan.extended_size)
+            draws = _normals(seed, plan.extended_size)[0]
             assert np.array_equal(sample_grf(plan, seed), synthesize_loop(plan, draws))
 
     @pytest.mark.parametrize("spec, m, ell, cutoff", ORACLE_PLANS)
     def test_batches(self, spec, m, ell, cutoff):
+        # row i of a block is bitwise the single draw at seed + i, for blocks
+        # around the study's block size and for seeds that end at 2**64 - 1
         plan = circulant_embed_1d(spec, m, ell, cutoff=cutoff)
-        for seed, n in ((3, 1), (7, 25)):
-            draws = _normals(seed, (n, plan.extended_size))
-            batch = sample_grf_batch(plan, seed, n)
-            assert batch.shape == (n, plan.n_points)
-            assert np.array_equal(batch, synthesize_loop(plan, draws))
+        for n in (1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1):
+            for seed in (7, 2 ** 64 - n):
+                block = sample_grf(plan, seed, n)
+                assert block.shape == (n, plan.n_points)
+                for i in range(n):
+                    assert np.array_equal(block[i], sample_grf(plan, seed + i))
+                draws = _normals(seed, plan.extended_size, n)
+                assert np.array_equal(block, synthesize_loop(plan, draws))
+
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 63, 2 ** 64 - 9])
+    def test_normals_rows_are_fresh_streams(self, seed):
+        # the reused generator reads like a new Philox keyed by each row's seed
+        draws = _normals(seed, 37, 9)
+        for i, row in enumerate(draws):
+            fresh = np.random.Generator(np.random.Philox(key=np.uint64(seed + i)))
+            assert np.array_equal(row, fresh.standard_normal(37))
 
     def test_clipped_spectrum(self):
         plan = circulant_embed_1d(CovarianceSpec.matern(2.0, 1.5), 16, 1.0)
         assert not plan.positive and plan.eigenvalues.min() < 0.0
-        draws = _normals(11, (4, plan.extended_size))
+        draws = _normals(11, plan.extended_size, 4)
         with pytest.raises(NotPositiveDefinite):
             _synthesize(plan, draws)
         plan = dataclasses.replace(plan, positive=True)  # the clipped amplitudes alone

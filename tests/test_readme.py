@@ -2,7 +2,7 @@
 
 Each row of the "Library tour" table pairs a module with backticked names.
 A name is read up to its first ``(`` or ``[`` (a call signature or an
-optional suffix such as ``sample_grf[_batch]``); tokens starting with
+optional suffix such as ``sample_grf(plan, seed[, n])``); tokens starting with
 ``.`` are attributes of the class before them and are skipped.
 """
 
