@@ -11,6 +11,8 @@ ACCEL_BACKEND = "numpy"
 # 3-point Gauss-Legendre on [0, 1]
 _REF_POINTS = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
 _REF_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+_REF_POINTS.setflags(write=False)
+_REF_WEIGHTS.setflags(write=False)
 
 
 def hermite_matrix(x, kmax):

@@ -8,14 +8,14 @@ output.  Exit codes: 0 success, 2 configuration error or unwritable
 output, 3 numerical failure.
 """
 
-import argparse
 import math
 import mmap
 import os
 import sys
-from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,8 +139,7 @@ def build_problem(cfg: dict) -> ModelProblem1D:
     return ModelProblem1D(system, qoi=qoi)
 
 
-@dataclass
-class StudyConfig:
+class StudyConfig(NamedTuple):
     """Resolved study parameters; weight defaults follow the problem decay."""
 
     kind: str
@@ -155,7 +154,7 @@ class StudyConfig:
     budgets: tuple
     seed: int
     eps_grid: tuple = ()
-    raw: dict = field(default_factory=dict)
+    raw: dict = MappingProxyType({})  # read-only: every default instance shares it
 
     def weight_family(self, k: int) -> WeightFamily:
         b = self.problem.system.sup_norms
@@ -567,16 +566,92 @@ def run_bayes(study: StudyConfig, out_dir: Path) -> list:
 
 # -- entry point -------------------------------------------------------------
 
-def _run(kind: str, args) -> int:
-    cfg = parse_config(args.config) if args.config else {}
+_FLAGS = ("config", "out", "seed", "budgets", "help")
+_CHOICES = "{%s}" % ",".join(_DEFAULT_BUDGETS)
+_USAGE = f"""usage: hermgrid [-h] [--config CONFIG] --out OUT [--seed SEED]
+                [--budgets BUDGETS]
+                {_CHOICES}
+"""
+_HELP = f"""{_USAGE}
+Sparse-grid Gauss-Hermite convergence studies
+
+positional arguments:
+  {_CHOICES}
+                        study to run
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       key = value study file
+  --out OUT             output directory
+  --seed SEED
+  --budgets BUDGETS     comma-separated budgets
+"""
+
+
+def _usage_error(message: str):
+    sys.stderr.write(f"{_USAGE}hermgrid: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _is_flag(word: str) -> bool:
+    """A leading '-' makes a flag, unless the word is '-' alone, holds a
+    space or reads as a negative number (``-5``, ``-.5``, ``-1.5``)."""
+    number = word[1:].replace(".", "", 1).isdecimal() and word[-1] != "."
+    return word[:1] == "-" and word != "-" and " " not in word and not number
+
+
+def parse_args(argv) -> dict:
+    """The study and the flag values of ``argv``, read as argparse read them:
+    ``--flag value``, ``--flag=value`` or any unique prefix of a flag, the
+    study anywhere (only positional words after ``--``), the last of a
+    repeated flag.  ``-h`` or ``--help`` prints the help and exits 0; a
+    usage error prints the usage and the error and exits 2."""
+    args = {"command": None, "config": None, "out": None, "seed": 0, "budgets": None}
+    extras, words, positional = [], iter(argv), False
+    for word in words:
+        name, eq, value = word.partition("=")
+        match = [f for f in _FLAGS if f"--{f}".startswith(name)] if len(name) > 2 else []
+        if (positional or not _is_flag(word)) and args["command"] is None:
+            if word not in _DEFAULT_BUDGETS:
+                choices = ", ".join(map(repr, _DEFAULT_BUDGETS))
+                _usage_error(f"argument command: invalid choice: {word!r} (choose from {choices})")
+            args["command"] = word
+        elif positional or not _is_flag(word):
+            extras.append(word)
+        elif word == "--":
+            positional = True
+        elif word == "-h" or match == ["help"]:
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+        elif not name.startswith("--") or len(match) != 1:
+            extras.append(word)
+        else:
+            flag = match[0]
+            if not eq and ((value := next(words, None)) is None or _is_flag(value)):
+                _usage_error(f"argument --{flag}: expected one argument")
+            try:
+                args[flag] = int(value) if flag == "seed" else value
+            except ValueError:
+                _usage_error(f"argument --seed: invalid int value: {value!r}")
+    if missing := [name for name in ("command", "out") if args[name] is None]:
+        missing = ", ".join(n if n == "command" else f"--{n}" for n in missing)
+        _usage_error(f"the following arguments are required: {missing}")
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def _run(args: dict) -> int:
+    cfg = parse_config(args["config"]) if args["config"] else {}
     budgets = None
-    if args.budgets:
+    if args["budgets"]:
         try:
-            budgets = tuple(int(tok) for tok in args.budgets.split(","))
+            budgets = tuple(int(tok) for tok in args["budgets"].split(","))
         except ValueError:
             raise ConfigError("--budgets: expected comma-separated integers")
-    study = resolve_config(kind, cfg, args.seed, budgets)
-    out_dir = Path(args.out)
+    kind = args["command"]
+    study = resolve_config(kind, cfg, args["seed"], budgets)
+    out_dir = Path(args["out"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -590,18 +665,9 @@ def _run(kind: str, args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="hermgrid",
-        description="Sparse-grid Gauss-Hermite convergence studies",
-    )
-    parser.add_argument("command", choices=_DEFAULT_BUDGETS, help="study to run")
-    parser.add_argument("--config", default=None, help="key = value study file")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budgets", default=None, help="comma-separated budgets")
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
-        return _run(args.command, args)
+        return _run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,5 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and `Frozen`, the base of
+its immutable records."""
 
 
 class HermgridError(Exception):
@@ -51,3 +52,20 @@ class ConfigError(HermgridError):
 
 class OutputError(HermgridError):
     """An output directory or file could not be written."""
+
+
+class Frozen:
+    """Base of an immutable record: ``__init__`` sets the slots through
+    `_fields` (or ``object.__setattr__``); assigning or deleting one later
+    raises AttributeError."""
+
+    __slots__ = ()
+
+    def _fields(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__

@@ -7,8 +7,8 @@ stationary 1-d fields on a uniform grid through a circulant embedding
 diagonalized by the FFT.
 """
 
-from dataclasses import dataclass
 from math import comb, factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,8 +84,7 @@ def matern_cov(x, corr_length: float, smoothness: float):
     return float(out) if np.ndim(x) == 0 else out
 
 
-@dataclass(frozen=True)
-class CovarianceSpec:
+class CovarianceSpec(NamedTuple):
     """Stationary correlation kernel with unit value at the origin."""
 
     kind: str
@@ -130,8 +129,7 @@ def bspline_cutoff(t, kappa: float, order: int):
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-@dataclass(frozen=True)
-class EmbeddingPlan:
+class EmbeddingPlan(NamedTuple):
     """Circulant extension of a stationary kernel on a uniform grid.
 
     The original grid has ``m + 1`` points on [-1/2, 1/2]; the extension

@@ -9,34 +9,31 @@ integrates polynomials of degree up to ``2n+1`` exactly against the
 standard Gaussian weight.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import _accel
-from .errors import LevelTooLarge
+from .errors import Frozen, LevelTooLarge
 
 #: Largest supported quadrature level; node separation in double precision is
 #: untested beyond this.
 MAX_LEVEL = 64
 
 
-@dataclass(frozen=True)
-class HermiteRule:
+class HermiteRule(Frozen):
     """Nodes and weights of the (n+1)-point Gauss-Hermite rule at level n.
 
     Nodes are ascending, symmetric about 0 (with an exact 0 node for even
-    ``n``); weights are positive and sum to 1.
+    ``n``); weights are positive and sum to 1.  Both arrays are read-only.
     """
 
-    level: int
-    nodes: np.ndarray
-    weights: np.ndarray
+    __slots__ = ("level", "nodes", "weights")
 
-    def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
+    def __init__(self, level: int, nodes: np.ndarray, weights: np.ndarray):
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        self._fields(level, nodes, weights)
 
 
 def hermite_eval_all(k_max: int, x) -> np.ndarray:

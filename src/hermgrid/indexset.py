@@ -9,17 +9,15 @@ walk, at most three surrogate calls a member whatever the truncation.
 """
 
 import heapq
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, factorial, inf, sqrt
 
 import numpy as np
 
-from .errors import ThresholdTooSmall
+from .errors import Frozen, ThresholdTooSmall
 
 
-@dataclass(frozen=True)
-class MultiIndex:
+class MultiIndex(Frozen):
     """Finitely supported exponent sequence, stored sparsely.
 
     ``entries`` is a tuple of (dimension, exponent) pairs with strictly
@@ -27,16 +25,28 @@ class MultiIndex:
     hashing are structural.
     """
 
-    entries: tuple = ()
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: tuple = ()):
         prev = -1
-        for dim, exp in self.entries:
+        for dim, exp in entries:
             if dim <= prev:
                 raise ValueError("dimensions must be strictly increasing")
             if exp <= 0 or int(exp) != exp:
                 raise ValueError("stored exponents must be positive integers")
             prev = dim
+        object.__setattr__(self, "entries", entries)  # not `_fields`: the walk's hot path
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.entries,))
+
+    def __repr__(self):
+        return f"MultiIndex({self.entries!r})"
 
     @classmethod
     def from_dict(cls, mapping) -> "MultiIndex":
@@ -154,8 +164,7 @@ def _root_factorial(r: int) -> float:
     return sqrt(factorial(r))
 
 
-@dataclass(frozen=True)
-class WeightFamily:
+class WeightFamily(Frozen):
     """Parameter bundle producing the computable threshold surrogates.
 
     ``b`` holds the positive decay weights of the representation system
@@ -165,38 +174,30 @@ class WeightFamily:
     ``b_j**(p-1) * xi / (4 sqrt(r!) ||b||_p)``.
     """
 
-    b: np.ndarray
-    p: float
-    xi: float
-    r: int
-    tau: float
-    k: int
-    K: float
-    rho: np.ndarray = field(init=False, repr=False)
-    factors: tuple = field(init=False, repr=False)  # max(1, K rho_j)**(2k) as floats
+    # rho and factors (max(1, K rho_j)**(2k) as floats) are derived
+    __slots__ = ("b", "p", "xi", "r", "tau", "k", "K", "rho", "factors")
 
-    def __post_init__(self):
-        b = np.asarray(self.b, dtype=np.float64)
+    def __init__(self, b: np.ndarray, p: float, xi: float, r: int, tau: float, k: int,
+                 K: float):
+        b = np.asarray(b, dtype=np.float64)
         if b.ndim != 1 or b.size == 0 or np.any(b <= 0):
             raise ValueError("b must be a nonempty positive vector")
         if np.any(np.diff(b) > 0):
             raise ValueError("b must be nonincreasing (anisotropy ordering)")
-        if not 0.0 < self.p < 1.0:
+        if not 0.0 < p < 1.0:
             raise ValueError("p must lie in (0, 1)")
-        if not (0 < self.xi < np.inf and 0 < self.K < np.inf and self.tau >= 0):
+        if not (0 < xi < np.inf and 0 < K < np.inf and tau >= 0):
             raise ValueError("xi, K must be positive and finite and tau nonnegative")
-        if self.k not in (1, 2):
+        if k not in (1, 2):
             raise ValueError("k must be 1 (interpolation) or 2 (quadrature)")
-        if not self.r > max(self.tau, self.k):
+        if not r > max(tau, k):
             raise ValueError("r must exceed max(tau, k)")
-        norm_p = float(np.sum(b ** self.p)) ** (1.0 / self.p)
-        rho = b ** (self.p - 1.0) * self.xi / (4.0 * _root_factorial(self.r) * norm_p)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "factors",
-                           tuple(max(1.0, self.K * x) ** (2 * self.k) for x in rho.tolist()))
-        self.b.setflags(write=False)
-        self.rho.setflags(write=False)
+        norm_p = float(np.sum(b ** p)) ** (1.0 / p)
+        rho = b ** (p - 1.0) * xi / (4.0 * _root_factorial(r) * norm_p)
+        b.setflags(write=False)
+        rho.setflags(write=False)
+        self._fields(b, p, xi, r, tau, k, K, rho,
+                     tuple(max(1.0, K * x) ** (2 * k) for x in rho.tolist()))
 
     @property
     def d_max(self) -> int:

@@ -9,13 +9,14 @@ right-hand side.  Quantities of interest are exposed as parametric maps
 sparse-grid operators.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _accel
 from .errors import (
     DegenerateNormalization,
+    Frozen,
     QuadratureNonconvergence,
     SingularSystem,
 )
@@ -23,13 +24,21 @@ from .indexset import IndexSet
 from .multilevel import LevelAllocation, ml_quadrature
 from .smolyak import quadrature
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# The 12-point Gauss-Legendre rule on (-1, 1), bit for bit numpy's leggauss(12),
+# mirrored from its six positive nodes (row 0) and their weights (row 1)
+_GL_HALF = np.array([
+    [0.1252334085114689, 0.3678314989981802, 0.5873179542866175, 0.7699026741943047,
+     0.9041172563704748, 0.9815606342467192],
+    [0.2491470458134027, 0.2334925365383546, 0.20316742672306573, 0.16007832854334642,
+     0.10693932599531907, 0.04717533638651141]])
+_GL_NODES, _GL_WEIGHTS = np.hstack((_GL_HALF[:, ::-1] * [[-1.0], [1.0]], _GL_HALF))
+_GL_NODES.setflags(write=False)
+_GL_WEIGHTS.setflags(write=False)
 _MAX_DOUBLINGS = 12
 _BLOCK = 1 << 16  # values in one kernel temporary; rows go through in blocks
 
 
-@dataclass(frozen=True)
-class RepresentationSystem:
+class RepresentationSystem(NamedTuple):
     """Basis ``psi_j`` of the affine-parametric log-coefficient."""
 
     kind: str
@@ -87,15 +96,14 @@ def _antiderivative_identity(x):
     return np.asarray(x, dtype=np.float64)
 
 
-@dataclass
 class ModelProblem1D:
-    """Diffusion problem data: representation system, load, and QoI."""
+    """Diffusion problem data: representation system, load, and QoI, with a
+    cache of the panel rules built for it."""
 
-    system: RepresentationSystem
-    f: object = _f_one
-    F: object = _antiderivative_identity
-    qoi: tuple = ("point", 1.0)
-    _quad_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, system: RepresentationSystem, f=_f_one, F=_antiderivative_identity,
+                 qoi: tuple = ("point", 1.0)):
+        self.system, self.f, self.F, self.qoi = system, f, F, qoi
+        self._quad_cache = {}
 
     def truncated(self, y) -> np.ndarray:
         """``y`` cut to at most d_max coordinates, row by row for a stack; the
@@ -306,18 +314,15 @@ def as_parametric_map(problem: ModelProblem1D, fidelity) -> ParametricMapFn:
 
 # -- Bayesian inversion -----------------------------------------------------
 
-@dataclass(frozen=True)
-class BayesSetup:
+class BayesSetup(Frozen):
     """Forward observations, data, and Gaussian noise for the inverse problem."""
 
-    forward: object  # a ParametricMapFn, evaluated on stacks
-    data: np.ndarray
-    noise_cov: np.ndarray
-    noise_cov_inv_sqrt: np.ndarray = field(init=False, repr=False)
+    # forward is a ParametricMapFn, evaluated on stacks; noise_cov_inv_sqrt is derived
+    __slots__ = ("forward", "data", "noise_cov", "noise_cov_inv_sqrt")
 
-    def __post_init__(self):
-        data = np.atleast_1d(np.asarray(self.data, dtype=np.float64))
-        cov = np.atleast_2d(np.asarray(self.noise_cov, dtype=np.float64))
+    def __init__(self, forward, data: np.ndarray, noise_cov: np.ndarray):
+        data = np.atleast_1d(np.asarray(data, dtype=np.float64))
+        cov = np.atleast_2d(np.asarray(noise_cov, dtype=np.float64))
         if cov.shape != (data.size, data.size):
             raise ValueError("noise covariance shape must match the data length")
         if not np.allclose(cov, cov.T, atol=1e-12):
@@ -325,10 +330,7 @@ class BayesSetup:
         eigvals, eigvecs = np.linalg.eigh(cov)
         if np.any(eigvals <= 0):
             raise ValueError("noise covariance must be positive definite")
-        inv_sqrt = eigvecs @ np.diag(eigvals ** -0.5) @ eigvecs.T
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "noise_cov", cov)
-        object.__setattr__(self, "noise_cov_inv_sqrt", inv_sqrt)
+        self._fields(forward, data, cov, eigvecs @ np.diag(eigvals ** -0.5) @ eigvecs.T)
 
 
 def posterior_density(setup: BayesSetup, y):
@@ -341,8 +343,7 @@ def posterior_density(setup: BayesSetup, y):
     return float(density[0]) if np.ndim(y) < 2 else density
 
 
-@dataclass(frozen=True)
-class PosteriorEstimate:
+class PosteriorEstimate(NamedTuple):
     numerator: np.ndarray
     normalization: float
     mean: np.ndarray

@@ -11,11 +11,10 @@ an abstract work sequence.
 import bisect
 import contextlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyAllocation, NotDownwardClosed, ThresholdTooSmall
+from .errors import EmptyAllocation, Frozen, NotDownwardClosed, ThresholdTooSmall
 from .hermite import MAX_LEVEL
 # build_threshold_set and quadrature have no caller here; perfbench/layers.py hooks these names
 from .indexset import TIE, MultiIndex, ThresholdWalk, build_threshold_set  # noqa: F401
@@ -24,8 +23,7 @@ from .smolyak import (HermitePolynomial, _projection_sum, _shared, _signed_terms
                       _weighted_sum, zero_polynomial)
 
 
-@dataclass(frozen=True)
-class WorkSequence:
+class WorkSequence(Frozen):
     """Strictly increasing per-level cost measures with ``values[0] == 0``.
 
     ``growth_constant`` bounds the partial sums, the level count against
@@ -33,18 +31,17 @@ class WorkSequence:
     are validated on the stored prefix.
     """
 
-    values: tuple
-    growth_constant: float = 2.0
+    __slots__ = ("values", "growth_constant")
 
-    def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
+    def __init__(self, values: tuple, growth_constant: float = 2.0):
+        vals = tuple(int(v) for v in values)
         if len(vals) < 1 or vals[0] != 0:
             raise ValueError("work sequence must start at 0")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("work sequence must be strictly increasing")
         if any(v < 0 for v in vals):
             raise ValueError("work values must be nonnegative")
-        kw = self.growth_constant
+        kw = growth_constant
         for l in range(1, len(vals)):
             if sum(vals[: l + 1]) > kw * vals[l]:
                 raise ValueError("partial-sum bound violated")
@@ -52,7 +49,7 @@ class WorkSequence:
                 raise ValueError("level-count bound violated")
             if vals[l] > kw * (1.0 + vals[l - 1]):
                 raise ValueError("growth bound violated")
-        object.__setattr__(self, "values", vals)
+        self._fields(vals, growth_constant)
 
     @property
     def max_level(self) -> int:
@@ -77,17 +74,13 @@ def default_work_sequence(max_level: int, growth_constant: float = 2.0) -> WorkS
                         growth_constant)
 
 
-@dataclass(frozen=True)
-class LevelAllocation:
+class LevelAllocation(Frozen):
     """Map from multi-indices to discretization levels (zeros dropped)."""
 
-    levels: dict
-    work_sequence: WorkSequence
+    __slots__ = ("levels", "work_sequence")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "levels", {nu: int(l) for nu, l in self.levels.items() if l > 0}
-        )
+    def __init__(self, levels: dict, work_sequence: WorkSequence):
+        self._fields({nu: int(l) for nu, l in levels.items() if l > 0}, work_sequence)
 
     @property
     def max_level(self) -> int:

@@ -794,6 +794,17 @@ def test_cli_import_loads_no_scipy():
     assert loaded == "[]"
 
 
+def test_cli_import_loads_no_argparse_dataclasses_or_polynomial():
+    # each costs CLI start-up time that no study needs
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import hermgrid.cli, sys; print(sorted(m for m in sys.modules if m in "
+            "('argparse', 'dataclasses', 'numpy.polynomial')))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "[]"
+
+
 def test_every_config_key_is_documented():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     missing = sorted(key for key in cli._PROBLEM_KEYS | cli._STUDY_KEYS
@@ -851,6 +862,46 @@ class TestMainEntry:
         choices = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0]
         assert sorted(choices.split(",")) == ["bayes", "grf", "interp", "ml-interp", "ml-quad",
                                               "quad"]
+
+    @pytest.mark.parametrize("args", [
+        ["--seed", "5"], ["--seed=5"], ["--se", "5"], ["--s=5"],
+        ["--seed", "7", "--seed", "5"],  # the last one given wins
+    ])
+    def test_option_forms(self, tmp_path, args):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, "")
+        assert main(["--conf", str(cfg), "bayes", *args, "--o", str(out), "--budg=1"]) == 0
+        meta = (out / "meta.txt").read_text().splitlines()
+        assert "seed = 5" in meta and "budgets = 1" in meta
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["bayes", "--out", str(out), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("config error: --seed")
+
+    @pytest.mark.parametrize("args, message", [
+        (["bayes"], "required: --out"),
+        (["bayes", "--out", "OUT", "--budgets"], "--budgets: expected one argument"),
+        (["bayes", "--budgets", "--out", "OUT"], "--budgets: expected one argument"),
+        (["bayes", "--out", "OUT", "--bogus", "1"], "unrecognized arguments: --bogus"),
+        (["bayes", "--out", "OUT", "--seed", "five"], "invalid int value: 'five'"),
+        (["bayes", "quad", "--out", "OUT"], "unrecognized arguments: quad"),
+        (["--out", "OUT"], "required: command"),
+    ])
+    def test_usage_errors_exit_2(self, tmp_path, capsys, args, message):
+        args = [str(tmp_path / "out") if a == "OUT" else a for a in args]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hermgrid") and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_short_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["quad", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hermgrid")
 
     @pytest.mark.parametrize("seed", [str(2 ** 64 + 5), "-1"], ids=["2**64+5", "-1"])
     def test_seed_outside_u64_is_config_error(self, tmp_path, capsys, seed):

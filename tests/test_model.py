@@ -61,6 +61,21 @@ def sin_problem(decay=3.0, d_max=8, **kw):
     return ModelProblem1D(RepresentationSystem.sin_decay(decay, d_max), **kw)
 
 
+def test_panel_rule_literals_are_leggauss_12():
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    assert model._GL_NODES.tobytes() == nodes.tobytes()
+    assert model._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
+@pytest.mark.parametrize("array", [model._GL_NODES, model._GL_WEIGHTS,
+                                   _accel._REF_POINTS, _accel._REF_WEIGHTS],
+                         ids=["GL_NODES", "GL_WEIGHTS", "REF_POINTS", "REF_WEIGHTS"])
+def test_module_rules_are_read_only(array):
+    assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        array[0] = 0.5
+
+
 class TestCoefficient:
     def test_zero_parameter_gives_unit_coefficient(self):
         problem = sin_problem()
