@@ -105,38 +105,47 @@ def _get_int(cfg, key, default):
         raise ConfigError(f"key {key!r}: not an integer ({cfg[key]!r})") from exc
 
 
+def _modes(d_max: int) -> int:
+    if d_max < 1:
+        raise ConfigError(f"key 'd_max': must be at least 1, got {d_max}")
+    return d_max
+
+
+#: System name -> the key of its number ('system': the amplitude after ':',
+#: which no other system takes), the number's default, and its constructor
+_SYSTEMS = {
+    "constant": ("system", 0.5, lambda a, d_max: RepresentationSystem.constant_mode(a)),
+    "sindecay": ("r_decay", 3.0,
+                 lambda a, d_max: RepresentationSystem.sin_decay(a, _modes(d_max))),
+    "blocks": ("system", 1.0, lambda a, d_max: RepresentationSystem.blocks(_modes(d_max), a)),
+}
+
+
 def build_problem(cfg: dict) -> ModelProblem1D:
     """Instantiate the model problem from configuration keys."""
-    system_spec = cfg.get("system", "constant:0.5")
-    name, _, arg = system_spec.partition(":")
+    spec = cfg.get("system", "constant:0.5")
+    name, _, arg = spec.partition(":")
+    key, default, make = _SYSTEMS.get(name, ("system", None, None))
+    if make is None or arg and key != "system":
+        raise ConfigError(f"key 'system': unknown system {spec!r}")
     d_max = _get_int(cfg, "d_max", 16)
-    if d_max < 1 and name in ("sindecay", "blocks"):
-        raise ConfigError(f"key 'd_max': must be at least 1, got {d_max}")
     try:
-        if name == "constant":
-            system = RepresentationSystem.constant_mode(float(arg) if arg else 0.5)
-        elif name == "sindecay":
-            system = RepresentationSystem.sin_decay(_get_float(cfg, "r_decay", 3.0), d_max)
-        elif name == "blocks":
-            system = RepresentationSystem.blocks(d_max, float(arg) if arg else 1.0)
-        else:
-            raise ConfigError(f"key 'system': unknown system {system_spec!r}")
+        number = float(arg or default) if key == "system" else _get_float(cfg, key, default)
+        system = make(number, d_max)
     except ValueError as exc:
-        key = "r_decay" if name == "sindecay" else "system"
         raise ConfigError(f"key {key!r}: {exc}") from exc
     if cfg.get("f", "one") != "one":
         raise ConfigError("key 'f': only the constant load 'one' is supported")
-    qoi_kind = cfg.get("qoi", "point")
-    if qoi_kind == "point":
+    qoi = (cfg.get("qoi", "point"),)
+    if qoi == ("point",):
         x0 = _get_float(cfg, "x0", 1.0)
         if not 0.0 <= x0 <= 1.0:
             raise ConfigError(f"key 'x0': must lie in [0, 1], got {x0!r}")
-        qoi = ("point", x0)
-    elif qoi_kind == "mean":
-        qoi = ("mean",)
-    else:
-        raise ConfigError(f"key 'qoi': unknown kind {qoi_kind!r}")
-    return ModelProblem1D(system, qoi=qoi)
+        qoi += (x0,)
+    try:
+        return ModelProblem1D(system, qoi=qoi)
+    except ValueError as exc:
+        raise ConfigError(f"key 'qoi': {exc}") from exc
 
 
 class StudyConfig(NamedTuple):
@@ -503,13 +512,13 @@ def run_grf(study: StudyConfig, out_dir: Path) -> dict:
     cutoff = None
     if "kappa" in cfg:
         cutoff = (_get_float(cfg, "kappa", 2.0), _get_int(cfg, "spline_order", 1))
+    make = {"exponential": CovarianceSpec.exponential,
+            "matern": lambda length: CovarianceSpec.matern(
+                length, _get_float(cfg, "smoothness", 0.5))}.get(kind)
+    if make is None:
+        raise ConfigError(f"key 'cov': unknown covariance {kind!r}")
     try:
-        if kind == "exponential":
-            spec = CovarianceSpec.exponential(corr_length)
-        elif kind == "matern":
-            spec = CovarianceSpec.matern(corr_length, _get_float(cfg, "smoothness", 0.5))
-        else:
-            raise ConfigError(f"key 'cov': unknown covariance {kind!r}")
+        spec = make(corr_length)
         plan = circulant_embed_1d(spec, m, ell, cutoff=cutoff)
     except (ValueError, UnsupportedSmoothness) as exc:
         raise ConfigError(f"covariance or grid keys: {exc}") from exc

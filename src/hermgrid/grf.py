@@ -85,7 +85,8 @@ def matern_cov(x, corr_length: float, smoothness: float):
 
 
 class CovarianceSpec(NamedTuple):
-    """Stationary correlation kernel with unit value at the origin."""
+    """Stationary Matern correlation with unit value at the origin; ``kind``
+    is a label (the exponential kernel is smoothness 1/2)."""
 
     kind: str
     corr_length: float = 1.0
@@ -101,8 +102,6 @@ class CovarianceSpec(NamedTuple):
         return cls("matern", corr_length, smoothness)
 
     def rho(self, x):
-        if self.kind == "exponential":
-            return matern_cov(x, self.corr_length, 0.5)
         return matern_cov(x, self.corr_length, self.smoothness)
 
 
@@ -175,7 +174,7 @@ def circulant_embed_1d(spec: CovarianceSpec, m: int, ell: float,
         raise ValueError("grid size m must be positive")
     h = 1.0 / m
     s_float = 2.0 * ell * m
-    s = int(round(s_float))
+    s = int(round(s_float)) if np.isfinite(s_float) else 0
     if abs(s_float - s) > 1e-9 or s % 2 != 0 or s < 2:
         raise ValueError("2 * ell * m must be a positive even integer")
 

@@ -38,54 +38,49 @@ _MAX_DOUBLINGS = 12
 _BLOCK = 1 << 16  # values in one kernel temporary; rows go through in blocks
 
 
-class RepresentationSystem(NamedTuple):
-    """Basis ``psi_j`` of the affine-parametric log-coefficient."""
+class RepresentationSystem(Frozen):
+    """Basis ``psi_j`` of the affine-parametric log-coefficient: ``basis``
+    maps a float array x to the (len(x), d_max) values ``psi_j(x_i)``,
+    ``sup_norms`` holds the per-mode uniform norms (the decay vector of the
+    weight families) and ``edges`` the increasing points of (0, 1) where a
+    mode jumps.  Systems compare by identity."""
 
-    kind: str
-    d_max: int
-    decay: float = 0.0
-    amplitude: float = 1.0
+    __slots__ = ("basis", "sup_norms", "edges", "d_max")
+
+    def __init__(self, basis, sup_norms, edges: tuple = ()):
+        norms = np.array(sup_norms, dtype=np.float64)
+        norms.setflags(write=False)
+        self._fields(basis, norms, tuple(edges), norms.size)
 
     @classmethod
     def sin_decay(cls, decay: float, d_max: int) -> "RepresentationSystem":
         """Modes ``sin((j+1) pi x) (j+1)**(-decay)`` on the unit interval."""
-        if not decay > 1.0:
-            raise ValueError("decay must exceed 1 for a summable system")
-        return cls("sin", d_max, decay=decay)
+        j = np.arange(1, d_max + 1)
+        norms = j ** (-decay)
+        if not (decay > 1.0 and np.all(norms > 0)):
+            raise ValueError(f"decay {decay}: must exceed 1 for a summable system, with no "
+                             "norm (j+1)**(-decay) underflowing to 0")
+        return cls(lambda x: np.sin(np.multiply.outer(x, j) * np.pi) * norms, norms)
 
     @classmethod
     def constant_mode(cls, amplitude: float) -> "RepresentationSystem":
         """Single constant mode; the workhorse analytic test problem."""
         if not 0 < amplitude < np.inf:
             raise ValueError("amplitude must be positive and finite")
-        return cls("constant", 1, amplitude=amplitude)
+        return cls(lambda x: np.full((x.size, 1), amplitude), [amplitude])
 
     @classmethod
     def blocks(cls, d_max: int, amplitude: float = 1.0) -> "RepresentationSystem":
         """Indicator blocks of an equispaced partition of (0, 1)."""
         if not 0 < amplitude < np.inf:
             raise ValueError("amplitude must be positive and finite")
-        return cls("blocks", d_max, amplitude=amplitude)
+        block = lambda x: np.clip((x * d_max).astype(int), 0, d_max - 1)[:, None]  # of each x
+        return cls(lambda x: amplitude * (block(x) == np.arange(d_max)),
+                   np.full(d_max, amplitude), [k / d_max for k in range(1, d_max)])
 
     def basis_matrix(self, x) -> np.ndarray:
         """Values ``psi_j(x_i)`` with shape (len(x), d_max)."""
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if self.kind == "sin":
-            j = np.arange(1, self.d_max + 1)
-            return np.sin(np.multiply.outer(x, j) * np.pi) * j ** (-self.decay)
-        if self.kind == "constant":
-            return np.full((x.size, 1), self.amplitude)
-        out = np.zeros((x.size, self.d_max))
-        idx = np.clip((x * self.d_max).astype(int), 0, self.d_max - 1)
-        out[np.arange(x.size), idx] = self.amplitude
-        return out
-
-    @property
-    def sup_norms(self) -> np.ndarray:
-        """Per-mode uniform norms; the decay vector of the weight families."""
-        if self.kind == "sin":
-            return np.arange(1, self.d_max + 1, dtype=np.float64) ** (-self.decay)
-        return np.full(self.d_max, self.amplitude)
+        return self.basis(np.atleast_1d(np.asarray(x, dtype=np.float64)))
 
 
 def _f_one(x):
@@ -102,7 +97,11 @@ class ModelProblem1D:
 
     def __init__(self, system: RepresentationSystem, f=_f_one, F=_antiderivative_identity,
                  qoi: tuple = ("point", 1.0)):
+        if qoi[0] not in ("point", "mean"):
+            raise ValueError(f"unknown QoI kind {qoi[0]!r}")
         self.system, self.f, self.F, self.qoi = system, f, F, qoi
+        # upper limit of the QoI's integral over s, and whether it is the mean
+        self.span = (1.0, True) if qoi[0] == "mean" else (float(qoi[1]), False)
         self._quad_cache = {}
 
     def truncated(self, y) -> np.ndarray:
@@ -126,15 +125,12 @@ def _log_coeff(rows, basis) -> np.ndarray:
 
 def _panel_rule(problem: ModelProblem1D, x_upper: float, level: int):
     """Cached composite Gauss-Legendre data on (0, x_upper): 2**level panels
-    on each piece between the block edges inside it (one piece for the other
-    systems), with the nodes, weights, basis values and ``F`` at the nodes."""
+    on each piece between the system's edges inside it, with the nodes,
+    weights, basis values and ``F`` at the nodes."""
     key = (float(x_upper), level)
     hit = problem._quad_cache.get(key)
     if hit is None:
-        edges = [0.0, x_upper]
-        if problem.system.kind == "blocks":  # exp(-b) jumps at k / d_max
-            d = problem.system.d_max
-            edges[1:1] = [k / d for k in range(1, d) if k / d < x_upper]
+        edges = [0.0, *(e for e in problem.system.edges if e < x_upper), x_upper]
         width = np.diff(edges)[:, None] / 2 ** level  # one row a piece
         starts = (np.array(edges[:-1])[:, None] + width * np.arange(2 ** level)).ravel()
         half = np.repeat(width.ravel() * 0.5, 2 ** level)[:, None]
@@ -162,14 +158,6 @@ def _doubled(values_at, n: int, tol: float, what: str) -> np.ndarray:
             return out
         previous = value
     raise QuadratureNonconvergence(f"{what} did not stabilize within {_MAX_DOUBLINGS} doublings")
-
-
-def _qoi_span(problem: ModelProblem1D) -> tuple:
-    """Upper limit of the QoI's integral over s, and whether it is the mean."""
-    kind = problem.qoi[0]
-    if kind not in ("point", "mean"):
-        raise ValueError(f"unknown QoI kind {kind!r}")
-    return (float(problem.qoi[1]), False) if kind == "point" else (1.0, True)
 
 
 def exact_solution_1d(problem: ModelProblem1D, y, x: float, tol: float = 1e-12,
@@ -210,7 +198,7 @@ def expected_qoi_oracle(problem: ModelProblem1D) -> float:
     mode the sum is ``int F`` itself and the value is the separable
     ``-exp(c**2 / 2) * int_0^x0 F`` to the last bit.
     """
-    x_upper, mean = _qoi_span(problem)
+    x_upper, mean = problem.span
 
     def values_at(level, _):
         nodes, weights, basis, f_anti = _panel_rule(problem, x_upper, level)
@@ -255,7 +243,7 @@ def fem_solve_1d(problem: ModelProblem1D, y, n_cells: int) -> np.ndarray:
 
 
 def _qoi_from_nodal(problem: ModelProblem1D, nodal: np.ndarray) -> np.ndarray:
-    x0, mean = _qoi_span(problem)
+    x0, mean = problem.span
     n = nodal.shape[-1] - 1
     if mean:
         return (0.5 * nodal[..., 0] + nodal[..., 1:-1].sum(axis=-1) + 0.5 * nodal[..., -1]) / n
@@ -296,7 +284,7 @@ def as_parametric_map(problem: ModelProblem1D, fidelity) -> ParametricMapFn:
     cell count, connecting to the multilevel work sequence).
     """
     if fidelity[0] == "exact":
-        x_upper, mean = _qoi_span(problem)
+        x_upper, mean = problem.span
         return ParametricMapFn(
             lambda rows: exact_solution_1d(problem, rows, x_upper, mean=mean)[:, None],
             1, cost=1, label="exact-qoi",

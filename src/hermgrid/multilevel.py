@@ -39,8 +39,6 @@ class WorkSequence(Frozen):
             raise ValueError("work sequence must start at 0")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("work sequence must be strictly increasing")
-        if any(v < 0 for v in vals):
-            raise ValueError("work values must be nonnegative")
         kw = growth_constant
         for l in range(1, len(vals)):
             if sum(vals[: l + 1]) > kw * vals[l]:
@@ -50,10 +48,6 @@ class WorkSequence(Frozen):
             if vals[l] > kw * (1.0 + vals[l - 1]):
                 raise ValueError("growth bound violated")
         self._fields(vals, growth_constant)
-
-    @property
-    def max_level(self) -> int:
-        return len(self.values) - 1
 
     def cumulative(self, level: int) -> int:
         """Total cost of carrying one point through levels 1..level."""

@@ -33,6 +33,9 @@ CONFIGS = (
      "4096,16384,65536", 0),
     ("grf-write", "grf", "cov = matern\ncorr_length = 0.5\nsmoothness = 1.5\ngrid_m = 256\n"
      "ell = 4.0\nkappa = 3.0\nspline_order = 2\n", "50", 5),
+    ("grf-exponential", "grf", "cov = exponential\ncorr_length = 1.0\ngrid_m = 64\n"
+     "ell = 2.0\n", "20", 3),
+    ("quad-blocks-x0", "quad", "system = blocks\nd_max = 8\nx0 = 0.3\n", "25,100,400", 0),
 )
 
 

@@ -101,11 +101,14 @@ class TestConfigParsing:
 
     def test_build_problem_variants(self):
         p = build_problem({"system": "constant:0.5"})
-        assert p.system.kind == "constant"
+        assert p.system.d_max == 1 and p.system.sup_norms.tolist() == [0.5]
+        assert p.system.edges == ()
         p = build_problem({"system": "sindecay", "r_decay": "2.5", "d_max": "4"})
-        assert p.system.kind == "sin" and p.system.d_max == 4
+        assert p.system.d_max == 4 and p.system.edges == ()
+        assert p.system.sup_norms.tolist() == [k ** -2.5 for k in range(1, 5)]
         p = build_problem({"system": "blocks:0.5", "d_max": "3", "qoi": "mean"})
-        assert p.system.kind == "blocks" and p.qoi == ("mean",)
+        assert p.system.d_max == 3 and p.system.sup_norms.tolist() == [0.5] * 3
+        assert p.system.edges == (1 / 3, 2 / 3) and p.qoi == ("mean",)
         with pytest.raises(ConfigError):
             build_problem({"system": "fourier"})
         with pytest.raises(ConfigError):
@@ -812,6 +815,19 @@ def test_every_config_key_is_documented():
     assert not missing, f"config keys absent from README.md: {missing}"
 
 
+    def test_eps_grid_rows(self, tmp_path):
+        cfg = write_cfg(tmp_path, "system = sindecay\nd_max = 4\neps_grid = 1e-2,1e-4,1e-6\n")
+        assert main(["ml-quad", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len((tmp_path / "out" / "ml_quad.csv").read_text().splitlines()) == 1 + 3
+
+    def test_eps_grid_above_level_one_fails(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "system = sindecay\nd_max = 4\neps_grid = 10,5\n")
+        assert main(["ml-quad", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure") and "eps grid 10.0,5.0" in err
+        assert "no allocation within them reaches level 1" in err
+
+
 class TestMainEntry:
     def test_exit_codes(self, tmp_path):
         cfg = write_cfg(tmp_path, CONSTANT_CFG)
@@ -873,6 +889,12 @@ class TestMainEntry:
         assert main(["--conf", str(cfg), "bayes", *args, "--o", str(out), "--budg=1"]) == 0
         meta = (out / "meta.txt").read_text().splitlines()
         assert "seed = 5" in meta and "budgets = 1" in meta
+
+    def test_budgets_flag_must_be_integers(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["quad", "--out", str(out), "--budgets", "1,x"]) == 2
+        assert "--budgets: expected comma-separated integers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1015,13 +1037,22 @@ class TestMainEntry:
         ("quad", "r = 171\nxi = 1\n", "r must be at most 170, got 171"),
         ("quad", "system = sindecay\nd_max = 4\nK = inf\n", "K must be positive and finite"),
         ("ml-quad", "xi = inf\n", "xi, K must be positive and finite"),
+        ("grf", "ell = inf\n", "2 * ell * m"),
+        ("quad", "system = sindecay:7\n", "key 'system'"),
+        ("quad", "system = sindecay\nd_max = 8\nr_decay = 400\n", "key 'r_decay'"),
+        ("quad", "p = abc\n", "key 'p': not a number"),
+        ("quad", "d_max = 1.5\n", "key 'd_max': not an integer"),
+        ("quad", "p = 1.5\n", "key 'p': must lie in (0, 1)"),
+        ("quad", "p =\n", "empty value for 'p'"),
+        ("quad", "f = two\n", "key 'f'"),
     ], ids=["q1-3", "q1-0", "p-0.7", "alpha-neg", "alpha-0", "r_decay-1", "constant-neg",
             "constant-abc", "blocks-0", "ell-0.3", "grid_m-0", "corr_length-neg",
             "kappa-0.5", "r-2", "tau-neg", "K-0", "xi-neg", "d_max-0", "smoothness-1.0",
             "x0-1.5", "x0-neg", "x0-nan", "r_decay-nan", "constant-nan", "blocks-nan",
             "corr_length-nan", "matern-corr_length-nan", "constant-inf", "blocks-inf",
             "kappa-nan", "xi-nan", "K-nan", "eps_grid-nan", "alpha-inf",
-            "r-171", "r-500", "r-171-xi-1", "K-inf", "xi-inf"])
+            "r-171", "r-500", "r-171-xi-1", "K-inf", "xi-inf", "ell-inf", "sindecay-arg",
+            "r_decay-underflow", "p-abc", "d_max-1.5", "p-1.5", "p-empty", "f-two"])
     def test_rejected_values_are_config_errors(self, tmp_path, capsys, kind, text, named):
         cfg = write_cfg(tmp_path, text)
         assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out"),

@@ -166,6 +166,20 @@ class TestOracle:
         with pytest.raises(QuadratureNonconvergence):
             expected_qoi_oracle(problem)
 
+    @pytest.mark.parametrize("qoi", [("point", 0.7), ("mean",)])
+    def test_system_from_a_basis_alone(self, qoi):
+        # two constant modes a and b make b(y, s) = a y_1 + b y_2, which has
+        # the law of one constant mode hypot(a, b): a system built from its
+        # basis and norms alone needs no other code to be averaged
+        a, b = 0.4, 0.3
+        system = RepresentationSystem(lambda x: np.tile([a, b], (x.size, 1)), [a, b])
+        problem = ModelProblem1D(system, qoi=qoi)
+        want = expected_qoi_oracle(constant_problem(math.hypot(a, b), qoi=qoi))
+        assert expected_qoi_oracle(problem) == pytest.approx(want, rel=1e-14, abs=0.0)
+        square = IndexSet([mi({0: i, 1: j}) for i in range(5) for j in range(5)])
+        value = quadrature(square, as_parametric_map(problem, ("exact",)))[0]
+        assert abs(value - want) <= 1e-6 * abs(want)
+
     @pytest.mark.parametrize("problem, orders", [
         (sin_problem(3.0, 3), (6, 9)),
         (ModelProblem1D(RepresentationSystem.blocks(2, 1.0)), (8, 12)),

@@ -74,6 +74,14 @@ def test_bad_input_raises_as_before(build, error):
         build()
 
 
+def test_systems_compare_by_identity_and_hold_read_only_norms():
+    a, b = RepresentationSystem.blocks(4, 0.5), RepresentationSystem.blocks(4, 0.5)
+    assert a == a and a != b and len({a, b}) == 2
+    assert a.sup_norms.tolist() == [0.5] * 4 and a.edges == (0.25, 0.5, 0.75)
+    with pytest.raises(ValueError):
+        a.sup_norms[0] = 1.0
+
+
 def test_constructors_keep_their_signatures():
     system = RepresentationSystem.sin_decay(3.0, 16)
     a, b = ModelProblem1D(system), ModelProblem1D(system, qoi=("mean",))
