@@ -48,11 +48,37 @@ from .multilevel import (
 )
 from .smolyak import _shared, evaluation_point_count, interpolate, largest_threshold_set, quadrature
 
-_PROBLEM_KEYS = {"system", "r_decay", "d_max", "f", "qoi", "x0"}
-_STUDY_KEYS = {
-    "p", "xi", "r", "tau", "K", "q1", "alpha", "budgets", "eps_grid",
-    "cov", "corr_length", "smoothness", "grid_m", "ell", "kappa",
-    "spline_order",
+
+def _list(parse):
+    return lambda text: tuple(parse(tok) for tok in text.split(","))
+
+
+#: Config key -> its parser, the complaint when a value does not parse, and
+#: its default.  A None default is absent (``eps_grid``, ``kappa``) or worked
+#: out by the reader (``q1`` from ``p``, ``budgets`` from the study).
+_KEYS = {
+    "system": (str, None, "constant:0.5"),
+    "r_decay": (float, "not a number", 3.0),
+    "d_max": (int, "not an integer", 16),
+    "f": (str, None, "one"),
+    "qoi": (str, None, "point"),
+    "x0": (float, "not a number", 1.0),
+    "p": (float, "not a number", 0.5),
+    "xi": (float, "not a number", 0.0),
+    "r": (int, "not an integer", 12),
+    "tau": (float, "not a number", 3.0),
+    "K": (float, "not a number", 1.0),
+    "q1": (float, "not a number", None),
+    "alpha": (float, "not a number", 1.0),
+    "budgets": (_list(int), "expected comma-separated integers", None),
+    "eps_grid": (_list(float), "expected comma-separated reals", None),
+    "cov": (str, None, "exponential"),
+    "corr_length": (float, "not a number", 1.0),
+    "smoothness": (float, "not a number", 0.5),
+    "grid_m": (int, "not an integer", 64),
+    "ell": (float, "not a number", 2.0),
+    "kappa": (float, "not a number", None),
+    "spline_order": (int, "not an integer", 1),
 }
 
 _DEFAULT_BUDGETS = {
@@ -66,11 +92,11 @@ _DEFAULT_BUDGETS = {
 
 
 def parse_config(path) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment."""
+    """Parse ``key = value`` lines; '#' starts a comment.  Values stay strings."""
     values, lines = {}, {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -81,7 +107,7 @@ def parse_config(path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _PROBLEM_KEYS | _STUDY_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
@@ -91,18 +117,19 @@ def parse_config(path) -> dict:
     return values
 
 
-def _get_float(cfg, key, default):
+def _parse(key: str, text: str, name: str):
+    """``text`` read by the parser of `_KEYS` ``key``; ``name`` heads the complaint."""
+    parse, complaint, _ = _KEYS[key]
     try:
-        return float(cfg.get(key, default))
+        return parse(text)
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a number ({cfg[key]!r})") from exc
+        raise ConfigError(f"{name}: {complaint} ({text!r})") from exc
 
 
-def _get_int(cfg, key, default):
-    try:
-        return int(cfg.get(key, default))
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not an integer ({cfg[key]!r})") from exc
+def _config_values(cfg: dict) -> dict:
+    """Every key of `_KEYS`: its value in ``cfg`` parsed (read or not), or its default."""
+    return {key: _parse(key, cfg[key], f"key {key!r}") if key in cfg else default
+            for key, (_, _, default) in _KEYS.items()}
 
 
 def _modes(d_max: int) -> int:
@@ -112,33 +139,42 @@ def _modes(d_max: int) -> int:
 
 
 #: System name -> the key of its number ('system': the amplitude after ':',
-#: which no other system takes), the number's default, and its constructor
+#: which no other system takes), the amplitude's default, and its constructor
 _SYSTEMS = {
     "constant": ("system", 0.5, lambda a, d_max: RepresentationSystem.constant_mode(a)),
-    "sindecay": ("r_decay", 3.0,
+    "sindecay": ("r_decay", None,
                  lambda a, d_max: RepresentationSystem.sin_decay(a, _modes(d_max))),
     "blocks": ("system", 1.0, lambda a, d_max: RepresentationSystem.blocks(_modes(d_max), a)),
+}
+
+#: Covariance name -> its kernel, from the parsed config values
+_KERNELS = {
+    "exponential": lambda v: CovarianceSpec.exponential(v["corr_length"]),
+    "matern": lambda v: CovarianceSpec.matern(v["corr_length"], v["smoothness"]),
 }
 
 
 def build_problem(cfg: dict) -> ModelProblem1D:
     """Instantiate the model problem from configuration keys."""
-    spec = cfg.get("system", "constant:0.5")
+    return _problem(_config_values(cfg))
+
+
+def _problem(values: dict) -> ModelProblem1D:
+    spec = values["system"]
     name, _, arg = spec.partition(":")
     key, default, make = _SYSTEMS.get(name, ("system", None, None))
     if make is None or arg and key != "system":
         raise ConfigError(f"key 'system': unknown system {spec!r}")
-    d_max = _get_int(cfg, "d_max", 16)
     try:
-        number = float(arg or default) if key == "system" else _get_float(cfg, key, default)
-        system = make(number, d_max)
+        number = float(arg or default) if key == "system" else values[key]
+        system = make(number, values["d_max"])
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: {exc}") from exc
-    if cfg.get("f", "one") != "one":
+    if values["f"] != "one":
         raise ConfigError("key 'f': only the constant load 'one' is supported")
-    qoi = (cfg.get("qoi", "point"),)
+    qoi = (values["qoi"],)
     if qoi == ("point",):
-        x0 = _get_float(cfg, "x0", 1.0)
+        x0 = values["x0"]
         if not 0.0 <= x0 <= 1.0:
             raise ConfigError(f"key 'x0': must lie in [0, 1], got {x0!r}")
         qoi += (x0,)
@@ -164,6 +200,7 @@ class StudyConfig(NamedTuple):
     seed: int
     eps_grid: tuple = ()
     raw: dict = MappingProxyType({})  # read-only: every default instance shares it
+    values: dict = MappingProxyType({})  # every key parsed (`_config_values`)
 
     def weight_family(self, k: int) -> WeightFamily:
         b = self.problem.system.sup_norms
@@ -179,16 +216,11 @@ class StudyConfig(NamedTuple):
 
 
 def resolve_config(kind: str, cfg: dict, seed: int, budgets=None) -> StudyConfig:
-    problem = build_problem(cfg)
-    if budgets is None:
-        if "budgets" in cfg:
-            try:
-                budgets = tuple(int(tok) for tok in cfg["budgets"].split(","))
-            except ValueError as exc:
-                raise ConfigError("key 'budgets': expected comma-separated integers") from exc
-        else:
-            budgets = _DEFAULT_BUDGETS[kind]
-    budgets = tuple(budgets)
+    values = _config_values(cfg)
+    problem = _problem(values)
+    if values["cov"] not in _KERNELS:
+        raise ConfigError(f"key 'cov': unknown covariance {values['cov']!r}")
+    budgets = tuple(budgets or values["budgets"] or _DEFAULT_BUDGETS[kind])
     if any(b <= a for a, b in zip(budgets, budgets[1:])):
         raise ConfigError("budgets must be strictly increasing")
     floor = 0 if kind == "bayes" else 1  # bayes budgets are levels
@@ -199,42 +231,23 @@ def resolve_config(kind: str, cfg: dict, seed: int, budgets=None) -> StudyConfig
         raise ConfigError(f"bayes levels must be at most {MAX_LEVEL}, got {max(budgets)}")
     if not 0 <= seed <= 2 ** 64 - 1:
         raise ConfigError(f"--seed must lie in [0, 2**64 - 1], got {seed}")
-    eps_grid = ()
-    if "eps_grid" in cfg:
-        try:
-            eps_grid = tuple(float(tok) for tok in cfg["eps_grid"].split(","))
-        except ValueError as exc:
-            raise ConfigError("key 'eps_grid': expected comma-separated reals") from exc
-        if any(not e > 0 for e in eps_grid) or any(
-            b >= a for a, b in zip(eps_grid, eps_grid[1:])
-        ):
-            raise ConfigError("key 'eps_grid': must be positive, strictly decreasing")
-    p = _get_float(cfg, "p", 0.5)
+    eps_grid = values["eps_grid"] or ()
+    if any(not e > 0 for e in eps_grid) or any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
+        raise ConfigError("key 'eps_grid': must be positive, strictly decreasing")
+    p = values["p"]
     if not 0.0 < p < 1.0:
         raise ConfigError("key 'p': must lie in (0, 1)")
-    q1 = _get_float(cfg, "q1", p / (1.0 - p))
-    alpha = _get_float(cfg, "alpha", 1.0)
+    q1 = p / (1.0 - p) if values["q1"] is None else values["q1"]
+    alpha = values["alpha"]
     if kind in ("ml-quad", "ml-interp"):
         if not 0.0 < q1 < 2.0:
             derived = "" if "q1" in cfg else f" (the default p/(1-p) at p = {p})"
             raise ConfigError(f"key 'q1': must lie in (0, 2), got {q1}{derived}")
         if not 0.0 < alpha < math.inf:
             raise ConfigError(f"key 'alpha': must be positive and finite, got {alpha}")
-    return StudyConfig(
-        kind=kind,
-        problem=problem,
-        p=p,
-        xi=_get_float(cfg, "xi", 0.0),
-        r=_get_int(cfg, "r", 12),
-        tau=_get_float(cfg, "tau", 3.0),
-        K=_get_float(cfg, "K", 1.0),
-        q1=q1,
-        alpha=alpha,
-        budgets=budgets,
-        seed=seed,
-        eps_grid=eps_grid,
-        raw=dict(cfg),
-    )
+    return StudyConfig(kind=kind, problem=problem, p=p, xi=values["xi"], r=values["r"],
+                       tau=values["tau"], K=values["K"], q1=q1, alpha=alpha, budgets=budgets,
+                       seed=seed, eps_grid=eps_grid, raw=dict(cfg), values=values)
 
 
 # -- shared numerics --------------------------------------------------------
@@ -504,21 +517,11 @@ def run_grf(study: StudyConfig, out_dir: Path) -> dict:
         raise ConfigError(
             f"--seed {study.seed}: {n_samples} samples run past the largest seed 2**64 - 1"
         )
-    cfg = study.raw
-    kind = cfg.get("cov", "exponential")
-    corr_length = _get_float(cfg, "corr_length", 1.0)
-    m = _get_int(cfg, "grid_m", 64)
-    ell = _get_float(cfg, "ell", 2.0)
-    cutoff = None
-    if "kappa" in cfg:
-        cutoff = (_get_float(cfg, "kappa", 2.0), _get_int(cfg, "spline_order", 1))
-    make = {"exponential": CovarianceSpec.exponential,
-            "matern": lambda length: CovarianceSpec.matern(
-                length, _get_float(cfg, "smoothness", 0.5))}.get(kind)
-    if make is None:
-        raise ConfigError(f"key 'cov': unknown covariance {kind!r}")
+    values = study.values
+    kind, m, ell = values["cov"], values["grid_m"], values["ell"]
+    cutoff = None if values["kappa"] is None else (values["kappa"], values["spline_order"])
     try:
-        spec = make(corr_length)
+        spec = _KERNELS[kind](values)
         plan = circulant_embed_1d(spec, m, ell, cutoff=cutoff)
     except (ValueError, UnsupportedSmoothness) as exc:
         raise ConfigError(f"covariance or grid keys: {exc}") from exc
@@ -652,12 +655,7 @@ def parse_args(argv) -> dict:
 
 def _run(args: dict) -> int:
     cfg = parse_config(args["config"]) if args["config"] else {}
-    budgets = None
-    if args["budgets"]:
-        try:
-            budgets = tuple(int(tok) for tok in args["budgets"].split(","))
-        except ValueError:
-            raise ConfigError("--budgets: expected comma-separated integers")
+    budgets = _parse("budgets", args["budgets"], "--budgets") if args["budgets"] else None
     kind = args["command"]
     study = resolve_config(kind, cfg, args["seed"], budgets)
     out_dir = Path(args["out"])

@@ -109,12 +109,13 @@ def bspline_cutoff(t, kappa: float, order: int):
     """Even cutoff: 1 inside ``[-kappa/2, kappa/2]``, 0 outside ``[-kappa, kappa]``.
 
     The blend is the integrated cardinal B-spline of the given order, so
-    the function has ``order - 1`` continuous derivatives.
+    the function has ``order - 1`` continuous derivatives.  Orders above 10
+    are rejected: there the alternating sum below cancels past 1e-11.
     """
     if not kappa > 1.0:
         raise ValueError("kappa must exceed 1")
-    if order < 1:
-        raise ValueError("order must be a positive integer")
+    if not 1 <= order <= 10:
+        raise ValueError(f"spline order must lie in 1..10, got {order}")
     t_arr = np.abs(np.atleast_1d(np.asarray(t, dtype=np.float64)))
     out = np.zeros_like(t_arr)
     out[t_arr <= kappa / 2.0] = 1.0

@@ -36,6 +36,10 @@ CONFIGS = (
     ("grf-exponential", "grf", "cov = exponential\ncorr_length = 1.0\ngrid_m = 64\n"
      "ell = 2.0\n", "20", 3),
     ("quad-blocks-x0", "quad", "system = blocks\nd_max = 8\nx0 = 0.3\n", "25,100,400", 0),
+    ("grf-kappa-order1", "grf", "cov = exponential\ncorr_length = 0.5\ngrid_m = 64\n"
+     "ell = 4.0\nkappa = 3.0\n", "20", 2),
+    ("quad-weight-keys", "quad", "system = sindecay\nr_decay = 2.5\nd_max = 8\np = 0.4\n"
+     "r = 10\ntau = 2.5\nK = 2\n", "25,100,400", 0),
 )
 
 

@@ -3,6 +3,7 @@
 import filecmp
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +90,16 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.cfg")
+
+    def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "study.cfg"
+        path.write_bytes(b"system = constant:0.5\n# \xff\n")
+        with pytest.raises(ConfigError, match="cannot read config .*study.cfg"):
+            parse_config(path)
+        out = tmp_path / "out"
+        assert main(["quad", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read config")
+        assert not out.exists()
 
     def test_duplicate_key(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "d_max = 4\n# note\nd_max = 6\n")
@@ -810,9 +821,17 @@ def test_cli_import_loads_no_argparse_dataclasses_or_polynomial():
 
 def test_every_config_key_is_documented():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    missing = sorted(key for key in cli._PROBLEM_KEYS | cli._STUDY_KEYS
+    missing = sorted(key for key in cli._KEYS
                      if f"`{key}`" not in readme)
     assert not missing, f"config keys absent from README.md: {missing}"
+    # the key table's last column: a literal that parses to the default, or
+    # words where the default is absent or worked out by the study
+    documented = dict(re.findall(r"^\| `(\w+)` +\|.*\| (.+?) +\|$", readme, re.M))
+    assert sorted(documented) == sorted(cli._KEYS)
+    for key, cell in documented.items():
+        parse, _, default = cli._KEYS[key]
+        literal = re.fullmatch(r"`([^`]*)`", cell)
+        assert (parse(literal[1]) if literal else None) == default, key
 
 
     def test_eps_grid_rows(self, tmp_path):
@@ -1045,6 +1064,13 @@ class TestMainEntry:
         ("quad", "p = 1.5\n", "key 'p': must lie in (0, 1)"),
         ("quad", "p =\n", "empty value for 'p'"),
         ("quad", "f = two\n", "key 'f'"),
+        ("grf", "kappa = 3.0\nspline_order = 30\n", "spline order must lie in 1..10, got 30"),
+        ("grf", "kappa = 3.0\nspline_order = 171\n", "spline order must lie in 1..10, got 171"),
+        ("quad", "system = constant:0.5\nr_decay = abc\n", "key 'r_decay': not a number"),
+        ("grf", "cov = exponential\nsmoothness = xyz\n", "key 'smoothness': not a number"),
+        ("quad", "qoi = mean\nx0 = abc\n", "key 'x0': not a number"),
+        ("quad", "grid_m = abc\n", "key 'grid_m': not an integer"),
+        ("quad", "cov = gauss\n", "key 'cov': unknown covariance 'gauss'"),
     ], ids=["q1-3", "q1-0", "p-0.7", "alpha-neg", "alpha-0", "r_decay-1", "constant-neg",
             "constant-abc", "blocks-0", "ell-0.3", "grid_m-0", "corr_length-neg",
             "kappa-0.5", "r-2", "tau-neg", "K-0", "xi-neg", "d_max-0", "smoothness-1.0",
@@ -1052,7 +1078,9 @@ class TestMainEntry:
             "corr_length-nan", "matern-corr_length-nan", "constant-inf", "blocks-inf",
             "kappa-nan", "xi-nan", "K-nan", "eps_grid-nan", "alpha-inf",
             "r-171", "r-500", "r-171-xi-1", "K-inf", "xi-inf", "ell-inf", "sindecay-arg",
-            "r_decay-underflow", "p-abc", "d_max-1.5", "p-1.5", "p-empty", "f-two"])
+            "r_decay-underflow", "p-abc", "d_max-1.5", "p-1.5", "p-empty", "f-two",
+            "spline_order-30", "spline_order-171", "unread-r_decay-abc",
+            "unread-smoothness-xyz", "unread-x0-abc", "unread-grid_m-abc", "cov-gauss"])
     def test_rejected_values_are_config_errors(self, tmp_path, capsys, kind, text, named):
         cfg = write_cfg(tmp_path, text)
         assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out"),

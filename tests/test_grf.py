@@ -1,5 +1,8 @@
 """Random-field generators: series expansions and circulant sampling."""
 
+from fractions import Fraction
+from math import comb, factorial
+
 import numpy as np
 import pytest
 
@@ -144,6 +147,25 @@ class TestCutoff:
         assert np.all((vals >= 0.0) & (vals <= 1.0))
         blend = vals[(ts >= 1.5) & (ts <= 3.0)]
         assert np.all(np.diff(blend) <= 1e-14)
+
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_blend_matches_exact_rational_values(self, order):
+        # the alternating sum over the blend [kappa/2, kappa], evaluated in
+        # exact rationals at the same float points
+        kappa = 3
+        ts = np.linspace(1.5, 3.0, 61)
+        exact = []
+        for t in map(Fraction, ts.tolist()):
+            a = 2 * order * (1 - t / kappa)
+            total = sum((-1) ** i * comb(order, i) * max(a - i, 0) ** order
+                        for i in range(order + 1))
+            exact.append(float(total / factorial(order)) if t < kappa else 0.0)
+        np.testing.assert_allclose(bspline_cutoff(ts, kappa, order), exact, rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("order", [0, 11, 30, 171])
+    def test_order_outside_one_to_ten_is_rejected(self, order):
+        with pytest.raises(ValueError, match=f"spline order must lie in 1..10, got {order}"):
+            bspline_cutoff(2.0, 3.0, order)
 
 
 class TestEmbedding:
