@@ -316,10 +316,8 @@ def write_meta(out_dir: Path, study: StudyConfig, extra: dict = None):
         "p": study.p, "xi": study.xi, "r": study.r, "tau": study.tau,
         "K": study.K, "q1": study.q1, "alpha": study.alpha,
     }
-    for key in sorted(study.raw):
-        items[f"config.{key}"] = study.raw[key]
-    for key in sorted(extra or {}):
-        items[key] = (extra or {})[key]
+    items.update((f"config.{key}", value) for key, value in study.raw.items())
+    items.update(extra or {})
     lines = [f"{k} = {_format(v)}" for k, v in sorted(items.items())]
     _write(out_dir / "meta.txt", "\n".join(lines) + "\n")
 
@@ -460,38 +458,43 @@ def run_ml_study(study: StudyConfig, out_dir: Path, quantity: str) -> list:
     return rows
 
 
-#: Seeds coloured per `sample_grf` call in the grf study: a block's normals
-#: and spectrum stay a few hundred kB whatever the sample count.
+#: Seeds per `sample_grf` call and grid rows per report step in the grf study:
+#: a block's normals, spectrum and Gram update stay small whatever the sample
+#: count.  The update is an einsum, O(m²) per draw (costs in the README).
 _SAMPLE_BLOCK = 8
 
 
 def _write_samples(plan, seed: int, n_samples: int, out_dir: Path) -> np.ndarray:
     """Draw the seeds ``seed .. seed + n_samples - 1`` and write one
-    ``sample_<seed>.csv`` each; return the (n_samples, m + 1) stack.
+    ``sample_<seed>.csv`` each; return the sums over the draws x of x x^T
+    (m + 1 rows) and of x (the last row).
 
-    The rows live in one shared anonymous mapping.  A forked child draws and
-    writes the upper half of the seeds while this process does the lower
-    half, both in blocks of `_SAMPLE_BLOCK` rows.  The child reports any
-    failure on stderr and leaves through ``os._exit``; a child that does not
-    exit 0 is an `OutputError` here once it has been waited for.
+    A forked child draws and writes the upper half of the seeds while this
+    process does the lower half, both in blocks of `_SAMPLE_BLOCK` rows that
+    each adds into sums of its own.  The child's live in a shared anonymous
+    mapping sized by the grid, added here once the child has exited.  The
+    child reports any failure on stderr and leaves through ``os._exit``; a
+    child that does not exit 0 is an `OutputError` here once waited for.
     """
-    samples = np.frombuffer(mmap.mmap(-1, n_samples * plan.n_points * 8))
-    samples = samples.reshape(n_samples, plan.n_points)
+    shape = (plan.n_points + 1, plan.n_points)
+    shared = np.frombuffer(mmap.mmap(-1, shape[0] * shape[1] * 8)).reshape(shape)
     template = _sample_template(plan.grid)  # the x column is the same in every file
 
-    def draw_and_write(rows: range):
+    def draw_and_write(rows: range, sums: np.ndarray) -> np.ndarray:
         for start in range(rows.start, rows.stop, _SAMPLE_BLOCK):
-            block = samples[start:min(start + _SAMPLE_BLOCK, rows.stop)]
-            block[:] = sample_grf(plan, seed + start, len(block))
+            block = sample_grf(plan, seed + start, min(_SAMPLE_BLOCK, rows.stop - start))
             for i, values in enumerate(block.tolist(), seed + start):
                 _write(out_dir / f"sample_{i}.csv", template % tuple(values))
+            sums[:-1] += np.einsum("ki,kj->ij", block, block)  # no BLAS threads in 2 processes
+            sums[-1] += block.sum(axis=0)
+        return sums
 
     half = n_samples // 2
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            draw_and_write(range(half, n_samples))
+            draw_and_write(range(half, n_samples), shared)
             status = 0
         except BaseException as exc:
             reason = exc if isinstance(exc, OutputError) else f"{type(exc).__name__}: {exc}"
@@ -499,7 +502,7 @@ def _write_samples(plan, seed: int, n_samples: int, out_dir: Path) -> np.ndarray
         finally:
             os._exit(status)
     try:
-        draw_and_write(range(half))
+        sums = draw_and_write(range(half), np.zeros(shape))
     finally:
         _, status = os.waitpid(pid, 0)
     if status:
@@ -507,16 +510,16 @@ def _write_samples(plan, seed: int, n_samples: int, out_dir: Path) -> np.ndarray
             f"the process writing samples {seed + half}..{seed + n_samples - 1} "
             f"exited with status {os.waitstatus_to_exitcode(status)}"
         )
-    return samples
+    sums += shared
+    return sums
 
 
 def run_grf(study: StudyConfig, out_dir: Path) -> dict:
     """Seeded field samples plus an empirical covariance report."""
     n_samples = study.budgets[-1]
     if study.seed + n_samples - 1 > 2 ** 64 - 1:
-        raise ConfigError(
-            f"--seed {study.seed}: {n_samples} samples run past the largest seed 2**64 - 1"
-        )
+        raise ConfigError(f"--seed {study.seed}: {n_samples} samples run past the "
+                          "largest seed 2**64 - 1")
     values = study.values
     kind, m, ell = values["cov"], values["grid_m"], values["ell"]
     cutoff = None if values["kappa"] is None else (values["kappa"], values["spline_order"])
@@ -526,29 +529,21 @@ def run_grf(study: StudyConfig, out_dir: Path) -> dict:
     except (ValueError, UnsupportedSmoothness) as exc:
         raise ConfigError(f"covariance or grid keys: {exc}") from exc
     if not plan.positive:
-        suggested = 2.0 * ell
-        raise HermgridError(
-            f"embedding not positive semidefinite; retry with ell >= {suggested}"
-        )
-    samples = _write_samples(plan, study.seed, n_samples, out_dir)
-    target = spec.rho(plan.grid[:, None] - plan.grid[None, :])
-    empirical = (samples.T @ samples) / n_samples
-    cov_dev = float(np.abs(empirical - target).max())
-    mean_dev = float(np.abs(samples.mean(axis=0)).max())
+        raise HermgridError(f"embedding not positive semidefinite; retry with ell >= {2.0 * ell}")
+    sums = _write_samples(plan, study.seed, n_samples, out_dir)
+    sums /= n_samples  # the empirical covariance, then the empirical mean
+    deviation, grid = sums[:-1], plan.grid
+    for start in range(0, grid.size, _SAMPLE_BLOCK):  # less the target, in row blocks
+        rows = slice(start, start + _SAMPLE_BLOCK)
+        deviation[rows] -= spec.rho(grid[rows, None] - grid[None, :])
     report = {
         "n_samples": n_samples,
-        "max_cov_deviation": cov_dev,
+        "max_cov_deviation": float(max(deviation.max(), -deviation.min())),
         "cov_tolerance": 4.0 * math.sqrt(2.0 / n_samples),
-        "max_mean_deviation": mean_dev,
+        "max_mean_deviation": float(np.abs(sums[-1]).max()),
         "mean_tolerance": 3.0 / math.sqrt(n_samples),
     }
-    write_csv(
-        out_dir / "grf_report.csv",
-        ("n_samples", "max_cov_deviation", "cov_tolerance",
-         "max_mean_deviation", "mean_tolerance"),
-        [[report["n_samples"], report["max_cov_deviation"], report["cov_tolerance"],
-          report["max_mean_deviation"], report["mean_tolerance"]]],
-    )
+    write_csv(out_dir / "grf_report.csv", report.keys(), [report.values()])
     write_meta(out_dir, study, {"cov": kind, "grid_m": m, "ell": ell})
     return report
 
@@ -562,13 +557,9 @@ def run_bayes(study: StudyConfig, out_dir: Path) -> list:
     for level in study.budgets:
         selected = IndexSet([MultiIndex.from_exponents([j]) for j in range(level + 1)])
         estimate = posterior_expectation(setup, phi, selected)
-        rows.append([
-            level,
-            evaluation_point_count(selected),
-            float(estimate.mean[0]),
-            abs(float(estimate.mean[0]) - 0.5),
-            estimate.normalization,
-        ])
+        mean = float(estimate.mean[0])
+        rows.append([level, evaluation_point_count(selected), mean, abs(mean - 0.5),
+                     estimate.normalization])
     write_csv(out_dir / "bayes.csv",
               ("level", "n_points", "posterior_mean", "abs_error", "normalization"),
               rows)

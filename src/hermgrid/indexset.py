@@ -194,10 +194,15 @@ class WeightFamily(Frozen):
             raise ValueError("r must exceed max(tau, k)")
         norm_p = float(np.sum(b ** p)) ** (1.0 / p)
         rho = b ** (p - 1.0) * xi / (4.0 * _root_factorial(r) * norm_p)
+        try:  # rho is nondecreasing, so the last factor is the largest
+            factors = tuple(max(1.0, K * x) ** (2 * k) for x in rho.tolist())
+        except OverflowError:
+            factors = (inf,)
+        if factors[-1] == inf:
+            raise ValueError(f"K = {K!r} overflows the factor max(1, K rho_j)**{2 * k}")
         b.setflags(write=False)
         rho.setflags(write=False)
-        self._fields(b, p, xi, r, tau, k, K, rho,
-                     tuple(max(1.0, K * x) ** (2 * k) for x in rho.tolist()))
+        self._fields(b, p, xi, r, tau, k, K, rho, factors)
 
     @property
     def d_max(self) -> int:

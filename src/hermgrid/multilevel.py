@@ -100,6 +100,7 @@ class MemberTable:
         if not 0.0 < alpha < math.inf:
             raise ValueError("alpha must be positive and finite")
         self.q1, self.alpha, self.cap, self.d_surrogate = q1, alpha, cap, d_surrogate
+        self.gamma = (0.5 - q1 / 4.0) / alpha  # the level bounds' power of 1/eps
         self.walk = ThresholdWalk(c_surrogate, d_max)
         self.members, self._d, self._points, self._max_exp = self.walk.members, [], [], []
         self._keys, self._order = [], []
@@ -133,8 +134,12 @@ class MemberTable:
         the sum of ``d`` over the rows, in member order."""
         rows = self.order[self._t_in_order >= eps]
         total = sum(self.d[rows].tolist())
-        prefactor = (eps ** (-(0.5 - self.q1 / 4.0) / self.alpha)
-                     * total ** (1.0 / (2.0 * self.alpha)))
+        try:
+            prefactor = eps ** -self.gamma * total ** (0.5 / self.alpha)
+        except OverflowError:  # past the doubles: inf if both factors are at least 1
+            if not eps <= 1.0 <= total:
+                raise
+            prefactor = math.inf
         return rows, work_sequence.floor_level(prefactor * self.d[rows])
 
     def allocation(self, eps: float, work_sequence: WorkSequence) -> "LevelAllocation":
@@ -171,14 +176,13 @@ class MemberTable:
         the midpoint above it.  The table grows a quarter at a time until
         its last interval prices over the budget or reaches ``cap``."""
         log_w = np.log(np.asarray(work_sequence.values[1:], dtype=np.float64))
-        gamma = (0.5 - self.q1 / 4.0) / self.alpha
         price = lambda x: self.price(math.exp(x), work_sequence)
 
         def midpoints(k):  # interval k: the first ends[k] rows, down to the next t
             n = ends[k]
             hi, lo = log_t[n - 1], log_t[n] if n < log_t.size else head
             total = sum(self.d[self.order[self.order < n]].tolist())
-            x = (log_d[:n, None] + math.log(total) / (2.0 * self.alpha) - log_w) / gamma
+            x = (log_d[:n, None] + math.log(total) / (2.0 * self.alpha) - log_w) / self.gamma
             x = np.concatenate(([hi], np.sort(x[(x > lo) & (x < hi)])[::-1], [lo]))
             return ((x[:-1] + x[1:]) / 2.0)[x[:-1] - x[1:] > TIE]
 

@@ -40,6 +40,9 @@ CONFIGS = (
      "ell = 4.0\nkappa = 3.0\n", "20", 2),
     ("quad-weight-keys", "quad", "system = sindecay\nr_decay = 2.5\nd_max = 8\np = 0.4\n"
      "r = 10\ntau = 2.5\nK = 2\n", "25,100,400", 0),
+    # 13 samples: the parent's 6 and the child's 7 both end inside a block
+    ("grf-block-ends", "grf", "cov = exponential\ncorr_length = 1.0\ngrid_m = 16\nell = 2.0\n",
+     "13", 4),
 )
 
 

@@ -768,6 +768,37 @@ class TestGrfStudy:
             assert (tmp_path / f"sample_{seed}.csv").read_bytes() == expected.encode()
         assert len(list(tmp_path.glob("sample_*.csv"))) == n
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 2 * cli._SAMPLE_BLOCK + 5])
+    def test_report_matches_dense_oracle(self, tmp_path, n):
+        # the study keeps only each process's Gram matrix and row sum; the
+        # oracle holds every draw and the dense target.  At n = 1 this
+        # process's half is empty, and at 9 and 21 the halves end inside a
+        # block; 17 grid rows end inside a block of the report too
+        spec = CovarianceSpec.exponential(1.0)
+        plan = circulant_embed_1d(spec, 16, 2.0)
+        report = run_grf(resolve_config("grf", {"grid_m": "16"}, 3, budgets=(n,)), tmp_path)
+        stack = sample_grf(plan, 3, n)
+        target = spec.rho(plan.grid[:, None] - plan.grid[None, :])
+        cov_dev = np.abs(stack.T @ stack / n - target).max()
+        mean_dev = np.abs(stack.mean(axis=0)).max()
+        assert report["max_cov_deviation"] == pytest.approx(cov_dev, rel=1e-12, abs=0)
+        assert report["max_mean_deviation"] == pytest.approx(mean_dev, rel=1e-12, abs=0)
+
+    def test_shared_memory_does_not_grow_with_the_sample_count(self, tmp_path, monkeypatch):
+        # the child hands back its (m + 1)**2 Gram sums and m + 1 row sums
+        lengths, mapping = [], cli.mmap.mmap
+
+        def recorded(fileno, length, *args, **kwargs):
+            lengths.append(length)
+            return mapping(fileno, length, *args, **kwargs)
+
+        monkeypatch.setattr(cli.mmap, "mmap", recorded)
+        for n in (3, 40):
+            out = tmp_path / str(n)
+            out.mkdir()
+            run_grf(resolve_config("grf", {"grid_m": "16"}, 0, budgets=(n,)), out)
+        assert lengths == [17 * 18 * 8] * 2
+
     def test_failing_child_is_an_output_error(self, tmp_path, monkeypatch, capfd):
         def upper_half_fails(plan, seed, n_samples):
             if seed >= 8:
@@ -1071,6 +1102,10 @@ class TestMainEntry:
         ("quad", "qoi = mean\nx0 = abc\n", "key 'x0': not a number"),
         ("quad", "grid_m = abc\n", "key 'grid_m': not an integer"),
         ("quad", "cov = gauss\n", "key 'cov': unknown covariance 'gauss'"),
+        ("quad", "system = sindecay\nd_max = 4\nK = 1e80\n",
+         "weight keys r, tau, K, xi: K = 1e+80 overflows the factor max(1, K rho_j)**4"),
+        ("quad", "system = sindecay\nd_max = 4\nxi = 1e300\nK = 1e300\n",
+         "weight keys r, tau, K, xi: K = 1e+300 overflows"),
     ], ids=["q1-3", "q1-0", "p-0.7", "alpha-neg", "alpha-0", "r_decay-1", "constant-neg",
             "constant-abc", "blocks-0", "ell-0.3", "grid_m-0", "corr_length-neg",
             "kappa-0.5", "r-2", "tau-neg", "K-0", "xi-neg", "d_max-0", "smoothness-1.0",
@@ -1080,13 +1115,33 @@ class TestMainEntry:
             "r-171", "r-500", "r-171-xi-1", "K-inf", "xi-inf", "ell-inf", "sindecay-arg",
             "r_decay-underflow", "p-abc", "d_max-1.5", "p-1.5", "p-empty", "f-two",
             "spline_order-30", "spline_order-171", "unread-r_decay-abc",
-            "unread-smoothness-xyz", "unread-x0-abc", "unread-grid_m-abc", "cov-gauss"])
+            "unread-smoothness-xyz", "unread-x0-abc", "unread-grid_m-abc", "cov-gauss",
+            "K-1e80", "K-rho-inf"])
     def test_rejected_values_are_config_errors(self, tmp_path, capsys, kind, text, named):
         cfg = write_cfg(tmp_path, text)
         assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out"),
                      "--budgets", "4"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and named in err
+
+    def test_tiny_alpha_puts_every_member_at_the_top_level(self, tmp_path, capsys):
+        # eps**(-(1/2 - q1/4)/alpha) overflows a double: the level factor's
+        # limit puts every member below eps = 1 at the top level, which no
+        # budget affords, while an eps grid still allocates
+        cfg = write_cfg(tmp_path, SIN_CFG.replace("alpha = 1.0", "alpha = 1e-300"))
+        assert main(["ml-quad", "--config", str(cfg), "--out", str(tmp_path / "a"),
+                     "--budgets", "256"]) == 3
+        assert "no allocation within them reaches level 1" in capsys.readouterr().err
+        grid = write_cfg(tmp_path, cfg.read_text() + "eps_grid = 0.5\n", "grid.cfg")
+        assert main(["ml-quad", "--config", str(grid), "--out", str(tmp_path / "b")]) == 0
+        study = resolve_config("ml-quad", parse_config(grid), 0)
+        family = study.weight_family(2)
+        surrogate = lambda nu: surrogate_weight(family, nu)
+        alloc = construct_levels(surrogate, surrogate, study.q1, study.alpha, 0.5,
+                                 default_work_sequence(20), family.d_max)
+        assert len(alloc.levels) > 1 and set(alloc.levels.values()) == {20}
+        row = (tmp_path / "b" / "ml_quad.csv").read_text().splitlines()[1]
+        assert int(row.split(",")[0]) == work(alloc)
 
     def test_x0_at_the_left_end_runs(self, tmp_path):
         # [0, 1] is closed; the other end is CONSTANT_CFG's x0 = 1.0

@@ -209,6 +209,23 @@ class TestMemberTable:
             assert allocation(empty, eps) == allocation(lowered, eps)
             assert empty.eps_for_budget(budget, sw) == lowered.eps_for_budget(budget, sw)
 
+    def test_tiny_alpha_saturates_at_the_top_level(self):
+        # at alpha = 1e-300 the factor eps**(-(1/2 - q1/4)/alpha) overflows a
+        # double; with both factors at least 1 the level's limit is the top
+        c = lambda nu: 2.0 ** nu.order
+        table = MemberTable(c, c, 1.0, 1e-300, 2)
+        table.lower(0.1)
+        sw = default_work_sequence(6)
+        rows, levels = table.levels(0.1, sw)
+        assert rows.size == len(build_threshold_set(c, 0.1, 2)) and set(levels.tolist()) == {6}
+        rows, levels = table.levels(1.0, sw)  # the origin alone: both factors are 1
+        assert levels.tolist() == [0]
+        # a d below 1 at the origin makes the limit depend on the terms' sizes
+        small = MemberTable(c, lambda nu: 1e3 * c(nu), 1.0, 1e-300, 2)
+        small.lower(0.1)
+        with pytest.raises(OverflowError):
+            small.levels(0.1, sw)
+
     def test_validation(self):
         c = lambda nu: 2.0 ** nu.order
         with pytest.raises(ValueError):
