@@ -12,10 +12,9 @@ import math
 import mmap
 import os
 import sys
+from collections import namedtuple
 from functools import cache
 from pathlib import Path
-from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +53,9 @@ def _list(parse):
 
 
 #: Config key -> its parser, the complaint when a value does not parse, and
-#: its default.  A None default is absent (``eps_grid``, ``kappa``) or worked
-#: out by the reader (``q1`` from ``p``, ``budgets`` from the study).
+#: its default.  A None default is absent (``kappa``) or worked out by
+#: `resolve_config` (``q1`` from ``p``, ``budgets`` from the study, ``eps_grid``
+#: empty).
 _KEYS = {
     "system": (str, None, "constant:0.5"),
     "r_decay": (float, "not a number", 3.0),
@@ -79,15 +79,6 @@ _KEYS = {
     "ell": (float, "not a number", 2.0),
     "kappa": (float, "not a number", None),
     "spline_order": (int, "not an integer", 1),
-}
-
-_DEFAULT_BUDGETS = {
-    "quad": (25, 50, 100, 200, 400, 800),
-    "interp": (25, 50, 100, 200, 400, 800),
-    "ml-quad": (256, 1024, 4096, 16384),
-    "ml-interp": (256, 1024, 4096, 16384),
-    "grf": (200,),
-    "bayes": (2, 4, 6, 8, 12, 17),
 }
 
 
@@ -147,24 +138,21 @@ _SYSTEMS = {
     "blocks": ("system", 1.0, lambda a, d_max: RepresentationSystem.blocks(_modes(d_max), a)),
 }
 
-#: Covariance name -> its kernel, from the parsed config values
+#: Covariance name -> its kernel, from the study record
 _KERNELS = {
-    "exponential": lambda v: CovarianceSpec.exponential(v["corr_length"]),
-    "matern": lambda v: CovarianceSpec.matern(v["corr_length"], v["smoothness"]),
+    "exponential": lambda study: CovarianceSpec.exponential(study.corr_length),
+    "matern": lambda study: CovarianceSpec.matern(study.corr_length, study.smoothness),
 }
-
-
-def build_problem(cfg: dict) -> ModelProblem1D:
-    """Instantiate the model problem from configuration keys."""
-    return _problem(_config_values(cfg))
 
 
 def _problem(values: dict) -> ModelProblem1D:
     spec = values["system"]
-    name, _, arg = spec.partition(":")
+    name, colon, arg = spec.partition(":")
     key, default, make = _SYSTEMS.get(name, ("system", None, None))
-    if make is None or arg and key != "system":
+    if make is None or colon and key != "system":
         raise ConfigError(f"key 'system': unknown system {spec!r}")
+    if colon and not arg:
+        raise ConfigError(f"key 'system': no amplitude after ':' in {spec!r}")
     try:
         number = float(arg or default) if key == "system" else values[key]
         system = make(number, values["d_max"])
@@ -184,25 +172,14 @@ def _problem(values: dict) -> ModelProblem1D:
         raise ConfigError(f"key 'qoi': {exc}") from exc
 
 
-class StudyConfig(NamedTuple):
-    """Resolved study parameters; weight defaults follow the problem decay."""
+class StudyConfig(namedtuple("StudyConfig", ("kind", "problem", "seed", "raw", *_KEYS))):
+    """The study, its problem, seed and config text, and one field per `_KEYS`
+    key holding its resolved value."""
 
-    kind: str
-    problem: ModelProblem1D
-    p: float
-    xi: float  # 0 means: normalize so rho_j = b_j**(p-1)
-    r: int
-    tau: float
-    K: float
-    q1: float
-    alpha: float
-    budgets: tuple
-    seed: int
-    eps_grid: tuple = ()
-    raw: dict = MappingProxyType({})  # read-only: every default instance shares it
-    values: dict = MappingProxyType({})  # every key parsed (`_config_values`)
+    __slots__ = ()
 
     def weight_family(self, k: int) -> WeightFamily:
+        """The weights of ``k``; ``xi = 0`` normalizes so rho_j = b_j**(p-1)."""
         b = self.problem.system.sup_norms
         xi = self.xi
         try:
@@ -220,7 +197,7 @@ def resolve_config(kind: str, cfg: dict, seed: int, budgets=None) -> StudyConfig
     problem = _problem(values)
     if values["cov"] not in _KERNELS:
         raise ConfigError(f"key 'cov': unknown covariance {values['cov']!r}")
-    budgets = tuple(budgets or values["budgets"] or _DEFAULT_BUDGETS[kind])
+    budgets = values["budgets"] = tuple(budgets or values["budgets"] or _STUDIES[kind][0])
     if any(b <= a for a, b in zip(budgets, budgets[1:])):
         raise ConfigError("budgets must be strictly increasing")
     floor = 0 if kind == "bayes" else 1  # bayes budgets are levels
@@ -231,13 +208,13 @@ def resolve_config(kind: str, cfg: dict, seed: int, budgets=None) -> StudyConfig
         raise ConfigError(f"bayes levels must be at most {MAX_LEVEL}, got {max(budgets)}")
     if not 0 <= seed <= 2 ** 64 - 1:
         raise ConfigError(f"--seed must lie in [0, 2**64 - 1], got {seed}")
-    eps_grid = values["eps_grid"] or ()
+    eps_grid = values["eps_grid"] = values["eps_grid"] or ()
     if any(not e > 0 for e in eps_grid) or any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ConfigError("key 'eps_grid': must be positive, strictly decreasing")
     p = values["p"]
     if not 0.0 < p < 1.0:
         raise ConfigError("key 'p': must lie in (0, 1)")
-    q1 = p / (1.0 - p) if values["q1"] is None else values["q1"]
+    q1 = values["q1"] = p / (1.0 - p) if values["q1"] is None else values["q1"]
     alpha = values["alpha"]
     if kind in ("ml-quad", "ml-interp"):
         if not 0.0 < q1 < 2.0:
@@ -245,9 +222,7 @@ def resolve_config(kind: str, cfg: dict, seed: int, budgets=None) -> StudyConfig
             raise ConfigError(f"key 'q1': must lie in (0, 2), got {q1}{derived}")
         if not 0.0 < alpha < math.inf:
             raise ConfigError(f"key 'alpha': must be positive and finite, got {alpha}")
-    return StudyConfig(kind=kind, problem=problem, p=p, xi=values["xi"], r=values["r"],
-                       tau=values["tau"], K=values["K"], q1=q1, alpha=alpha, budgets=budgets,
-                       seed=seed, eps_grid=eps_grid, raw=dict(cfg), values=values)
+    return StudyConfig(kind, problem, seed, dict(cfg), **values)
 
 
 # -- shared numerics --------------------------------------------------------
@@ -309,13 +284,9 @@ def _sample_template(grid) -> str:
 
 
 def write_meta(out_dir: Path, study: StudyConfig, extra: dict = None):
-    items = {
-        "kind": study.kind,
-        "seed": study.seed,
-        "budgets": ",".join(str(b) for b in study.budgets),
-        "p": study.p, "xi": study.xi, "r": study.r, "tau": study.tau,
-        "K": study.K, "q1": study.q1, "alpha": study.alpha,
-    }
+    items = {key: getattr(study, key)
+             for key in ("kind", "seed", "p", "xi", "r", "tau", "K", "q1", "alpha")}
+    items["budgets"] = ",".join(str(b) for b in study.budgets)
     items.update((f"config.{key}", value) for key, value in study.raw.items())
     items.update(extra or {})
     lines = [f"{k} = {_format(v)}" for k, v in sorted(items.items())]
@@ -520,11 +491,10 @@ def run_grf(study: StudyConfig, out_dir: Path) -> dict:
     if study.seed + n_samples - 1 > 2 ** 64 - 1:
         raise ConfigError(f"--seed {study.seed}: {n_samples} samples run past the "
                           "largest seed 2**64 - 1")
-    values = study.values
-    kind, m, ell = values["cov"], values["grid_m"], values["ell"]
-    cutoff = None if values["kappa"] is None else (values["kappa"], values["spline_order"])
+    kind, m, ell = study.cov, study.grid_m, study.ell
+    cutoff = None if study.kappa is None else (study.kappa, study.spline_order)
     try:
-        spec = _KERNELS[kind](values)
+        spec = _KERNELS[kind](study)
         plan = circulant_embed_1d(spec, m, ell, cutoff=cutoff)
     except (ValueError, UnsupportedSmoothness) as exc:
         raise ConfigError(f"covariance or grid keys: {exc}") from exc
@@ -569,8 +539,19 @@ def run_bayes(study: StudyConfig, out_dir: Path) -> list:
 
 # -- entry point -------------------------------------------------------------
 
+#: Study name -> its default budgets and its runner
+_STUDIES = {
+    "quad": ((25, 50, 100, 200, 400, 800), run_quad_study),
+    "interp": ((25, 50, 100, 200, 400, 800), run_interp_study),
+    "ml-quad": ((256, 1024, 4096, 16384), lambda study, out: run_ml_study(study, out, "quad")),
+    "ml-interp": ((256, 1024, 4096, 16384),
+                  lambda study, out: run_ml_study(study, out, "interp")),
+    "grf": ((200,), run_grf),
+    "bayes": ((2, 4, 6, 8, 12, 17), run_bayes),
+}
+
 _FLAGS = ("config", "out", "seed", "budgets", "help")
-_CHOICES = "{%s}" % ",".join(_DEFAULT_BUDGETS)
+_CHOICES = "{%s}" % ",".join(_STUDIES)
 _USAGE = f"""usage: hermgrid [-h] [--config CONFIG] --out OUT [--seed SEED]
                 [--budgets BUDGETS]
                 {_CHOICES}
@@ -615,8 +596,8 @@ def parse_args(argv) -> dict:
         name, eq, value = word.partition("=")
         match = [f for f in _FLAGS if f"--{f}".startswith(name)] if len(name) > 2 else []
         if (positional or not _is_flag(word)) and args["command"] is None:
-            if word not in _DEFAULT_BUDGETS:
-                choices = ", ".join(map(repr, _DEFAULT_BUDGETS))
+            if word not in _STUDIES:
+                choices = ", ".join(map(repr, _STUDIES))
                 _usage_error(f"argument command: invalid choice: {word!r} (choose from {choices})")
             args["command"] = word
         elif positional or not _is_flag(word):
@@ -647,18 +628,13 @@ def parse_args(argv) -> dict:
 def _run(args: dict) -> int:
     cfg = parse_config(args["config"]) if args["config"] else {}
     budgets = _parse("budgets", args["budgets"], "--budgets") if args["budgets"] else None
-    kind = args["command"]
-    study = resolve_config(kind, cfg, args["seed"], budgets)
+    study = resolve_config(args["command"], cfg, args["seed"], budgets)
     out_dir = Path(args["out"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OutputError(f"{out_dir}: {exc.strerror or exc}") from exc
-    if kind.startswith("ml-"):
-        run_ml_study(study, out_dir, kind.removeprefix("ml-"))
-    else:
-        {"quad": run_quad_study, "interp": run_interp_study, "grf": run_grf,
-         "bayes": run_bayes}[kind](study, out_dir)
+    _STUDIES[study.kind][1](study, out_dir)
     return 0
 
 

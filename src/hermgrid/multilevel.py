@@ -11,6 +11,7 @@ an abstract work sequence.
 import bisect
 import contextlib
 import math
+import sys
 
 import numpy as np
 
@@ -21,6 +22,9 @@ from .indexset import TIE, MultiIndex, ThresholdWalk, build_threshold_set  # noq
 from .smolyak import quadrature  # noqa: F401
 from .smolyak import (HermitePolynomial, _projection_sum, _shared, _signed_terms, _term_patterns,
                       _weighted_sum, zero_polynomial)
+
+
+_LOG_MAX = math.log(sys.float_info.max)  # the largest argument of exp below inf
 
 
 class WorkSequence(Frozen):
@@ -136,10 +140,10 @@ class MemberTable:
         total = sum(self.d[rows].tolist())
         try:
             prefactor = eps ** -self.gamma * total ** (0.5 / self.alpha)
-        except OverflowError:  # past the doubles: inf if both factors are at least 1
-            if not eps <= 1.0 <= total:
-                raise
-            prefactor = math.inf
+        except OverflowError:  # a factor past the doubles: the product in logs, saturated
+            log_s = math.log(total) if total else -math.inf  # no rows: S = 0
+            log = (-(0.5 - self.q1 / 4.0) * math.log(eps) + 0.5 * log_s) / self.alpha
+            prefactor = math.exp(log) if log <= _LOG_MAX else math.inf
         return rows, work_sequence.floor_level(prefactor * self.d[rows])
 
     def allocation(self, eps: float, work_sequence: WorkSequence) -> "LevelAllocation":

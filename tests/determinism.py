@@ -17,6 +17,7 @@ from pathlib import Path
 from hermgrid.cli import main
 
 SIN16 = "system = sindecay\nr_decay = 3.0\nd_max = 16\n"
+SIN8_EPS = "system = sindecay\nd_max = 8\neps_grid = 1e-2,1e-4,1e-6\n"
 
 # (name, study, config text, budgets or None for the defaults, seed)
 CONFIGS = (
@@ -43,6 +44,11 @@ CONFIGS = (
     # 13 samples: the parent's 6 and the child's 7 both end inside a block
     ("grf-block-ends", "grf", "cov = exponential\ncorr_length = 1.0\ngrid_m = 16\nell = 2.0\n",
      "13", 4),
+    # eps-grid rows in place of budget rows
+    ("quad-eps", "quad", SIN8_EPS, None, 0),
+    ("interp-eps", "interp", SIN8_EPS, None, 0),
+    ("ml-quad-eps", "ml-quad", SIN8_EPS.replace("d_max = 8", "d_max = 4"), None, 0),
+    ("ml-interp-eps", "ml-interp", SIN8_EPS.replace("d_max = 8", "d_max = 4"), None, 0),
 )
 
 

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from hermgrid import cli, multilevel, smolyak
 from hermgrid.cli import (
     _ml_allocation_for_budget,
-    build_problem,
     evaluation_point_count,
     fit_rate,
     main,
@@ -111,6 +110,7 @@ class TestConfigParsing:
         assert not out.exists()
 
     def test_build_problem_variants(self):
+        build_problem = lambda cfg: resolve_config("quad", cfg, 0).problem
         p = build_problem({"system": "constant:0.5"})
         assert p.system.d_max == 1 and p.system.sup_norms.tolist() == [0.5]
         assert p.system.edges == ()
@@ -167,6 +167,22 @@ class TestConfigParsing:
         assert len(rows) == 3
         errors = [row[2] for row in rows]
         assert all(b < a for a, b in zip(errors, errors[1:]))
+
+    def test_study_record_holds_one_resolved_field_per_key(self, tmp_path):
+        assert cli.StudyConfig._fields == ("kind", "problem", "seed", "raw", *cli._KEYS)
+        study = resolve_config("ml-quad", {"system": "sindecay", "d_max": "4"}, 0)
+        assert (study.q1, study.budgets, study.eps_grid) == (1.0, (256, 1024, 4096, 16384), ())
+        assert (study.p, study.d_max, study.kappa) == (0.5, 4, None)
+        cfg = {"q1": "0.5", "budgets": "8,16", "eps_grid": "1e-2,1e-3"}
+        study = resolve_config("ml-quad", cfg, 0)
+        assert (study.q1, study.budgets, study.eps_grid) == (0.5, (8, 16), (1e-2, 1e-3))
+        assert study.raw == cfg
+        # --budgets over the key, the key over the study's default
+        assert resolve_config("ml-quad", cfg, 0, budgets=(32,)).budgets == (32,)
+        path = write_cfg(tmp_path, "budgets = 1,2\n")
+        assert main(["bayes", "--config", str(path), "--out", str(tmp_path / "a"),
+                     "--budgets", "3"]) == 0
+        assert "budgets = 3" in (tmp_path / "a" / "meta.txt").read_text().splitlines()
 
 
 class TestHelpers:
@@ -541,6 +557,18 @@ class TestMlStudy:
         assert errors[-1] < errors[0]
         assert sum(b < a for a, b in zip(errors, errors[1:])) >= 2
 
+    def test_eps_grid_rows(self, tmp_path):
+        cfg = write_cfg(tmp_path, "system = sindecay\nd_max = 4\neps_grid = 1e-2,1e-4,1e-6\n")
+        assert main(["ml-quad", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len((tmp_path / "out" / "ml_quad.csv").read_text().splitlines()) == 1 + 3
+
+    def test_eps_grid_above_level_one_fails(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "system = sindecay\nd_max = 4\neps_grid = 10,5\n")
+        assert main(["ml-quad", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure") and "eps grid 10.0,5.0" in err
+        assert "no allocation within them reaches level 1" in err
+
 
 class TestOneCallPerNodeAndFidelity:
     """Within a study every map is called once per distinct node: the
@@ -865,19 +893,6 @@ def test_every_config_key_is_documented():
         assert (parse(literal[1]) if literal else None) == default, key
 
 
-    def test_eps_grid_rows(self, tmp_path):
-        cfg = write_cfg(tmp_path, "system = sindecay\nd_max = 4\neps_grid = 1e-2,1e-4,1e-6\n")
-        assert main(["ml-quad", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        assert len((tmp_path / "out" / "ml_quad.csv").read_text().splitlines()) == 1 + 3
-
-    def test_eps_grid_above_level_one_fails(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "system = sindecay\nd_max = 4\neps_grid = 10,5\n")
-        assert main(["ml-quad", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure") and "eps grid 10.0,5.0" in err
-        assert "no allocation within them reaches level 1" in err
-
-
 class TestMainEntry:
     def test_exit_codes(self, tmp_path):
         cfg = write_cfg(tmp_path, CONSTANT_CFG)
@@ -928,6 +943,20 @@ class TestMainEntry:
         choices = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0]
         assert sorted(choices.split(",")) == ["bayes", "grf", "interp", "ml-interp", "ml-quad",
                                               "quad"]
+
+    def test_main_runs_every_study_through_the_table(self, tmp_path, capsys, monkeypatch):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        choices = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0]
+        assert choices.split(",") == list(cli._STUDIES)
+        ran = []
+        for kind, (budgets, _) in cli._STUDIES.items():
+            monkeypatch.setitem(cli._STUDIES, kind, (budgets, lambda study, out: ran.append(
+                (study.kind, study.budgets, out))))
+        for kind in cli._STUDIES:
+            assert main([kind, "--out", str(tmp_path / kind)]) == 0
+        assert ran == [(kind, budgets, tmp_path / kind)
+                       for kind, (budgets, _) in cli._STUDIES.items()]
 
     @pytest.mark.parametrize("args", [
         ["--seed", "5"], ["--seed=5"], ["--se", "5"], ["--s=5"],
@@ -1106,6 +1135,9 @@ class TestMainEntry:
          "weight keys r, tau, K, xi: K = 1e+80 overflows the factor max(1, K rho_j)**4"),
         ("quad", "system = sindecay\nd_max = 4\nxi = 1e300\nK = 1e300\n",
          "weight keys r, tau, K, xi: K = 1e+300 overflows"),
+        ("quad", "system = constant:\n", "key 'system': no amplitude after ':'"),
+        ("quad", "system = sindecay:\n", "key 'system': unknown system 'sindecay:'"),
+        ("quad", "system = blocks:\n", "key 'system': no amplitude after ':'"),
     ], ids=["q1-3", "q1-0", "p-0.7", "alpha-neg", "alpha-0", "r_decay-1", "constant-neg",
             "constant-abc", "blocks-0", "ell-0.3", "grid_m-0", "corr_length-neg",
             "kappa-0.5", "r-2", "tau-neg", "K-0", "xi-neg", "d_max-0", "smoothness-1.0",
@@ -1116,7 +1148,7 @@ class TestMainEntry:
             "r_decay-underflow", "p-abc", "d_max-1.5", "p-1.5", "p-empty", "f-two",
             "spline_order-30", "spline_order-171", "unread-r_decay-abc",
             "unread-smoothness-xyz", "unread-x0-abc", "unread-grid_m-abc", "cov-gauss",
-            "K-1e80", "K-rho-inf"])
+            "K-1e80", "K-rho-inf", "constant-colon", "sindecay-colon", "blocks-colon"])
     def test_rejected_values_are_config_errors(self, tmp_path, capsys, kind, text, named):
         cfg = write_cfg(tmp_path, text)
         assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out"),

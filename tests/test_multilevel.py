@@ -220,11 +220,14 @@ class TestMemberTable:
         assert rows.size == len(build_threshold_set(c, 0.1, 2)) and set(levels.tolist()) == {6}
         rows, levels = table.levels(1.0, sw)  # the origin alone: both factors are 1
         assert levels.tolist() == [0]
-        # a d below 1 at the origin makes the limit depend on the terms' sizes
+        # a d surrogate above 1 at the origin makes S < 1: here eps**(-1/4) S**(1/2) < 1,
+        # so the prefactor's limit is 0 and every row stays at level 0
         small = MemberTable(c, lambda nu: 1e3 * c(nu), 1.0, 1e-300, 2)
         small.lower(0.1)
-        with pytest.raises(OverflowError):
-            small.levels(0.1, sw)
+        rows, levels = small.levels(0.1, sw)
+        assert rows.size == len(build_threshold_set(c, 0.1, 2)) and set(levels.tolist()) == {0}
+        # a c above 1 at the origin leaves no rows above eps = 0.5: S = 0, nothing to pay
+        assert MemberTable(lambda nu: 10 * c(nu), c, 1.0, 1e-300, 2).price(0.5, sw) == 0
 
     def test_validation(self):
         c = lambda nu: 2.0 ** nu.order
