@@ -39,13 +39,13 @@ from .model import (
 )
 from .multilevel import (
     MemberTable,
+    _evaluate_rows,
     construct_levels,  # noqa: F401 (no caller here; perfbench/layers.py hooks the name)
     default_work_sequence,
-    ml_interpolate,
-    ml_quadrature,
     work,
 )
-from .smolyak import _shared, evaluation_point_count, interpolate, largest_threshold_set, quadrature
+from .smolyak import (_evaluate_sets, _projection_sum, _shared, _weighted_sum,
+                      evaluation_point_count, interpolate, largest_threshold_set, quadrature)
 
 
 def _list(parse):
@@ -190,6 +190,8 @@ class StudyConfig(namedtuple("StudyConfig", ("kind", "problem", "seed", "raw", *
                                 k=k, K=self.K)
         except ValueError as exc:
             raise ConfigError(f"weight keys r, tau, K, xi: {exc}") from exc
+        except OverflowError:  # ||b||_p = (sum_j b_j**p)**(1/p), here or in WeightFamily
+            raise ConfigError(f"key 'p': ||b||_p overflows a double at p = {self.p!r}") from None
 
 
 def resolve_config(kind: str, cfg: dict, seed: int, budgets=None) -> StudyConfig:
@@ -326,14 +328,12 @@ def run_quad_study(study: StudyConfig, out_dir: Path) -> list:
     grid when one is present, otherwise the point budgets.
     """
     problem = study.problem
-    target = _shared(as_parametric_map(problem, ("exact",)))
-    sets, _ = _study_sets(study, 2)
+    sets = [selected for selected in _study_sets(study, 2)[0] if len(selected)]
+    target = _evaluate_sets(sets, as_parametric_map(problem, ("exact",)))
     reference = expected_qoi_oracle(problem)
     rows = []
     ns, errs = [], []
     for selected in sets:
-        if len(selected) == 0:
-            continue
         n = evaluation_point_count(selected)
         value = float(quadrature(selected, target)[0])
         err = abs(value - reference)
@@ -351,24 +351,22 @@ def run_quad_study(study: StudyConfig, out_dir: Path) -> list:
 def run_interp_study(study: StudyConfig, out_dir: Path) -> list:
     """Single-level interpolation error (Gaussian L2, via coefficients)."""
     problem = study.problem
-    target = _shared(as_parametric_map(problem, ("exact",)))
     sets, ref_set = _study_sets(study, 1, 4 * study.budgets[-1])
-    if not any(len(selected) for selected in sets):
+    if not (sets := [selected for selected in sets if len(selected)]):
         raise _no_rows(study, "every threshold set is empty")
     # a complete reference is as resolved as the rules allow: rows may equal it
     for selected in sets:
-        if len(selected) and not ref_set.complete and not selected.members < ref_set.members:
+        if not ref_set.complete and not selected.members < ref_set.members:
             raise HermgridError(
                 f"interp row of {evaluation_point_count(selected)} points: its set is "
                 f"not a proper subset of the reference set (the largest fitting "
                 f"{4 * study.budgets[-1]} points), so its error would read 0 or the "
                 "reference's own error; keep every row's set below the reference"
             )
+    target = _evaluate_sets([*sets, ref_set], as_parametric_map(problem, ("exact",)))
     reference = interpolate(ref_set, target)
     rows = []
     for selected in sets:
-        if len(selected) == 0:
-            continue
         poly = interpolate(selected, target)
         err = (reference - poly).l2_norm()
         rows.append([evaluation_point_count(selected), err])
@@ -399,8 +397,7 @@ def run_ml_study(study: StudyConfig, out_dir: Path, quantity: str) -> list:
         ref_label = f"interpolant-{evaluation_point_count(ref_set)}-points"
 
     family = study.weight_family(k)
-    # one value per multi-index: the walk's pushes and the table's d weights
-    surrogate = cache(lambda nu: surrogate_weight(family, nu))
+    surrogate = lambda nu: surrogate_weight(family, nu)
     table = MemberTable(surrogate, surrogate, study.q1, study.alpha, family.d_max)
     if study.eps_grid:  # an eps above the origin's threshold allocates nothing
         sw = default_work_sequence(20)
@@ -409,20 +406,16 @@ def run_ml_study(study: StudyConfig, out_dir: Path, quantity: str) -> list:
         pairs = [_ml_allocation_for_budget(table, budget) for budget in study.budgets]
     if all(alloc.max_level == 0 for alloc, _ in pairs):
         raise _no_rows(study, "no allocation within them reaches level 1")
-    rows = []
     fem = cache(lambda cells: _shared(as_parametric_map(problem, ("fem", cells))))
-    for alloc, sw in pairs:
-        if alloc.max_level == 0:
-            continue
-        levels = [fem(cells) for cells in sw.values[1:alloc.max_level + 1]]
-        spent = work(alloc)
+    allocs = [(alloc, [fem(cells) for cells in sw.values[1:alloc.max_level + 1]])
+              for alloc, sw in pairs if alloc.max_level]
+    rows = []
+    for (alloc, _), levels in zip(allocs, _evaluate_rows(allocs)):
         if quantity == "quad":
-            value = float(ml_quadrature(alloc, levels)[0])
-            err = abs(value - reference)
+            err = abs(float(_weighted_sum(levels)[0]) - reference)
         else:
-            poly = ml_interpolate(alloc, levels)
-            err = (reference - poly).l2_norm()
-        rows.append([spent, err])
+            err = (reference - _projection_sum(levels)).l2_norm()
+        rows.append([work(alloc), err])
     name = "ml_quad.csv" if quantity == "quad" else "ml_interp.csv"
     write_csv(out_dir / name, ("work", "error"), rows)
     write_meta(out_dir, study, {"reference": ref_label})

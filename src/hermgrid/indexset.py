@@ -228,6 +228,8 @@ def surrogate_weight(family: WeightFamily, nu: MultiIndex) -> float:
 
 # -- threshold set construction -------------------------------------------
 
+_new_index, _set_entries = object.__new__, MultiIndex.entries.__set__
+
 TIE = 1e-12  # relative gap below which the walk's values (or their logs) form one group
 
 
@@ -264,7 +266,8 @@ class ThresholdWalk:
             if exp == 1:
                 children.append(entries[:-1] + ((dim + 1, 1),))
         for child in children:
-            mu = MultiIndex(child)
+            mu = _new_index(MultiIndex)  # valid by construction: no `__init__` checks
+            _set_entries(mu, child)
             pushed = self.surrogate(mu)
             self.calls += 1
             if pushed < value:

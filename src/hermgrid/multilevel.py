@@ -12,6 +12,7 @@ import bisect
 import contextlib
 import math
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -106,8 +107,9 @@ class MemberTable:
         self.q1, self.alpha, self.cap, self.d_surrogate = q1, alpha, cap, d_surrogate
         self.gamma = (0.5 - q1 / 4.0) / alpha  # the level bounds' power of 1/eps
         self.walk = ThresholdWalk(c_surrogate, d_max)
-        self.members, self._d, self._points, self._max_exp = self.walk.members, [], [], []
-        self._keys, self._order = [], []
+        self.members, self._keys, self._order = self.walk.members, [], []
+        self.t = self.d = np.empty(0)
+        self.points = self.max_exp = np.empty(0, np.int64)
         self._append(0)
 
     def lower(self, eps: float):
@@ -120,16 +122,19 @@ class MemberTable:
                 self._append(start)
 
     def _append(self, start: int):
-        exponent = -1.0 / (1.0 + 2.0 * self.alpha)
-        for i, nu in enumerate(self.members[start:], start):
-            self._d.append(float(self.d_surrogate(nu)) ** exponent)
-            self._points.append(_point_factor(nu))
-            self._max_exp.append(max((e for _, e in nu.entries), default=0))
+        exponent, new = -1.0 / (1.0 + 2.0 * self.alpha), self.members[start:]
+        same = self.d_surrogate is self.walk.surrogate  # then d(nu) is the walk's value
+        d = self.walk.values[start:] if same else map(self.d_surrogate, new)
+        for i, nu in enumerate(new, start):
             self._keys.append(nu.sort_key())
             bisect.insort(self._order, i, key=self._keys.__getitem__)
-        self.t, self.order = 1.0 / np.array(self.walk.values), np.array(self._order, np.intp)
-        self.d, self.points = np.array(self._d), np.array(self._points, np.int64)
-        self.max_exp, self._t_in_order = np.array(self._max_exp), self.t[self.order]
+        add = lambda rows, values: np.concatenate((rows, np.array(values, rows.dtype)))
+        self.t = add(self.t, 1.0 / np.array(self.walk.values[start:]))
+        self.d = add(self.d, [float(v) ** exponent for v in d])
+        self.points = add(self.points, list(map(_point_factor, new)))
+        self.max_exp = add(self.max_exp, [max((e for _, e in nu.entries), default=0) for nu in new])
+        self.order = np.array(self._order, np.intp)
+        self._t_in_order = self.t[self.order]
 
     def levels(self, eps: float, work_sequence: WorkSequence) -> tuple:
         """Rows of the threshold set at ``eps`` (one the table reaches), in
@@ -182,6 +187,7 @@ class MemberTable:
         log_w = np.log(np.asarray(work_sequence.values[1:], dtype=np.float64))
         price = lambda x: self.price(math.exp(x), work_sequence)
 
+        @cache  # cleared whenever the table grows
         def midpoints(k):  # interval k: the first ends[k] rows, down to the next t
             n = ends[k]
             hi, lo = log_t[n - 1], log_t[n] if n < log_t.size else head
@@ -196,6 +202,7 @@ class MemberTable:
         over = lambda k: (x := lowest(k)) is not None and price(x) > budget
 
         while True:
+            midpoints.cache_clear()
             log_t, log_d, head = np.log(self.t), np.log(self.d), np.log(1.0 / self.walk.head)
             ends = (np.flatnonzero(log_t[:-1] - log_t[1:] > TIE) + 1).tolist()
             if log_t.size and log_t[-1] - head > TIE:  # the last group is whole
@@ -248,17 +255,15 @@ def work(allocation: LevelAllocation) -> int:
     )
 
 
-def _net_levels(allocation: LevelAllocation, u_levels) -> list:
-    """``(terms, u)`` for each level j with nonzero net coefficients, in level
-    order: ``c(Gamma_j) - c(Gamma_{j+1})``, the `_signed_terms` of the members
-    at level j, and ``u_levels[j-1]`` as a `_Shared` map evaluated on their
-    nodes.  `NotDownwardClosed` names a member above the level of one of its
-    predecessors, which is when some Gamma_j is not downward closed."""
-    top, levels = allocation.max_level, allocation.levels
-    if len(u_levels) < top:
-        raise ValueError(f"need {top} level approximations, got {len(u_levels)}")
-    maps = [_shared(u) for u in u_levels[:top]]
-    by_level, level_of = [[] for _ in range(top)], {nu.entries: l for nu, l in levels.items()}
+def _net_levels(allocation: LevelAllocation) -> list:
+    """The net terms of each level j = 1 .. max_level, in level order:
+    ``c(Gamma_j) - c(Gamma_{j+1})``, the `_signed_terms` of the members at
+    level j (empty without any).  `NotDownwardClosed` names a member above
+    the level of one of its predecessors, which is when some Gamma_j is
+    not downward closed."""
+    levels = allocation.levels
+    by_level = [[] for _ in range(allocation.max_level)]
+    level_of = {nu.entries: l for nu, l in levels.items()}
     for mu, level in levels.items():
         for i, (d, e) in enumerate(entries := mu.entries):
             down = entries[:i] + (((d, e - 1),) if e > 1 else ()) + entries[i + 1:]
@@ -266,24 +271,39 @@ def _net_levels(allocation: LevelAllocation, u_levels) -> list:
                 raise NotDownwardClosed(f"{mu} sits at level {level}, above its predecessor "
                                         f"{MultiIndex(down)} at level {level_of.get(down, 0)}")
         by_level[level - 1].append(mu)
-    width = max(max((nu.max_dim() for nu in levels), default=0), 1)
-    out = []
-    for members, u in zip(by_level, maps):
-        if terms := _signed_terms(members):
-            u.evaluate(_term_patterns(terms), width)
-            out.append((terms, u))
-    return out
+    return [_signed_terms(members) for members in by_level]
+
+
+def _evaluate_rows(rows) -> list:
+    """``(terms, u)`` for each level of each ``(allocation, u_levels)`` row:
+    its `_net_levels` and ``u_levels[j-1]`` as a `_Shared` map.  Each
+    distinct map is called once, on the nodes of the net terms of every row
+    it serves, after every row is planned."""
+    planned, patterns = [], {}
+    for allocation, u_levels in rows:
+        if len(u_levels) < allocation.max_level:
+            raise ValueError(f"need {allocation.max_level} level approximations, "
+                             f"got {len(u_levels)}")
+        levels = list(zip(_net_levels(allocation), map(_shared, u_levels)))
+        for terms, u in levels:
+            patterns.setdefault(u, []).extend(_term_patterns(terms))
+        planned.append(levels)
+    for u, group in patterns.items():
+        u.evaluate(group)
+    return planned
 
 
 def ml_interpolate(allocation: LevelAllocation, u_levels) -> HermitePolynomial:
-    """Multilevel interpolant, 0 below level 1.  ``u_levels[j-1]``, the
-    level-j approximation of the target map, is called once, on the nodes of
-    level j's nonzero net terms (not at all for a level without members)."""
-    levels = _net_levels(allocation, u_levels)
+    """Multilevel interpolant, 0 below level 1: the `_net_levels` planned,
+    each level map called once on their nodes (`_evaluate_rows`), then
+    summed.  ``u_levels[j-1]`` is the level-j approximation of the target
+    map; a level without nonzero net terms does not call it."""
+    levels, = _evaluate_rows([(allocation, u_levels)])
     return _projection_sum(levels) if levels else zero_polynomial()
 
 
 def ml_quadrature(allocation: LevelAllocation, u_levels) -> np.ndarray:
-    """Multilevel quadrature; matches the constant coefficient of
-    `ml_interpolate` on the same inputs and calls the level maps alike."""
-    return _weighted_sum(_net_levels(allocation, u_levels))
+    """Multilevel quadrature, planned, evaluated and summed as `ml_interpolate`
+    is, whose constant coefficient it matches on the same inputs."""
+    levels, = _evaluate_rows([(allocation, u_levels)])
+    return _weighted_sum(levels)

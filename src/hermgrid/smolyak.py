@@ -11,7 +11,9 @@ level-l rule holds 0 exactly when l is even.  So grid nu holds the node
 patterns (S, nu|_S), S every odd-exponent dimension of supp nu plus any
 subset of the even ones; the distinct-node count sums, over the distinct
 patterns of the grids with nonzero coefficient, prod_{j in S} (nu_j + 1 -
-[nu_j even]).  The studies evaluate each map once per node and fidelity.
+[nu_j even]).  A study plans the terms of every row first, then calls each
+map once per fidelity, on the union of the rows' node patterns, and sums
+every row from the shared values.
 
 The operators take a `ParametricMapFn` (or a `_Shared` one).  These caches
 share work across calls, and no others: `_terms` and `_set_patterns` keep
@@ -306,10 +308,12 @@ class _Shared:
     def __init__(self, u):
         self.rows, self.values, self.sums = u.batch, {}, {}
 
-    def evaluate(self, patterns, width: int):
-        """One map call on the nodes of the patterns not evaluated yet, if any."""
-        new = [p for p in patterns if p not in self.values]
-        if new:
+    def evaluate(self, patterns):
+        """One map call on the nodes of the patterns not evaluated yet, if any,
+        in first-occurrence order and padded to the widest pattern given."""
+        patterns = dict.fromkeys(patterns)
+        if new := [p for p in patterns if p not in self.values]:
+            width = max(p[-1][0] + 1 if p else 1 for p in patterns)
             fresh = self.rows(np.vstack([_pattern_nodes(p, width) for p in new]))
             ends = list(itertools.accumulate(map(_pattern_size, new), initial=0))
             self.values.update((p, fresh[a:b]) for p, a, b in zip(new, ends, ends[1:]))
@@ -333,14 +337,13 @@ def _shared(u):
     return u if isinstance(u, _Shared) else _Shared(u)
 
 
-def _evaluate(index_set: IndexSet, u) -> tuple:
-    """The signed terms of the operators on the set and ``u`` as a `_Shared`
-    map holding its values on every term's grid: one call of ``u``, on the
-    set's nodes it was not evaluated on (`sparse_grid_points` order)."""
-    terms = _terms(index_set)
+def _evaluate_sets(sets, u) -> _Shared:
+    """``u`` as a `_Shared` map holding its values on every term's grid of
+    every set: one call of ``u``, on the sets' nodes it was not evaluated
+    on (each set in `sparse_grid_points` order, after the sets before it)."""
     u = _shared(u)
-    u.evaluate(_set_patterns(index_set), max(index_set.dimension(), 1))
-    return terms, u
+    u.evaluate(p for index_set in sets for p in _set_patterns(index_set))
+    return u
 
 
 def _projection_sum(levels) -> HermitePolynomial:
@@ -380,7 +383,7 @@ def interpolate(index_set: IndexSet, u) -> HermitePolynomial:
     ``u`` is a `ParametricMapFn` (or a `_Shared` one), called on an (n, d)
     stack of nodes; d is the set's dimension (nodes are padded with zeros).
     """
-    return _projection_sum([_evaluate(index_set, u)])
+    return _projection_sum([(_terms(index_set), _evaluate_sets([index_set], u))])
 
 
 def quadrature(index_set: IndexSet, u) -> np.ndarray:
@@ -390,4 +393,4 @@ def quadrature(index_set: IndexSet, u) -> np.ndarray:
     exact for monomials whose index lies in the set or carries no exponent
     equal to 1.
     """
-    return _weighted_sum([_evaluate(index_set, u)])
+    return _weighted_sum([(_terms(index_set), _evaluate_sets([index_set], u))])

@@ -1,13 +1,15 @@
 """Run the determinism configs through the CLI and print one digest each.
 
-    PYTHONPATH=src python tests/determinism.py OUT
+    PYTHONPATH=src python tests/determinism.py OUT [--expect FILE]
 
 Each config runs through `hermgrid.cli.main` into its own directory under
 OUT.  A line reads ``name exit-code sha256``, the SHA-256 over every output
 file's name and bytes in name order (`meta.txt` included).  Run it at two
 commits and compare the lines: a change that claims byte-identical study
-outputs must print the same ones.  Not a pytest module (pytest collects only
-``test_*.py``); it takes a few seconds.
+outputs must print the same ones.  ``--expect FILE`` compares each line with
+the same line of FILE (``tests/determinism.sha256`` holds the committed
+digests) and exits 1 at the first that differs.  Not a pytest module
+(pytest collects only ``test_*.py``); it takes a few seconds.
 """
 
 import hashlib
@@ -61,19 +63,26 @@ def digest(out_dir: Path) -> str:
     return h.hexdigest()
 
 
-def run(root: Path):
+def run(root: Path, expected=None):
+    """Print each config's line; with ``expected`` lines, exit 1 at the
+    first line that differs from its own."""
     root.mkdir(parents=True, exist_ok=True)
-    for name, study, text, budgets, seed in CONFIGS:
+    for i, (name, study, text, budgets, seed) in enumerate(CONFIGS):
         cfg, out = root / f"{name}.cfg", root / name
         cfg.write_text(text)
         args = [study, "--config", str(cfg), "--out", str(out), "--seed", str(seed)]
         if budgets:
             args += ["--budgets", budgets]
-        code = main(args)
-        print(name, code, digest(out), flush=True)
+        line = f"{name} {main(args)} {digest(out)}"
+        print(line, flush=True)
+        if expected is not None and expected[i:i + 1] != [line]:
+            sys.exit(f"mismatch at line {i + 1}: expected {expected[i:i + 1]}")
+    if expected is not None and len(expected) != len(CONFIGS):
+        sys.exit(f"mismatch: expected {len(expected)} lines, printed {len(CONFIGS)}")
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python tests/determinism.py OUT")
-    run(Path(sys.argv[1]))
+    argv = sys.argv[1:]
+    if len(argv) not in (1, 3) or len(argv) == 3 and argv[1] != "--expect":
+        sys.exit("usage: python tests/determinism.py OUT [--expect FILE]")
+    run(Path(argv[0]), Path(argv[2]).read_text().splitlines() if len(argv) == 3 else None)

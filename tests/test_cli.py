@@ -331,10 +331,10 @@ class TestMlBudgetSearch:
         eps = table.eps_for_budget(256, sw)
         below = next(event_midpoints(table, sw, math.log(eps)))
         assert table.price(math.exp(below), sw) > 256
-        # one walk, each member popped once: no table is rebuilt (the other
-        # calls are one d weight a member)
+        # one walk, each member popped once: no table is rebuilt, and with one
+        # surrogate for c and d the table reads each d weight off the walk
         assert len(set(table.members)) == len(table.members)
-        assert len(calls) == table.walk.calls + len(table.members)
+        assert len(calls) == table.walk.calls
         assert table.walk.calls <= 3 * len(table.members) + 1
 
     @pytest.mark.parametrize("overrides, k, budget", [
@@ -571,20 +571,21 @@ class TestMlStudy:
 
 
 class TestOneCallPerNodeAndFidelity:
-    """Within a study every map is called once per distinct node: the
-    reference and the rows share the exact map, and the budget rows share
-    one FEM map per mesh size."""
+    """Within a study every map is called once per fidelity, after every row
+    is planned, and once per distinct node: the reference and the rows share
+    one exact-map call, and the budget rows one FEM call per mesh size."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        """One (fidelity, node keys) pair per map call."""
         made = []
 
         def counted(problem, fidelity):
             inner = as_parametric_map(problem, fidelity)
 
             def fn(rows):
-                made.extend((fidelity, tuple((j, v) for j, v in enumerate(y.tolist()) if v))
-                            for y in rows)
+                made.append((fidelity, [tuple((j, v) for j, v in enumerate(y.tolist()) if v)
+                                        for y in rows]))
                 return inner.fn(rows)
 
             return ParametricMapFn(fn, inner.output_dim, inner.cost, inner.label)
@@ -596,9 +597,10 @@ class TestOneCallPerNodeAndFidelity:
     def test_ml_study(self, tmp_path, calls, kind):
         study = resolve_config(kind, sin_study().raw, 0, budgets=(1024, 4096, 16384))
         run_ml_study(study, tmp_path, "quad" if kind == "ml-quad" else "interp")
-        fem = [call for call in calls if call[0][0] == "fem"]
-        assert len({call[0] for call in fem}) >= 3
-        assert len(fem) == len(set(fem))
+        fem = [fidelity for fidelity, _ in calls if fidelity[0] == "fem"]
+        assert len(fem) == len(set(fem)) >= 3
+        nodes = [(fidelity, node) for fidelity, batch in calls for node in batch]
+        assert len(nodes) == len(set(nodes))
 
     @pytest.mark.parametrize("kind, run", [("quad", run_quad_study),
                                            ("interp", run_interp_study)])
@@ -611,7 +613,9 @@ class TestOneCallPerNodeAndFidelity:
         sets = threshold_set_for_budget(study, k, (25, 50, 100) + reference)
         nodes = {tuple((j, v) for j, v in enumerate(y.tolist()) if v)
                  for selected in sets for y in sparse_grid_points(selected)}
-        assert len(calls) == len(set(calls)) == len(nodes)
+        (fidelity, batch), = calls
+        assert fidelity == ("exact",)
+        assert len(batch) == len(set(batch)) and set(batch) == nodes
 
 
 class TestOneBudgetSearchPerStudy:
@@ -691,31 +695,25 @@ class TestOneBudgetSearchPerStudy:
             4 if kind == "quad" else 5)
 
     def test_ml_level_maps_follow_net_terms(self, tmp_path, monkeypatch):
-        # the mlquad-fem config: each row calls each FEM level map at most
-        # once, on the nodes of that level's nonzero net terms not evaluated
-        # by an earlier row (1653 rows and 44 846 cell units when every level
-        # evaluated both of its nested sets)
-        calls, row = [], [0]
-        make, inner = cli.as_parametric_map, cli.ml_quadrature
+        # the mlquad-fem config: every row is planned before any map call, and
+        # each FEM level map is then called once, on the nodes of every row's
+        # nonzero net terms at its level (1653 rows and 44 846 cell units when
+        # every level evaluated both of its nested sets)
+        calls, make = [], cli.as_parametric_map
 
         def counted(problem, fidelity):
             u = make(problem, fidelity)
             if fidelity[0] != "fem":
                 return u
             return ParametricMapFn(
-                lambda rows: calls.append((row[0], fidelity[1], len(rows))) or u.fn(rows),
+                lambda rows: calls.append((fidelity[1], len(rows))) or u.fn(rows),
                 u.output_dim, u.cost, u.label)
 
-        def next_row(allocation, u_levels):
-            row[0] += 1
-            return inner(allocation, u_levels)
-
         monkeypatch.setattr(cli, "as_parametric_map", counted)
-        monkeypatch.setattr(cli, "ml_quadrature", next_row)
         run_ml_study(sin_study(budgets="4096,16384,65536"), tmp_path, "quad")
-        assert sum(n for _, _, n in calls) == 1450
-        assert sum(cells * n for _, cells, n in calls) == 34_938
-        assert len({(r, cells) for r, cells, _ in calls}) == len(calls)
+        assert sum(n for _, n in calls) == 1450
+        assert sum(cells * n for cells, n in calls) == 34_938
+        assert len(calls) == len({cells for cells, _ in calls}) == 11
 
 
 def assert_no_child_left():
@@ -1138,6 +1136,9 @@ class TestMainEntry:
         ("quad", "system = constant:\n", "key 'system': no amplitude after ':'"),
         ("quad", "system = sindecay:\n", "key 'system': unknown system 'sindecay:'"),
         ("quad", "system = blocks:\n", "key 'system': no amplitude after ':'"),
+        ("quad", "system = sindecay\nd_max = 16\np = 0.003\n", "key 'p': ||b||_p overflows"),
+        ("quad", "system = sindecay\nd_max = 16\np = 0.003\nxi = 1\n",
+         "key 'p': ||b||_p overflows"),
     ], ids=["q1-3", "q1-0", "p-0.7", "alpha-neg", "alpha-0", "r_decay-1", "constant-neg",
             "constant-abc", "blocks-0", "ell-0.3", "grid_m-0", "corr_length-neg",
             "kappa-0.5", "r-2", "tau-neg", "K-0", "xi-neg", "d_max-0", "smoothness-1.0",
@@ -1148,7 +1149,8 @@ class TestMainEntry:
             "r_decay-underflow", "p-abc", "d_max-1.5", "p-1.5", "p-empty", "f-two",
             "spline_order-30", "spline_order-171", "unread-r_decay-abc",
             "unread-smoothness-xyz", "unread-x0-abc", "unread-grid_m-abc", "cov-gauss",
-            "K-1e80", "K-rho-inf", "constant-colon", "sindecay-colon", "blocks-colon"])
+            "K-1e80", "K-rho-inf", "constant-colon", "sindecay-colon", "blocks-colon",
+            "p-0.003", "p-0.003-xi-1"])
     def test_rejected_values_are_config_errors(self, tmp_path, capsys, kind, text, named):
         cfg = write_cfg(tmp_path, text)
         assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out"),

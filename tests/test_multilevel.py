@@ -140,6 +140,22 @@ class TestMemberTable:
         assert alloc.levels == expected.levels
         assert list(alloc.levels) == list(expected.levels)
 
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.floats(0.25, 3.0),
+           st.lists(st.floats(-4.0, 0.0), min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_grown_in_steps_match_one_build(self, seed, dims, alpha, log_eps):
+        # a table lowered step by step, reading d off the walk (one surrogate
+        # for c and d), holds bitwise the rows of one lowered once that calls d
+        c, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
+        grown, once = MemberTable(c, c, 1.0, alpha, dims), MemberTable(c, lambda nu: c(nu), 1.0,
+                                                                       alpha, dims)
+        for x in sorted(log_eps, reverse=True):
+            grown.lower(10.0 ** x)
+        once.lower(10.0 ** min(log_eps))
+        for name in ("t", "d", "points", "max_exp", "order"):
+            got, want = getattr(grown, name), getattr(once, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
     def test_weight_sum_in_member_order(self):
         # weights 1, 1e-16, 1e-16, 1e-16 sum to 1.0 in member order and to
         # 1 + 2**-52 backwards; at eps just above 1/4 that moves the empty
@@ -335,7 +351,7 @@ class TestSharedLevelValues:
     def net_levels(self, alloc, maps, calls):
         """The (terms, map) pairs of the levels with net terms, checked
         against the nested sets and the calls made so far."""
-        levels = multilevel._net_levels(alloc, maps)  # the maps hold every value
+        levels = list(zip(multilevel._net_levels(alloc), maps))  # the maps hold every value
         net = {id(u): terms for terms, u in levels}
         gammas = gamma_sets(alloc) + [IndexSet([])]
         for j, u in enumerate(maps):
