@@ -8,6 +8,7 @@ output.  Exit codes: 0 success, 2 configuration error or unwritable
 output, 3 numerical failure.
 """
 
+import gc
 import math
 import mmap
 import os
@@ -144,6 +145,9 @@ _KERNELS = {
     "matern": lambda study: CovarianceSpec.matern(study.corr_length, study.smoothness),
 }
 
+#: Members of an eps row's threshold set or multilevel table (README: time and memory)
+_EPS_CAP = 1_000_000
+
 
 def _problem(values: dict) -> ModelProblem1D:
     spec = values["system"]
@@ -229,13 +233,28 @@ def resolve_config(kind: str, cfg: dict, seed: int, budgets=None) -> StudyConfig
 
 # -- shared numerics --------------------------------------------------------
 
+def _surrogate(family: WeightFamily):
+    """`surrogate_weight` of ``family``, bitwise, each (dim, exp) factor read from a table
+    filled once per entry by `surrogate_weight` (so its `ValueError` stays)."""
+    table = {}
+
+    def surrogate(nu: MultiIndex) -> float:
+        out = 1.0
+        for entry in nu.entries:
+            try:
+                out *= table[entry]
+            except KeyError:
+                out *= table.setdefault(entry, surrogate_weight(family, MultiIndex((entry,))))
+        return out
+
+    return surrogate
+
+
 def threshold_set_for_budget(study: StudyConfig, k: int, budgets) -> list:
     """Largest threshold set whose evaluation-node count fits each point
     budget, all from one walk of the family."""
     family = study.weight_family(k)
-    return largest_threshold_set(
-        lambda nu: surrogate_weight(family, nu), budgets, family.d_max
-    )
+    return largest_threshold_set(_surrogate(family), budgets, family.d_max)
 
 
 def fit_rate(ns, errors, window: int = 4):
@@ -315,8 +334,9 @@ def _study_sets(study: StudyConfig, k: int, reference_budget=None) -> tuple:
     ref_set = sets.pop() if reference_budget else None
     if study.eps_grid:
         family = study.weight_family(k)
-        surrogate = lambda nu: surrogate_weight(family, nu)
-        sets = [build_threshold_set(surrogate, eps, family.d_max) for eps in study.eps_grid]
+        surrogate = _surrogate(family)
+        sets = [build_threshold_set(surrogate, eps, family.d_max, _EPS_CAP)
+                for eps in study.eps_grid]
     return sets, ref_set
 
 
@@ -397,10 +417,10 @@ def run_ml_study(study: StudyConfig, out_dir: Path, quantity: str) -> list:
         ref_label = f"interpolant-{evaluation_point_count(ref_set)}-points"
 
     family = study.weight_family(k)
-    surrogate = lambda nu: surrogate_weight(family, nu)
+    surrogate = _surrogate(family)
     table = MemberTable(surrogate, surrogate, study.q1, study.alpha, family.d_max)
     if study.eps_grid:  # an eps above the origin's threshold allocates nothing
-        sw = default_work_sequence(20)
+        table.cap, sw = _EPS_CAP, default_work_sequence(20)
         pairs = [(table.allocation(eps, sw), sw) for eps in study.eps_grid]
     else:
         pairs = [_ml_allocation_for_budget(table, budget) for budget in study.budgets]
@@ -633,6 +653,7 @@ def _run(args: dict) -> int:
 
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
+    gc.freeze()  # collections in the study (or a forked grf child) skip the import-time heap
     try:
         return _run(args)
     except ConfigError as exc:
@@ -644,6 +665,8 @@ def main(argv=None) -> int:
     except HermgridError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -241,9 +241,9 @@ class ThresholdWalk:
     ``nu`` with its last exponent raised, ``nu`` plus exponent 1 in the
     first dimension past its support and, when ``nu`` ends in exponent 1,
     ``nu`` with that 1 moved one dimension on.  A pushed value below its
-    pusher's raises `ValueError`: the surrogate is not monotone with
-    anisotropy ordering.  ``calls`` counts the surrogate calls; ``members``
-    and ``values`` list the popped indices and their surrogate values.
+    pusher's raises `ValueError`; only these edges are checked, so a surrogate
+    not monotone elsewhere passes.  ``calls`` counts the surrogate calls, and
+    ``members`` and ``values`` list the popped indices and their values.
     """
 
     def __init__(self, surrogate, d_max: int):
@@ -296,11 +296,11 @@ def build_threshold_set(
 ) -> IndexSet:
     """All multi-indices whose decreasing surrogate stays at or above ``eps``.
 
-    ``surrogate`` maps a MultiIndex to a positive real.  It must be
-    monotone increasing with anisotropy ordering (activating an earlier
-    dimension never costs more); `ThresholdWalk` checks this and raises
-    `ValueError` on the first index that breaks it.  The result is exactly
-    ``{nu : 1/surrogate(nu) >= eps}``.
+    ``surrogate`` maps a MultiIndex to a positive real, monotone increasing
+    with anisotropy ordering (activating an earlier dimension never costs
+    more); the result is then exactly ``{nu : 1/surrogate(nu) >= eps}``.
+    `ThresholdWalk` checks the order only from each pusher (`ValueError`), so
+    a surrogate that breaks it elsewhere can return a set not downward closed.
 
     The walk calls the surrogate at most ``3 |result| + 1`` times; pass a
     ``stats`` dict to read back the count as ``stats["tests"]``.

@@ -265,8 +265,8 @@ class ParametricMapFn:
         self.label = label
 
     def batch(self, stack) -> np.ndarray:
-        """Values at each row of ``stack``, shape (len(stack), output_dim)."""
-        out = np.asarray(self.fn(stack), dtype=np.float64)
+        """Values at each row of ``stack``, shape (len(stack), output_dim), in C order."""
+        out = np.ascontiguousarray(self.fn(stack), dtype=np.float64)
         if out.shape != (len(stack), self.output_dim):
             raise ValueError(f"map {self.label or '<anonymous>'} returned shape "
                              f"{out.shape}, expected {(len(stack), self.output_dim)}")

@@ -33,10 +33,11 @@ class WorkSequence(Frozen):
 
     ``growth_constant`` bounds the partial sums, the level count against
     the log of the cost, and the level-to-level growth; all three bounds
-    are validated on the stored prefix.
+    are validated on the stored prefix.  ``float_values`` and ``cumulative_costs``
+    (level 0 costs 0) are read-only float64 and integer arrays of the values.
     """
 
-    __slots__ = ("values", "growth_constant")
+    __slots__ = ("values", "growth_constant", "float_values", "cumulative_costs")
 
     def __init__(self, values: tuple, growth_constant: float = 2.0):
         vals = tuple(int(v) for v in values)
@@ -52,7 +53,9 @@ class WorkSequence(Frozen):
                 raise ValueError("level-count bound violated")
             if vals[l] > kw * (1.0 + vals[l - 1]):
                 raise ValueError("growth bound violated")
-        self._fields(vals, growth_constant)
+        floats, costs = np.array(vals, dtype=np.float64), np.cumsum(vals)
+        floats.flags.writeable = costs.flags.writeable = False
+        self._fields(vals, growth_constant, floats, costs)
 
     def cumulative(self, level: int) -> int:
         """Total cost of carrying one point through levels 1..level."""
@@ -61,8 +64,7 @@ class WorkSequence(Frozen):
     def floor_level(self, budget):
         """Largest level whose cost does not exceed ``budget``, elementwise
         (exact while the values stay below 2**53)."""
-        return np.searchsorted(np.asarray(self.values, dtype=np.float64), budget,
-                               side="right") - 1
+        return np.searchsorted(self.float_values, budget, side="right") - 1
 
 
 def default_work_sequence(max_level: int, growth_constant: float = 2.0) -> WorkSequence:
@@ -125,9 +127,9 @@ class MemberTable:
         exponent, new = -1.0 / (1.0 + 2.0 * self.alpha), self.members[start:]
         same = self.d_surrogate is self.walk.surrogate  # then d(nu) is the walk's value
         d = self.walk.values[start:] if same else map(self.d_surrogate, new)
-        for i, nu in enumerate(new, start):
-            self._keys.append(nu.sort_key())
-            bisect.insort(self._order, i, key=self._keys.__getitem__)
+        self._keys.extend(nu.sort_key() for nu in new)
+        self._order.extend(range(start, len(self.members)))  # a sorted run, then the new rows
+        self._order.sort(key=self._keys.__getitem__)
         add = lambda rows, values: np.concatenate((rows, np.array(values, rows.dtype)))
         self.t = add(self.t, 1.0 / np.array(self.walk.values[start:]))
         self.d = add(self.d, [float(v) ** exponent for v in d])
@@ -170,8 +172,7 @@ class MemberTable:
         rows, levels = self.levels(eps, work_sequence)
         if np.any(self.max_exp[rows[levels > 0]] > MAX_LEVEL):
             return math.inf
-        cumulative = np.cumsum(work_sequence.values)  # level 0 costs 0
-        return int(np.dot(self.points[rows], cumulative[levels]))
+        return int(np.dot(self.points[rows], work_sequence.cumulative_costs[levels]))
 
     def eps_for_budget(self, budget, work_sequence: WorkSequence):
         """An eps whose `price` is the largest at most ``budget`` (inf when only
@@ -184,7 +185,7 @@ class MemberTable:
         and inside one find the first group over the budget; the result is
         the midpoint above it.  The table grows a quarter at a time until
         its last interval prices over the budget or reaches ``cap``."""
-        log_w = np.log(np.asarray(work_sequence.values[1:], dtype=np.float64))
+        log_w = np.log(work_sequence.float_values[1:])
         price = lambda x: self.price(math.exp(x), work_sequence)
 
         @cache  # cleared whenever the table grows

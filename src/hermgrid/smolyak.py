@@ -15,13 +15,13 @@ patterns of the grids with nonzero coefficient, prod_{j in S} (nu_j + 1 -
 map once per fidelity, on the union of the rows' node patterns, and sums
 every row from the shared values.
 
-The operators take a `ParametricMapFn` (or a `_Shared` one).  These caches
-share work across calls, and no others: `_terms` and `_set_patterns` keep
-the terms and node patterns of recent set contents, `_term_layout`,
-`_term_weights` and `_pattern_nodes` cache per term or pattern (the arrays
-read-only), `_projection_matrix` per level, and a `_Shared` map keeps its
-values by pattern and its weighted sums by term.  The threshold walk keeps
-each grid's patterns in a table that lives for one walk.
+The operators take a `ParametricMapFn` (or a `_Shared` one).  Only these
+caches share work across calls: `_terms` and `_set_patterns` per recent set
+content, `_term_layout`, `_term_weights` and `_pattern_nodes` per term or
+pattern (the arrays read-only), `_projection_matrix` per level, and a
+`_Shared` map's read-only values by pattern and weighted sums by term.  A
+grid whose exponents are all odd is one pattern, so its values are that
+pattern's, in C order already.  A threshold walk's grid patterns last one walk.
 """
 
 import itertools
@@ -107,11 +107,11 @@ def largest_threshold_set(surrogate, budgets, d_max: int) -> list:
     """Largest threshold set ``{nu : 1/surrogate(nu) >= eps}`` on at most ``b``
     nodes, for each budget ``b`` in the sequence ``budgets``, in its order.
 
-    Walks the nested threshold family once (`ThresholdWalk`, so the
-    surrogate must be monotone with anisotropy ordering, or `ValueError`
-    is raised), and keeps the combination coefficients and a reference
-    count of the grids' node patterns up to date, so the node count of
-    every prefix equals `evaluation_point_count`.  Values within a
+    Walks the nested threshold family once (`ThresholdWalk`: the surrogate
+    must be monotone with anisotropy ordering, which the walk checks only
+    from each pusher), and keeps the combination coefficients and a
+    reference count of the grids' node patterns up to date, so the node
+    count of every prefix equals `evaluation_point_count`.  Values within a
     relative `TIE` of a group's first value, and tied children pushed
     meanwhile, join that group; only group boundaries are candidate sets,
     and each budget keeps the longest whose node count fits it.
@@ -277,7 +277,10 @@ def _term_layout(entries) -> tuple:
     takes their nodes, pattern after pattern, to the grid's C order: the
     inverse of a stable sort of the grid by pattern number (which even
     entries sit at their zero node, numbered in `_patterns` order)."""
-    rank, bit = np.zeros([gauss_hermite_rule(e).nodes.size for _, e in entries], np.intp), 1
+    shape = [gauss_hermite_rule(e).nodes.size for _, e in entries]  # LevelTooLarge past MAX_LEVEL
+    if all(e % 2 for _, e in entries):  # one pattern, in C order already
+        return _patterns(entries), np.arange(math.prod(shape))
+    rank, bit = np.zeros(shape, np.intp), 1
     for axis, (_, e) in reversed(list(enumerate(entries))):
         if e % 2 == 0:
             rank[(slice(None),) * axis + (e // 2,)] += bit
@@ -315,12 +318,15 @@ class _Shared:
         if new := [p for p in patterns if p not in self.values]:
             width = max(p[-1][0] + 1 if p else 1 for p in patterns)
             fresh = self.rows(np.vstack([_pattern_nodes(p, width) for p in new]))
+            fresh.setflags(write=False)  # `grid` hands out one pattern's values as they are
             ends = list(itertools.accumulate(map(_pattern_size, new), initial=0))
             self.values.update((p, fresh[a:b]) for p, a, b in zip(new, ends, ends[1:]))
 
     def grid(self, entries) -> np.ndarray:
-        """Values on the tensor grid with these entries, in C order."""
+        """Values on the tensor grid with these entries, in C order; not to be written."""
         patterns, order = _term_layout(entries)
+        if len(patterns) == 1:
+            return self.values[patterns[0]]
         return np.concatenate([self.values[p] for p in patterns])[order]
 
     def weighted_sum(self, entries) -> np.ndarray:

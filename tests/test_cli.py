@@ -1,6 +1,7 @@
 """Study runner: configuration, CSV output, reproducibility, exit codes."""
 
 import filecmp
+import gc
 import math
 import os
 import re
@@ -31,11 +32,12 @@ from hermgrid.cli import (
 from hermgrid.errors import ConfigError, OutputError
 from hermgrid.grf import CovarianceSpec, circulant_embed_1d, sample_grf
 from hermgrid.hermite import MAX_LEVEL
-from hermgrid.indexset import MultiIndex, surrogate_weight
+from hermgrid.indexset import MultiIndex, WeightFamily, surrogate_weight
 from hermgrid.model import ParametricMapFn, as_parametric_map
 from hermgrid.multilevel import MemberTable, construct_levels, default_work_sequence, work
 from hermgrid.smolyak import sparse_grid_points
 
+import determinism
 from util import (
     bisect_epsilon,
     bisection_ml_allocation,
@@ -200,6 +202,27 @@ class TestHelpers:
         assert fit_rate(ns, [0.0, 0.0, 0.0, 0.0]) is None
         assert fit_rate([65] * 4, errs) is None  # no spread in log budget
         assert fit_rate([10, 65, 65, 65], errs) is not None
+
+    @given(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=16), st.floats(0.1, 0.9),
+           st.floats(0.1, 10.0), st.integers(3, 12), st.floats(0.0, 1.0),
+           st.sampled_from([1, 2]), st.floats(1e-2, 1e6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_table_surrogate_matches_surrogate_weight(self, b, p, xi, r, tau_frac, k, K, data):
+        family = WeightFamily(b=np.sort(b)[::-1], p=p, xi=xi, r=r, tau=tau_frac * (r - 1),
+                              k=k, K=K)
+        surrogate = cli._surrogate(family)
+        indices = data.draw(st.lists(st.dictionaries(
+            st.integers(0, family.d_max - 1), st.integers(1, MAX_LEVEL + 2), max_size=4)))
+        for entries in indices * 2:  # the second pass reads every factor from the table
+            nu = MultiIndex.from_dict(entries)
+            got = surrogate(nu)
+            assert type(got) is float and got.hex() == surrogate_weight(family, nu).hex()
+        outside = MultiIndex.from_dict({0: 1, family.d_max: data.draw(st.integers(1, 5))})
+        message = f"dimension {family.d_max} outside weight family truncation"
+        with pytest.raises(ValueError, match=message):
+            surrogate_weight(family, outside)
+        with pytest.raises(ValueError, match=message):
+            surrogate(outside)
 
     def test_threshold_set_respects_budget(self):
         study = resolve_config("quad", {"system": "sindecay", "d_max": "4"}, 0)
@@ -570,6 +593,28 @@ class TestMlStudy:
         assert "no allocation within them reaches level 1" in err
 
 
+class TestEpsRowCap:
+    @pytest.mark.parametrize("kind", ["quad", "interp", "ml-quad", "ml-interp"])
+    def test_eps_row_past_the_cap_exits_3_naming_it(self, tmp_path, capsys, monkeypatch, kind):
+        # the first eps fits the cap; 1e-300 would walk millions of members
+        monkeypatch.setattr(cli, "_EPS_CAP", 40)
+        cfg = write_cfg(tmp_path, "system = sindecay\nd_max = 4\neps_grid = 1e-2,1e-300\n")
+        assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure")
+        assert "exceeded cap of 40 members (eps=1e-300)" in err
+
+    @pytest.mark.parametrize("kind, name", [("ml-quad", "ml_quad.csv"),
+                                            ("ml-interp", "ml_interp.csv")])
+    def test_budget_rows_do_not_take_the_cap(self, tmp_path, monkeypatch, kind, name):
+        cfg = write_cfg(tmp_path, SIN_CFG)
+        args = [kind, "--config", str(cfg), "--budgets", "1024,4096", "--out"]
+        assert main(args + [str(tmp_path / "out")]) == 0
+        monkeypatch.setattr(cli, "_EPS_CAP", 1)
+        assert main(args + [str(tmp_path / "capped")]) == 0
+        assert filecmp.cmp(tmp_path / "out" / name, tmp_path / "capped" / name, shallow=False)
+
+
 class TestOneCallPerNodeAndFidelity:
     """Within a study every map is called once per fidelity, after every row
     is planned, and once per distinct node: the reference and the rows share
@@ -926,6 +971,23 @@ class TestMainEntry:
         assert err.startswith("numerical failure") and f"budgets {budgets}" in err
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("kind, cfg_text, budgets, code", [
+        ("quad", CONSTANT_CFG, "3,5", 0),
+        ("quad", "d_max = many\n", "3,5", 2),
+        ("ml-quad", SIN_CFG, "1,2", 3),
+        ("grf", "cov = exponential\ngrid_m = 16\n", "6", 0),  # forks a writer
+    ])
+    def test_import_heap_frozen_during_the_study_only(self, tmp_path, monkeypatch, kind,
+                                                      cfg_text, budgets, code):
+        frozen, parse = [], cli.parse_config
+        monkeypatch.setattr(cli, "parse_config",
+                            lambda path: frozen.append(gc.get_freeze_count()) or parse(path))
+        cfg = write_cfg(tmp_path, cfg_text)
+        assert gc.get_freeze_count() == 0
+        assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--budgets", budgets]) == code
+        assert frozen[0] > 0 and gc.get_freeze_count() == 0
+
     def test_unknown_study_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
@@ -1206,3 +1268,12 @@ class TestMainEntry:
             out1, out2, [p.name for p in out1.iterdir()], shallow=False
         )
         assert not mismatch and not errors
+
+
+def test_determinism_digests_list_every_config_in_order():
+    # a config added to tests/determinism.py without regenerating the file
+    # fails here; the digests are not compared, since they depend on the
+    # numpy build and the CPU
+    lines = (Path(__file__).parent / "determinism.sha256").read_text().splitlines()
+    assert all(re.fullmatch(r"\S+ 0 [0-9a-f]{64}", line) for line in lines)
+    assert [line.split()[0] for line in lines] == [name for name, *_ in determinism.CONFIGS]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermgrid.errors import ThresholdTooSmall
+from hermgrid.errors import NotDownwardClosed, ThresholdTooSmall
 from hermgrid.hermite import MAX_LEVEL
 from hermgrid.indexset import (
     IndexSet,
@@ -21,7 +21,8 @@ from hermgrid.indexset import (
     is_downward_closed,
     surrogate_weight,
 )
-from hermgrid.smolyak import largest_threshold_set
+from hermgrid.model import ParametricMapFn
+from hermgrid.smolyak import largest_threshold_set, quadrature
 
 from util import (
     brute_force_threshold,
@@ -292,6 +293,19 @@ class TestThresholdWalk:
             build_threshold_set(c, eps, len(g))
         with pytest.raises(ValueError, match=message):
             largest_threshold_set(c, [100], len(g))
+
+    def test_unordered_surrogate_off_the_push_edges_passes(self):
+        # 1:1 costs more than 0:1 1:1 above it, but the walk compares each
+        # pushed value only with its pusher's (0:1 pushes both), so the set at
+        # eps = 1/3.5 lacks 1:1 and no ValueError is raised; only an operator
+        # on the set notices
+        values = {(): 1.0, ((0, 1),): 2.0, ((1, 1),): 10.0, ((0, 1), (1, 1)): 3.0}
+        c = lambda nu: values.get(nu.entries, 100.0 + nu.order)
+        selected = build_threshold_set(c, 1 / 3.5, 2)
+        assert selected.members == {MultiIndex(), mi({0: 1}), mi({0: 1, 1: 1})}
+        assert not selected.downward_closed
+        with pytest.raises(NotDownwardClosed):
+            quadrature(selected, ParametricMapFn(lambda rows: rows[:, :1], 1))
 
     @given(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=64), st.floats(0.1, 0.9),
            st.floats(0.1, 10.0), st.integers(3, 12), st.floats(0.0, 1.0),

@@ -73,6 +73,21 @@ class TestWorkSequence:
         expected = [floor_level_loop(sw.values, b) for b in budgets.tolist()]
         assert sw.floor_level(budgets).tolist() == expected
 
+    @given(st.integers(1, 60), st.floats(2.0, 4.0))
+    def test_arrays_match_the_values(self, top, growth_constant):
+        # built once per sequence, where `floor_level` and `MemberTable.price`
+        # used to convert the values on every call
+        sw = default_work_sequence(top, growth_constant)
+        floats, costs = np.asarray(sw.values, dtype=np.float64), np.cumsum(sw.values)
+        assert sw.float_values.dtype == floats.dtype
+        assert sw.float_values.tobytes() == floats.tobytes()
+        assert sw.cumulative_costs.dtype == costs.dtype
+        assert sw.cumulative_costs.tobytes() == costs.tobytes()
+        assert [sw.cumulative(l) for l in range(top + 1)] == sw.cumulative_costs.tolist()
+        for array in (sw.float_values, sw.cumulative_costs):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
 
 class TestConstructLevels:
     def test_empty_threshold_raises(self):

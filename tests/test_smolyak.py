@@ -518,6 +518,29 @@ class TestKernelOracles:
         assert patterns == want_patterns
         assert order.dtype == want_order.dtype and order.tobytes() == want_order.tobytes()
 
+    @given(grid_entries(3), st.sampled_from(["C", "F", "reversed"]))
+    @example((), "C")
+    @example(((0, MAX_LEVEL), (2, 3), (7, MAX_LEVEL)), "reversed")
+    @settings(max_examples=60, deadline=None)
+    def test_single_pattern_grid_matches_gather(self, entries, layout):
+        # a grid with only odd exponents is one pattern: `grid` hands out the
+        # stored values, read-only, where the general path concatenates the
+        # patterns and gathers them into C order; maps may return any layout
+        entries = tuple((d, e - 1 + e % 2) for d, e in entries)
+        fn = {"C": product_map, "F": lambda rows: np.asfortranarray(product_map(rows)),
+              "reversed": lambda rows: product_map(rows)[:, ::-1]}[layout]
+        shared = _shared(ParametricMapFn(fn, 2))
+        patterns, order = term_layout_oracle(entries)
+        assert len(patterns) == 1
+        shared.evaluate(patterns)
+        gathered = np.concatenate([shared.values[p] for p in patterns])[order]
+        got = shared.grid(entries)
+        assert got.shape == gathered.shape and got.tobytes() == gathered.tobytes()
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+        weighted = smolyak._term_weights(entries) @ gathered
+        assert shared.weighted_sum(entries).tobytes() == weighted.tobytes()
+
 
 class TestCaches:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 25))
