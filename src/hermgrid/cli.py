@@ -14,7 +14,7 @@ import mmap
 import os
 import sys
 from collections import namedtuple
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -40,12 +40,12 @@ from .model import (
 )
 from .multilevel import (
     MemberTable,
-    _evaluate_rows,
+    _plan,
     construct_levels,  # noqa: F401 (no caller here; perfbench/layers.py hooks the name)
     default_work_sequence,
     work,
 )
-from .smolyak import (_evaluate_sets, _projection_sum, _shared, _weighted_sum,
+from .smolyak import (_evaluate, _projection_sum, _shared, _terms, _weighted_sum,
                       evaluation_point_count, interpolate, largest_threshold_set, quadrature)
 
 
@@ -125,8 +125,8 @@ def _config_values(cfg: dict) -> dict:
 
 
 def _modes(d_max: int) -> int:
-    if d_max < 1:
-        raise ConfigError(f"key 'd_max': must be at least 1, got {d_max}")
+    if not 1 <= d_max <= _MAX_MODES:
+        raise ConfigError(f"key 'd_max': must lie in 1..{_MAX_MODES}, got {d_max}")
     return d_max
 
 
@@ -145,8 +145,11 @@ _KERNELS = {
     "matern": lambda study: CovarianceSpec.matern(study.corr_length, study.smoothness),
 }
 
-#: Members of an eps row's threshold set or multilevel table (README: time and memory)
-_EPS_CAP = 1_000_000
+#: Members of an eps row's threshold set or multilevel table and of the budget
+#: rows' multilevel table; the largest d_max, grid_m and circulant extension
+#: 2 * ell * grid_m (README: time and memory)
+_EPS_CAP, _BUDGET_CAP = 1_000_000, 100_000
+_MAX_MODES, _MAX_GRID, _MAX_EXTENSION = 1024, 4096, 1 << 20
 
 
 def _problem(values: dict) -> ModelProblem1D:
@@ -233,28 +236,11 @@ def resolve_config(kind: str, cfg: dict, seed: int, budgets=None) -> StudyConfig
 
 # -- shared numerics --------------------------------------------------------
 
-def _surrogate(family: WeightFamily):
-    """`surrogate_weight` of ``family``, bitwise, each (dim, exp) factor read from a table
-    filled once per entry by `surrogate_weight` (so its `ValueError` stays)."""
-    table = {}
-
-    def surrogate(nu: MultiIndex) -> float:
-        out = 1.0
-        for entry in nu.entries:
-            try:
-                out *= table[entry]
-            except KeyError:
-                out *= table.setdefault(entry, surrogate_weight(family, MultiIndex((entry,))))
-        return out
-
-    return surrogate
-
-
 def threshold_set_for_budget(study: StudyConfig, k: int, budgets) -> list:
     """Largest threshold set whose evaluation-node count fits each point
     budget, all from one walk of the family."""
     family = study.weight_family(k)
-    return largest_threshold_set(_surrogate(family), budgets, family.d_max)
+    return largest_threshold_set(partial(surrogate_weight, family), budgets, family.d_max)
 
 
 def fit_rate(ns, errors, window: int = 4):
@@ -334,7 +320,7 @@ def _study_sets(study: StudyConfig, k: int, reference_budget=None) -> tuple:
     ref_set = sets.pop() if reference_budget else None
     if study.eps_grid:
         family = study.weight_family(k)
-        surrogate = _surrogate(family)
+        surrogate = partial(surrogate_weight, family)
         sets = [build_threshold_set(surrogate, eps, family.d_max, _EPS_CAP)
                 for eps in study.eps_grid]
     return sets, ref_set
@@ -349,7 +335,8 @@ def run_quad_study(study: StudyConfig, out_dir: Path) -> list:
     """
     problem = study.problem
     sets = [selected for selected in _study_sets(study, 2)[0] if len(selected)]
-    target = _evaluate_sets(sets, as_parametric_map(problem, ("exact",)))
+    target = _shared(as_parametric_map(problem, ("exact",)))
+    _evaluate((_terms(selected), target) for selected in sets)
     reference = expected_qoi_oracle(problem)
     rows = []
     ns, errs = [], []
@@ -383,7 +370,8 @@ def run_interp_study(study: StudyConfig, out_dir: Path) -> list:
                 f"{4 * study.budgets[-1]} points), so its error would read 0 or the "
                 "reference's own error; keep every row's set below the reference"
             )
-    target = _evaluate_sets([*sets, ref_set], as_parametric_map(problem, ("exact",)))
+    target = _shared(as_parametric_map(problem, ("exact",)))
+    _evaluate((_terms(selected), target) for selected in [*sets, ref_set])
     reference = interpolate(ref_set, target)
     rows = []
     for selected in sets:
@@ -399,10 +387,15 @@ def run_interp_study(study: StudyConfig, out_dir: Path) -> list:
 def _ml_allocation_for_budget(table: MemberTable, budget: int):
     """Allocation with the most work not exceeding the budget, and its work
     sequence, read off the study's shared `MemberTable` at the eps of its
-    event sweep."""
+    event sweep; a sweep stopped by the table's cap (it answers as for an
+    unbounded budget) is a `HermgridError` naming the budget."""
     levels = max(1, int(math.floor(math.log2(max(budget, 2)))))
     sw = default_work_sequence(levels)
-    return table.allocation(table.eps_for_budget(budget, sw), sw), sw
+    eps = table.eps_for_budget(budget, sw)
+    if len(table.members) >= table.cap and eps == table.eps_for_budget(math.inf, sw):
+        raise HermgridError(f"budget {budget}: the search reached the cap of {table.cap} "
+                            "members with every allocation still within the budget")
+    return table.allocation(eps, sw), sw
 
 
 def run_ml_study(study: StudyConfig, out_dir: Path, quantity: str) -> list:
@@ -417,20 +410,22 @@ def run_ml_study(study: StudyConfig, out_dir: Path, quantity: str) -> list:
         ref_label = f"interpolant-{evaluation_point_count(ref_set)}-points"
 
     family = study.weight_family(k)
-    surrogate = _surrogate(family)
-    table = MemberTable(surrogate, surrogate, study.q1, study.alpha, family.d_max)
+    surrogate = partial(surrogate_weight, family)
+    table = MemberTable(surrogate, surrogate, study.q1, study.alpha, family.d_max,
+                        _EPS_CAP if study.eps_grid else _BUDGET_CAP)
     if study.eps_grid:  # an eps above the origin's threshold allocates nothing
-        table.cap, sw = _EPS_CAP, default_work_sequence(20)
+        sw = default_work_sequence(20)
         pairs = [(table.allocation(eps, sw), sw) for eps in study.eps_grid]
     else:
         pairs = [_ml_allocation_for_budget(table, budget) for budget in study.budgets]
     if all(alloc.max_level == 0 for alloc, _ in pairs):
         raise _no_rows(study, "no allocation within them reaches level 1")
     fem = cache(lambda cells: _shared(as_parametric_map(problem, ("fem", cells))))
-    allocs = [(alloc, [fem(cells) for cells in sw.values[1:alloc.max_level + 1]])
-              for alloc, sw in pairs if alloc.max_level]
+    planned = [(alloc, _plan(alloc, [fem(cells) for cells in sw.values[1:alloc.max_level + 1]]))
+               for alloc, sw in pairs if alloc.max_level]
+    _evaluate(level for _, levels in planned for level in levels)
     rows = []
-    for (alloc, _), levels in zip(allocs, _evaluate_rows(allocs)):
+    for alloc, levels in planned:
         if quantity == "quad":
             err = abs(float(_weighted_sum(levels)[0]) - reference)
         else:
@@ -505,6 +500,11 @@ def run_grf(study: StudyConfig, out_dir: Path) -> dict:
         raise ConfigError(f"--seed {study.seed}: {n_samples} samples run past the "
                           "largest seed 2**64 - 1")
     kind, m, ell = study.cov, study.grid_m, study.ell
+    if m > _MAX_GRID:
+        raise ConfigError(f"key 'grid_m': must be at most {_MAX_GRID}, got {m}")
+    if 2.0 * ell * m > _MAX_EXTENSION:
+        raise ConfigError(f"key 'ell': 2 * ell * m must be at most {_MAX_EXTENSION} "
+                          f"(m = grid_m), got {2.0 * ell * m!r}")
     cutoff = None if study.kappa is None else (study.kappa, study.spline_order)
     try:
         spec = _KERNELS[kind](study)

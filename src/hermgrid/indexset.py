@@ -174,8 +174,8 @@ class WeightFamily(Frozen):
     ``b_j**(p-1) * xi / (4 sqrt(r!) ||b||_p)``.
     """
 
-    # rho and factors (max(1, K rho_j)**(2k) as floats) are derived
-    __slots__ = ("b", "p", "xi", "r", "tau", "k", "K", "rho", "factors")
+    # derived: rho, factors (max(1, K rho_j)**(2k) as floats), table (see surrogate_weight)
+    __slots__ = ("b", "p", "xi", "r", "tau", "k", "K", "rho", "factors", "table")
 
     def __init__(self, b: np.ndarray, p: float, xi: float, r: int, tau: float, k: int,
                  K: float):
@@ -202,7 +202,7 @@ class WeightFamily(Frozen):
             raise ValueError(f"K = {K!r} overflows the factor max(1, K rho_j)**{2 * k}")
         b.setflags(write=False)
         rho.setflags(write=False)
-        self._fields(b, p, xi, r, tau, k, K, rho, factors)
+        self._fields(b, p, xi, r, tau, k, K, rho, factors, {})
 
     @property
     def d_max(self) -> int:
@@ -216,13 +216,18 @@ def surrogate_weight(family: WeightFamily, nu: MultiIndex) -> float:
     """Computable product surrogate ``prod_j max(1, K rho_j)**(2k) nu_j**(r-tau)``.
 
     Monotone increasing in the exponents and anisotropy-ordered whenever
-    ``rho`` is nondecreasing (guaranteed by nonincreasing ``b``).
+    ``rho`` is nondecreasing (guaranteed by nonincreasing ``b``).  The factor
+    of each (dim, exp) entry is computed once per family, in ``family.table``.
     """
-    out, factors = 1.0, family.factors
-    for dim, e in nu.entries:
-        if dim >= len(factors):
-            raise ValueError(f"dimension {dim} outside weight family truncation")
-        out *= factors[dim] * float(e) ** (family.r - family.tau)
+    out, table, factors = 1.0, family.table, family.factors
+    for entry in nu.entries:
+        try:
+            out *= table[entry]
+        except KeyError:
+            dim, e = entry
+            if dim >= len(factors):
+                raise ValueError(f"dimension {dim} outside weight family truncation") from None
+            out *= table.setdefault(entry, factors[dim] * float(e) ** (family.r - family.tau))
     return out
 
 
@@ -247,14 +252,16 @@ class ThresholdWalk:
     """
 
     def __init__(self, surrogate, d_max: int):
+        if d_max < 1:
+            raise ValueError(f"d_max must be positive, got {d_max}")
         self.surrogate, self.d_max, self.calls = surrogate, d_max, 1
         self.members, self.values = [], []
         self.heap = [(surrogate(MultiIndex()), (), MultiIndex())]
 
     @property
     def head(self) -> float:
-        """The smallest value not popped yet (inf once none is left)."""
-        return self.heap[0][0] if self.heap else inf
+        """The smallest value not popped yet (every pop pushes: d_max >= 1)."""
+        return self.heap[0][0]
 
     def pop(self) -> tuple:
         """The next member as (value, MultiIndex)."""

@@ -21,7 +21,7 @@ from .hermite import MAX_LEVEL
 # build_threshold_set and quadrature have no caller here; perfbench/layers.py hooks these names
 from .indexset import TIE, MultiIndex, ThresholdWalk, build_threshold_set  # noqa: F401
 from .smolyak import quadrature  # noqa: F401
-from .smolyak import (HermitePolynomial, _projection_sum, _shared, _signed_terms, _term_patterns,
+from .smolyak import (HermitePolynomial, _evaluate, _projection_sum, _shared, _signed_terms,
                       _weighted_sum, zero_polynomial)
 
 
@@ -34,7 +34,8 @@ class WorkSequence(Frozen):
     ``growth_constant`` bounds the partial sums, the level count against
     the log of the cost, and the level-to-level growth; all three bounds
     are validated on the stored prefix.  ``float_values`` and ``cumulative_costs``
-    (level 0 costs 0) are read-only float64 and integer arrays of the values.
+    (level 0 costs 0) are read-only float64 and exact integer arrays of the
+    values (of Python ints once a sum passes int64).
     """
 
     __slots__ = ("values", "growth_constant", "float_values", "cumulative_costs")
@@ -53,13 +54,14 @@ class WorkSequence(Frozen):
                 raise ValueError("level-count bound violated")
             if vals[l] > kw * (1.0 + vals[l - 1]):
                 raise ValueError("growth bound violated")
-        floats, costs = np.array(vals, dtype=np.float64), np.cumsum(vals)
+        floats = np.array(vals, dtype=np.float64)
+        costs = np.cumsum(np.array(vals, object), dtype=np.int64 if sum(vals) < 2 ** 63 else object)
         floats.flags.writeable = costs.flags.writeable = False
         self._fields(vals, growth_constant, floats, costs)
 
     def cumulative(self, level: int) -> int:
         """Total cost of carrying one point through levels 1..level."""
-        return sum(self.values[1 : level + 1])
+        return int(self.cumulative_costs[level])
 
     def floor_level(self, budget):
         """Largest level whose cost does not exceed ``budget``, elementwise
@@ -110,20 +112,19 @@ class MemberTable:
         self.gamma = (0.5 - q1 / 4.0) / alpha  # the level bounds' power of 1/eps
         self.walk = ThresholdWalk(c_surrogate, d_max)
         self.members, self._keys, self._order = self.walk.members, [], []
-        self.t = self.d = np.empty(0)
+        self.t = self.d = self._t_in_order = np.empty(0)
         self.points = self.max_exp = np.empty(0, np.int64)
-        self._append(0)
+        self.order = np.empty(0, np.intp)
 
     def lower(self, eps: float):
-        """Append the rows with ``t >= eps``; `ThresholdTooSmall` past ``cap``."""
-        start = len(self.members)
-        try:
-            self.walk.lower(eps, self.cap)
-        finally:
-            if len(self.members) > start:
-                self._append(start)
+        """Append the rows with ``t >= eps``; `ThresholdTooSmall`, appending none, past ``cap``."""
+        self.walk.lower(eps, self.cap)
+        self._append()
 
-    def _append(self, start: int):
+    def _append(self):
+        """Append a row for each member popped since the last append."""
+        if (start := self.t.size) == len(self.members):
+            return
         exponent, new = -1.0 / (1.0 + 2.0 * self.alpha), self.members[start:]
         same = self.d_surrogate is self.walk.surrogate  # then d(nu) is the walk's value
         d = self.walk.values[start:] if same else map(self.d_surrogate, new)
@@ -163,11 +164,13 @@ class MemberTable:
 
     def price(self, eps: float, work_sequence: WorkSequence):
         """``work(construct_levels(eps))``, lowering the table to ``eps``: an
-        integer dot product over the rows, or inf past ``cap`` members or when
-        a row at level 1 or above has an exponent without a rule (MAX_LEVEL)."""
+        integer dot product over the rows, or inf past ``cap`` members (every
+        walked one appended) or when a row at level 1 or above has an
+        exponent without a rule (MAX_LEVEL)."""
         try:
             self.lower(eps)
         except ThresholdTooSmall:
+            self._append()
             return math.inf
         rows, levels = self.levels(eps, work_sequence)
         if np.any(self.max_exp[rows[levels > 0]] > MAX_LEVEL):
@@ -203,6 +206,7 @@ class MemberTable:
         over = lambda k: (x := lowest(k)) is not None and price(x) > budget
 
         while True:
+            self._append()
             midpoints.cache_clear()
             log_t, log_d, head = np.log(self.t), np.log(self.d), np.log(1.0 / self.walk.head)
             ends = (np.flatnonzero(log_t[:-1] - log_t[1:] > TIE) + 1).tolist()
@@ -214,7 +218,6 @@ class MemberTable:
             with contextlib.suppress(ThresholdTooSmall):
                 while len(self.members) < start + max(1, start // 4):
                     self.walk.lower(1.0 / self.walk.head, self.cap)
-            self._append(start)
         k = bisect.bisect_left(range(len(ends)), True, key=over)
         inside = midpoints(k) if k < len(ends) else np.empty(0)  # past cap every one fits
         m = bisect.bisect_left(range(inside.size), True, key=lambda i: price(inside[i]) > budget)
@@ -251,9 +254,7 @@ def _point_factor(nu: MultiIndex) -> int:
 def work(allocation: LevelAllocation) -> int:
     """Total cost: per-index tensor point count times cumulative level cost."""
     sw = allocation.work_sequence
-    return sum(
-        _point_factor(nu) * sw.cumulative(l) for nu, l in allocation.levels.items()
-    )
+    return sum(_point_factor(nu) * sw.cumulative(l) for nu, l in allocation.levels.items())
 
 
 def _net_levels(allocation: LevelAllocation) -> list:
@@ -275,36 +276,25 @@ def _net_levels(allocation: LevelAllocation) -> list:
     return [_signed_terms(members) for members in by_level]
 
 
-def _evaluate_rows(rows) -> list:
-    """``(terms, u)`` for each level of each ``(allocation, u_levels)`` row:
-    its `_net_levels` and ``u_levels[j-1]`` as a `_Shared` map.  Each
-    distinct map is called once, on the nodes of the net terms of every row
-    it serves, after every row is planned."""
-    planned, patterns = [], {}
-    for allocation, u_levels in rows:
-        if len(u_levels) < allocation.max_level:
-            raise ValueError(f"need {allocation.max_level} level approximations, "
-                             f"got {len(u_levels)}")
-        levels = list(zip(_net_levels(allocation), map(_shared, u_levels)))
-        for terms, u in levels:
-            patterns.setdefault(u, []).extend(_term_patterns(terms))
-        planned.append(levels)
-    for u, group in patterns.items():
-        u.evaluate(group)
-    return planned
+def _plan(allocation: LevelAllocation, u_levels) -> list:
+    """``(terms, u)`` for each level j of ``allocation``: its `_net_levels`
+    and ``u_levels[j-1]`` as a `_Shared` map, for `_evaluate`."""
+    if len(u_levels) < allocation.max_level:
+        raise ValueError(f"need {allocation.max_level} level approximations, "
+                         f"got {len(u_levels)}")
+    return list(zip(_net_levels(allocation), map(_shared, u_levels)))
 
 
 def ml_interpolate(allocation: LevelAllocation, u_levels) -> HermitePolynomial:
     """Multilevel interpolant, 0 below level 1: the `_net_levels` planned,
-    each level map called once on their nodes (`_evaluate_rows`), then
-    summed.  ``u_levels[j-1]`` is the level-j approximation of the target
-    map; a level without nonzero net terms does not call it."""
-    levels, = _evaluate_rows([(allocation, u_levels)])
+    each level map called once on their nodes (`_evaluate`), then summed.
+    ``u_levels[j-1]`` is the level-j approximation of the target map; a
+    level without nonzero net terms does not call it."""
+    levels = _evaluate(_plan(allocation, u_levels))
     return _projection_sum(levels) if levels else zero_polynomial()
 
 
 def ml_quadrature(allocation: LevelAllocation, u_levels) -> np.ndarray:
     """Multilevel quadrature, planned, evaluated and summed as `ml_interpolate`
     is, whose constant coefficient it matches on the same inputs."""
-    levels, = _evaluate_rows([(allocation, u_levels)])
-    return _weighted_sum(levels)
+    return _weighted_sum(_evaluate(_plan(allocation, u_levels)))

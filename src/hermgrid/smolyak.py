@@ -15,13 +15,15 @@ patterns of the grids with nonzero coefficient, prod_{j in S} (nu_j + 1 -
 map once per fidelity, on the union of the rows' node patterns, and sums
 every row from the shared values.
 
-The operators take a `ParametricMapFn` (or a `_Shared` one).  Only these
-caches share work across calls: `_terms` and `_set_patterns` per recent set
-content, `_term_layout`, `_term_weights` and `_pattern_nodes` per term or
-pattern (the arrays read-only), `_projection_matrix` per level, and a
-`_Shared` map's read-only values by pattern and weighted sums by term.  A
-grid whose exponents are all odd is one pattern, so its values are that
-pattern's, in C order already.  A threshold walk's grid patterns last one walk.
+The operators take a `ParametricMapFn` (or a `_Shared` one); they and the
+studies call every map through `_evaluate`, once per distinct map on the
+patterns of all the terms it serves.  Only these caches share work across
+calls: `_terms` and `_set_patterns` per recent set content, `_term_layout`,
+`_term_weights` and `_pattern_nodes` per term or pattern (the arrays
+read-only), `_projection_matrix` per level, and a `_Shared` map's read-only
+values by pattern and weighted sums by term.  A grid whose exponents are
+all odd is one pattern, so its values are that pattern's, in C order
+already.  A threshold walk's grid patterns last one walk.
 """
 
 import itertools
@@ -133,7 +135,7 @@ def largest_threshold_set(surrogate, budgets, d_max: int) -> list:
             selected.complete = k == end
         return [sets[k] for k in best]
 
-    while walk.heap:
+    while True:
         boundary = len(walk.members)
         bound = walk.head * (1.0 + TIE)
         while walk.head <= bound and len(walk.members) <= limit:
@@ -157,7 +159,6 @@ def largest_threshold_set(surrogate, budgets, d_max: int) -> list:
                         if not refs or not refs + step:  # the pattern came or went
                             nodes += step * size
         best = [len(walk.members) if nodes <= b else k for b, k in zip(budgets, best)]
-    return prefixes()
 
 
 def sparse_grid_points(index_set: IndexSet) -> np.ndarray:
@@ -191,9 +192,6 @@ class HermitePolynomial:
             return np.zeros(self.output_dim)
         return hit
 
-    def items_sorted(self):
-        return sorted(self.coefficients.items(), key=lambda kv: kv[0].sort_key())
-
     def eval(self, y) -> np.ndarray:
         """Value ``sum_nu c_nu H_nu(y)`` as an output-space vector."""
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
@@ -206,7 +204,7 @@ class HermitePolynomial:
             for dim, kmax in max_exp.items()
         }
         out = np.zeros(self.output_dim)
-        for nu, coeff in self.items_sorted():
+        for nu, coeff in sorted(self.coefficients.items(), key=lambda kv: kv[0].sort_key()):
             factor = 1.0
             for dim, exp in nu.entries:
                 factor *= tables[dim][exp]
@@ -343,13 +341,16 @@ def _shared(u):
     return u if isinstance(u, _Shared) else _Shared(u)
 
 
-def _evaluate_sets(sets, u) -> _Shared:
-    """``u`` as a `_Shared` map holding its values on every term's grid of
-    every set: one call of ``u``, on the sets' nodes it was not evaluated
-    on (each set in `sparse_grid_points` order, after the sets before it)."""
-    u = _shared(u)
-    u.evaluate(p for index_set in sets for p in _set_patterns(index_set))
-    return u
+def _evaluate(levels) -> list:
+    """The ``(terms, u)`` pairs as a list, each `_Shared` ``u`` called once
+    on the node patterns of all its pairs' terms that it was not evaluated
+    on: in pair order, each terms' in `sparse_grid_points` order."""
+    levels, patterns = list(levels), {}
+    for terms, u in levels:
+        patterns.setdefault(u, []).extend(_term_patterns(terms))
+    for u, group in patterns.items():
+        u.evaluate(group)
+    return levels
 
 
 def _projection_sum(levels) -> HermitePolynomial:
@@ -389,7 +390,7 @@ def interpolate(index_set: IndexSet, u) -> HermitePolynomial:
     ``u`` is a `ParametricMapFn` (or a `_Shared` one), called on an (n, d)
     stack of nodes; d is the set's dimension (nodes are padded with zeros).
     """
-    return _projection_sum([(_terms(index_set), _evaluate_sets([index_set], u))])
+    return _projection_sum(_evaluate([(_terms(index_set), _shared(u))]))
 
 
 def quadrature(index_set: IndexSet, u) -> np.ndarray:
@@ -399,4 +400,4 @@ def quadrature(index_set: IndexSet, u) -> np.ndarray:
     exact for monomials whose index lies in the set or carries no exponent
     equal to 1.
     """
-    return _weighted_sum([(_terms(index_set), _evaluate_sets([index_set], u))])
+    return _weighted_sum(_evaluate([(_terms(index_set), _shared(u))]))

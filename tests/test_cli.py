@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hermgrid import cli, multilevel, smolyak
@@ -29,7 +29,7 @@ from hermgrid.cli import (
     run_quad_study,
     threshold_set_for_budget,
 )
-from hermgrid.errors import ConfigError, OutputError
+from hermgrid.errors import ConfigError, HermgridError, OutputError
 from hermgrid.grf import CovarianceSpec, circulant_embed_1d, sample_grf
 from hermgrid.hermite import MAX_LEVEL
 from hermgrid.indexset import MultiIndex, WeightFamily, surrogate_weight
@@ -46,6 +46,7 @@ from util import (
     random_product_surrogate,
     sample_file_text,
     scan_budget_eps,
+    surrogate_weight_oracle,
 )
 
 CONSTANT_CFG = "system = constant:0.5\nqoi = point\nx0 = 1.0\n"
@@ -210,19 +211,22 @@ class TestHelpers:
     def test_table_surrogate_matches_surrogate_weight(self, b, p, xi, r, tau_frac, k, K, data):
         family = WeightFamily(b=np.sort(b)[::-1], p=p, xi=xi, r=r, tau=tau_frac * (r - 1),
                               k=k, K=K)
-        surrogate = cli._surrogate(family)
+        assert family.table == {}
         indices = data.draw(st.lists(st.dictionaries(
             st.integers(0, family.d_max - 1), st.integers(1, MAX_LEVEL + 2), max_size=4)))
-        for entries in indices * 2:  # the second pass reads every factor from the table
+        for entries in indices * 2:  # the first pass fills the family's table, the second reads it
             nu = MultiIndex.from_dict(entries)
-            got = surrogate(nu)
-            assert type(got) is float and got.hex() == surrogate_weight(family, nu).hex()
-        outside = MultiIndex.from_dict({0: 1, family.d_max: data.draw(st.integers(1, 5))})
+            got = surrogate_weight(family, nu)
+            assert type(got) is float
+            assert got.hex() == float(surrogate_weight_oracle(family, nu)).hex()
+        assert set(family.table) == {entry for e in indices for entry in e.items()}
+        exp = data.draw(st.integers(1, 5))
+        outside = MultiIndex.from_dict({0: 1, family.d_max: exp})
         message = f"dimension {family.d_max} outside weight family truncation"
-        with pytest.raises(ValueError, match=message):
-            surrogate_weight(family, outside)
-        with pytest.raises(ValueError, match=message):
-            surrogate(outside)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                surrogate_weight(family, outside)
+            assert (family.d_max, exp) not in family.table
 
     def test_threshold_set_respects_budget(self):
         study = resolve_config("quad", {"system": "sindecay", "d_max": "4"}, 0)
@@ -613,6 +617,48 @@ class TestEpsRowCap:
         monkeypatch.setattr(cli, "_EPS_CAP", 1)
         assert main(args + [str(tmp_path / "capped")]) == 0
         assert filecmp.cmp(tmp_path / "out" / name, tmp_path / "capped" / name, shallow=False)
+
+
+class TestBudgetRowCap:
+    @pytest.mark.parametrize("overrides", ["alpha = 1e300\n", "alpha = 1.0\nq1 = 1.9999999\n",
+                                           "alpha = 50\n"])
+    def test_no_level_1_within_the_cap_exits_3_naming_the_budget(self, tmp_path, capsys,
+                                                                 monkeypatch, overrides):
+        # no allocation reaches level 1, so no price exceeds the budget: the
+        # sweep would grow the shared table toward the library's 10**7 members
+        monkeypatch.setattr(cli, "_BUDGET_CAP", 2000)
+        cfg = write_cfg(tmp_path, SIN_CFG.replace("alpha = 1.0\n", overrides))
+        assert main(["ml-quad", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--budgets", "256"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: budget 256: the search reached the cap "
+                              "of 2000 members")
+
+    def test_answer_past_the_cap_is_not_written(self, tmp_path, capsys, monkeypatch):
+        # alpha = 20 needs 71 606 rows for its exact budget-256 answer; a table
+        # capped below that used to write the capped table's answer as a row
+        monkeypatch.setattr(cli, "_BUDGET_CAP", 20_000)
+        cfg = write_cfg(tmp_path, SIN_CFG.replace("alpha = 1.0", "alpha = 20"))
+        assert main(["ml-quad", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--budgets", "256"]) == 3
+        assert "budget 256: the search reached the cap" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "ml_quad.csv").exists()
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.floats(0.1, 1.9),
+           st.floats(0.25, 3.0), st.integers(1, 40), st.integers(1, 3000))
+    @settings(max_examples=40, deadline=None)
+    def test_fails_exactly_when_every_price_of_the_capped_table_fits(self, seed, dims, q1,
+                                                                     alpha, cap, budget):
+        surrogate, _, _ = random_product_surrogate(np.random.default_rng(seed), dims)
+        table = MemberTable(surrogate, surrogate, q1, alpha, dims, cap)
+        try:
+            _ml_allocation_for_budget(table, budget)
+            failed = False
+        except HermgridError as exc:
+            failed = f"budget {budget}" in str(exc)
+        sw = default_work_sequence(max(1, int(math.floor(math.log2(max(budget, 2))))))
+        fits = all(table.price(math.exp(x), sw) <= budget for x in event_midpoints(table, sw))
+        assert failed == (len(table.members) >= cap and fits)
 
 
 class TestOneCallPerNodeAndFidelity:
@@ -1058,6 +1104,13 @@ class TestMainEntry:
         assert err.startswith("usage: hermgrid") and message in err
         assert not (tmp_path / "out").exists()
 
+    def test_words_after_double_dash_are_positional(self, capsys):
+        assert cli.parse_args(["--out", "o", "--", "bayes"])["command"] == "bayes"
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args(["--out", "o", "--", "bayes", "--seed", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
     def test_short_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["quad", "-h"])
@@ -1201,6 +1254,15 @@ class TestMainEntry:
         ("quad", "system = sindecay\nd_max = 16\np = 0.003\n", "key 'p': ||b||_p overflows"),
         ("quad", "system = sindecay\nd_max = 16\np = 0.003\nxi = 1\n",
          "key 'p': ||b||_p overflows"),
+        ("quad", "system = sindecay\nd_max = 1025\n", "key 'd_max': must lie in 1..1024"),
+        ("quad", "system = sindecay\nd_max = 1000000\n", "key 'd_max'"),
+        ("quad", "system = sindecay\nd_max = 1000000000\n", "key 'd_max'"),
+        ("quad", "system = blocks\nd_max = 100000000\n", "key 'd_max'"),
+        ("grf", "grid_m = 4097\n", "key 'grid_m': must be at most 4096, got 4097"),
+        ("grf", "grid_m = 20000000\n", "key 'grid_m'"),
+        ("grf", "grid_m = 1000000000\n", "key 'grid_m'"),
+        ("grf", "ell = 1e8\n", "key 'ell': 2 * ell * m must be at most 1048576"),
+        ("grf", "grid_m = 4096\nell = 128.5\n", "key 'ell'"),
     ], ids=["q1-3", "q1-0", "p-0.7", "alpha-neg", "alpha-0", "r_decay-1", "constant-neg",
             "constant-abc", "blocks-0", "ell-0.3", "grid_m-0", "corr_length-neg",
             "kappa-0.5", "r-2", "tau-neg", "K-0", "xi-neg", "d_max-0", "smoothness-1.0",
@@ -1212,7 +1274,9 @@ class TestMainEntry:
             "spline_order-30", "spline_order-171", "unread-r_decay-abc",
             "unread-smoothness-xyz", "unread-x0-abc", "unread-grid_m-abc", "cov-gauss",
             "K-1e80", "K-rho-inf", "constant-colon", "sindecay-colon", "blocks-colon",
-            "p-0.003", "p-0.003-xi-1"])
+            "p-0.003", "p-0.003-xi-1", "d_max-1025", "d_max-1e6", "d_max-1e9",
+            "blocks-d_max-1e8", "grid_m-4097", "grid_m-2e7", "grid_m-1e9", "ell-1e8",
+            "ell-128.5-grid_m-4096"])
     def test_rejected_values_are_config_errors(self, tmp_path, capsys, kind, text, named):
         cfg = write_cfg(tmp_path, text)
         assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out"),
@@ -1268,6 +1332,42 @@ class TestMainEntry:
             out1, out2, [p.name for p in out1.iterdir()], shallow=False
         )
         assert not mismatch and not errors
+
+
+#: Values the generated boundary test draws for any key ("default" leaves the
+#: key out), and the size keys' one value past their bound
+BOUNDARY_VALUES = ("default", "x!", "0", "1", "-1", "1e-300", "1e300", "inf", "-inf", "nan")
+PAST_BOUND = {"d_max": "1025", "grid_m": "4097", "ell": "1e300"}
+
+
+@st.composite
+def boundary_studies(draw):
+    """A study, 1-3 keys with values from `BOUNDARY_VALUES` (a size key also
+    past its bound), and the --budgets for grf (1 to 3 samples)."""
+    kind = draw(st.sampled_from(sorted(cli._STUDIES)))
+    keys = draw(st.lists(st.sampled_from(sorted(cli._KEYS)), min_size=1, max_size=3,
+                         unique=True))
+    values = {key: draw(st.sampled_from(BOUNDARY_VALUES + (PAST_BOUND.get(key, "x!"),)))
+              for key in keys}
+    budgets = ["--budgets", str(draw(st.integers(1, 3)))] if kind == "grf" else []
+    return kind, {key: value for key, value in values.items() if value != "default"}, budgets
+
+
+@given(boundary_studies())
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_boundary_values_exit_0_2_or_3(tmp_path, monkeypatch, capsys, drawn):
+    # small caps keep a tiny eps or an unreachable level 1 quick; every size
+    # key is drawn small or past its bound, so no study outgrows the host
+    monkeypatch.setattr(cli, "_EPS_CAP", 2000)
+    monkeypatch.setattr(cli, "_BUDGET_CAP", 2000)
+    kind, values, budgets = drawn
+    cfg = {"system": "sindecay", "d_max": "4", **values}
+    text = "".join(f"{key} = {value}\n" for key, value in cfg.items())
+    out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+    path = write_cfg(tmp_path, text, f"{out.name}.cfg")
+    assert main([kind, "--config", str(path), "--out", str(out), *budgets]) in (0, 2, 3)
+    capsys.readouterr()
 
 
 def test_determinism_digests_list_every_config_in_order():

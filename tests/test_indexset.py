@@ -232,6 +232,16 @@ class TestThresholdWalk:
         with pytest.raises(ThresholdTooSmall):
             build_threshold_set(lambda nu: 2.0 ** nu.order, 2.0 ** -4, 1, cap=4)
 
+    def test_refusals(self):
+        for eps in (0.0, -1.0):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                build_threshold_set(lambda nu: 1.0, eps, d_max=2)
+        # a walk on no dimension would pop the origin and then find nothing left
+        with pytest.raises(ValueError, match="d_max must be positive, got 0"):
+            build_threshold_set(lambda nu: 1.0, 0.5, d_max=0)
+        with pytest.raises(ValueError, match="d_max must be positive, got 0"):
+            largest_threshold_set(lambda nu: 1.0, [5], 0)
+
     def test_randomized_against_brute_force(self):
         rng = np.random.default_rng(42)
         for _ in range(12):

@@ -327,6 +327,16 @@ class TestParametricMaps:
         assert as_parametric_map(problem, ("exact",)).cost == 1
         assert as_parametric_map(problem, ("fem", 32)).cost == 32
 
+    def test_refusals(self):
+        wrong = ParametricMapFn(lambda rows: rows[:, :2], 1, label="two-columns")
+        with pytest.raises(ValueError, match=r"map two-columns returned shape \(3, 2\), "
+                                             r"expected \(3, 1\)"):
+            wrong.batch(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="unknown fidelity \\('spectral', 8\\)"):
+            as_parametric_map(sin_problem(), ("spectral", 8))
+        with pytest.raises(ValueError, match="need at least one cell"):
+            fem_solve_1d(sin_problem(), np.zeros(8), 0)
+
     def test_mean_qoi(self):
         problem = constant_problem(0.5)
         problem_mean = ModelProblem1D(problem.system, qoi=("mean",))
@@ -398,6 +408,14 @@ class TestPosterior:
         phi = ParametricMapFn(lambda rows: rows[:, :1], 1)
         with pytest.raises(DegenerateNormalization):
             posterior_expectation(spiky, phi, ladder(3))
+
+    def test_selector_refusals(self):
+        phi = ParametricMapFn(lambda rows: rows[:, :1], 1)
+        with pytest.raises(TypeError, match="selector must be an IndexSet or LevelAllocation"):
+            posterior_expectation(self.linear, phi, list(ladder(2)))
+        alloc = LevelAllocation({nu: 1 for nu in ladder(2)}, default_work_sequence(1))
+        with pytest.raises(ValueError, match="multilevel selector needs forward_levels"):
+            posterior_expectation(self.linear, phi, alloc)
 
     def test_multilevel_selector(self):
         lam = ladder(8)

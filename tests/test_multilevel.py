@@ -59,6 +59,20 @@ class TestWorkSequence:
         with pytest.raises(ValueError):
             WorkSequence((0, 2, 3), growth_constant=1.0)  # partial sums exceed
 
+    @pytest.mark.parametrize("top", [62, 63, 64, 70])
+    def test_cumulative_costs_stay_exact_past_int64(self, top):
+        # at top 63 the costs pass 2**63, where numpy would store float64 sums
+        sw = default_work_sequence(top)
+        sums = [sum(sw.values[1:l + 1]) for l in range(top + 1)]
+        assert [sw.cumulative(l) for l in range(top + 1)] == sums
+        assert all(type(sw.cumulative(l)) is int for l in range(top + 1))
+
+    def test_partial_sum_bound_and_no_levels_are_refused(self):
+        with pytest.raises(ValueError, match="partial-sum bound violated"):
+            WorkSequence((0, 2, 3, 4))  # 9 > 2 * 4 at level 3, every other bound kept
+        with pytest.raises(ValueError, match="max_level must be positive"):
+            default_work_sequence(0)
+
     def test_floor_level(self):
         sw = default_work_sequence(3)
         assert sw.floor_level(1.189) == 0
@@ -269,6 +283,27 @@ class TestMemberTable:
         # every level floors to 0 at alpha = inf, so a budget search never ends
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
             MemberTable(c, c, 1.0, math.inf, 2)
+
+    def test_no_dimensions_is_refused(self):
+        with pytest.raises(ValueError, match="d_max must be positive, got 0"):
+            MemberTable(lambda nu: 2.0 ** nu.order, lambda nu: 1.0, 1.0, 1.0, 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_past_the_cap_are_appended_only_when_read(self, seed):
+        c, _, _ = random_product_surrogate(np.random.default_rng(seed), 3)
+        sw = default_work_sequence(8)
+        table, fresh = (MemberTable(c, c, 1.0, 1.0, 3, 50) for _ in range(2))
+        with pytest.raises(ThresholdTooSmall):
+            table.allocation(1e-300, sw)  # a failed eps row: the study stops here
+        assert len(table.members) == 50 and table.t.size == 0
+        eps = 1.0 / c(table.members[20])  # a later read appends the walked rows first
+        assert table.allocation(eps, sw).levels == fresh.allocation(eps, sw).levels
+        assert table.t.size == table.order.size == len(table.members) == 50
+        with pytest.raises(ThresholdTooSmall):
+            fresh.allocation(1e-300, sw)
+        assert fresh.price(1e-300, sw) == math.inf  # the budget path reads on
+        assert fresh.t.size == len(fresh.members) == 50
+        assert fresh.t.tolist() == table.t.tolist() and fresh.order.tolist() == table.order.tolist()
 
 
 class TestGammaSets:
