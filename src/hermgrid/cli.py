@@ -146,7 +146,7 @@ _KERNELS = {
 }
 
 #: Members of an eps row's threshold set or multilevel table and of the budget
-#: rows' multilevel table; the largest d_max, grid_m and circulant extension
+#: rows' walk or multilevel table; the largest d_max, grid_m and circulant extension
 #: 2 * ell * grid_m (README: time and memory)
 _EPS_CAP, _BUDGET_CAP = 1_000_000, 100_000
 _MAX_MODES, _MAX_GRID, _MAX_EXTENSION = 1024, 4096, 1 << 20
@@ -238,9 +238,11 @@ def resolve_config(kind: str, cfg: dict, seed: int, budgets=None) -> StudyConfig
 
 def threshold_set_for_budget(study: StudyConfig, k: int, budgets) -> list:
     """Largest threshold set whose evaluation-node count fits each point
-    budget, all from one walk of the family."""
+    budget, all from one walk of the family (`ThresholdTooSmall` past
+    ``_BUDGET_CAP`` members)."""
     family = study.weight_family(k)
-    return largest_threshold_set(partial(surrogate_weight, family), budgets, family.d_max)
+    return largest_threshold_set(partial(surrogate_weight, family), budgets, family.d_max,
+                                 _BUDGET_CAP)
 
 
 def fit_rate(ns, errors, window: int = 4):

@@ -31,9 +31,9 @@ _LOG_MAX = math.log(sys.float_info.max)  # the largest argument of exp below inf
 class WorkSequence(Frozen):
     """Strictly increasing per-level cost measures with ``values[0] == 0``.
 
-    ``growth_constant`` bounds the partial sums, the level count against
-    the log of the cost, and the level-to-level growth; all three bounds
-    are validated on the stored prefix.  ``float_values`` and ``cumulative_costs``
+    ``growth_constant`` bounds the partial sums, which implies the level count
+    ``l <= kw (1 + log v_l)``, and the level-to-level growth; both bounds are
+    validated on the stored prefix.  ``float_values`` and ``cumulative_costs``
     (level 0 costs 0) are read-only float64 and exact integer arrays of the
     values (of Python ints once a sum passes int64).
     """
@@ -50,8 +50,6 @@ class WorkSequence(Frozen):
         for l in range(1, len(vals)):
             if sum(vals[: l + 1]) > kw * vals[l]:
                 raise ValueError("partial-sum bound violated")
-            if l > kw * (1.0 + math.log(vals[l])):
-                raise ValueError("level-count bound violated")
             if vals[l] > kw * (1.0 + vals[l - 1]):
                 raise ValueError("growth bound violated")
         floats = np.array(vals, dtype=np.float64)
@@ -94,12 +92,12 @@ class MemberTable:
     """The threshold family of ``c_surrogate``, one row a member, lowered on demand.
 
     Rows are appended as one `ThresholdWalk` pops them, so no member is built
-    twice, ``t = 1/c(nu)`` never rises along the rows, and the rows with
-    ``t >= e`` are the threshold set at any ``e`` above the walk's head.
-    ``order`` lists the rows in `IndexSet.sorted_members` order; ``d`` holds
-    ``d(nu)**(-1/(1+2 alpha))``, ``points`` the tensor point count
-    ``prod_j (nu_j + 1)`` and ``max_exp`` the largest exponent.  The table
-    starts empty; `lower`, `allocation`, `price` and `eps_for_budget` grow it.
+    twice, ``t = 1/c(nu)`` never rises along the rows, and the first rows, those
+    with ``t >= e``, are the threshold set at any ``e`` above the walk's head.
+    ``d`` holds ``d(nu)**(-1/(1+2 alpha))`` and ``s`` its running sums, left to
+    right; ``points`` the tensor point count ``prod_j (nu_j + 1)`` and
+    ``max_exp`` the largest exponent.  The table starts empty; `lower`,
+    `allocation`, `price` and `eps_for_budget` grow it.
     """
 
     def __init__(self, c_surrogate, d_surrogate, q1: float, alpha: float, d_max: int,
@@ -111,10 +109,9 @@ class MemberTable:
         self.q1, self.alpha, self.cap, self.d_surrogate = q1, alpha, cap, d_surrogate
         self.gamma = (0.5 - q1 / 4.0) / alpha  # the level bounds' power of 1/eps
         self.walk = ThresholdWalk(c_surrogate, d_max)
-        self.members, self._keys, self._order = self.walk.members, [], []
-        self.t = self.d = self._t_in_order = np.empty(0)
+        self.members = self.walk.members
+        self.t = self.d = self.s = np.empty(0)
         self.points = self.max_exp = np.empty(0, np.int64)
-        self.order = np.empty(0, np.intp)
 
     def lower(self, eps: float):
         """Append the rows with ``t >= eps``; `ThresholdTooSmall`, appending none, past ``cap``."""
@@ -128,24 +125,21 @@ class MemberTable:
         exponent, new = -1.0 / (1.0 + 2.0 * self.alpha), self.members[start:]
         same = self.d_surrogate is self.walk.surrogate  # then d(nu) is the walk's value
         d = self.walk.values[start:] if same else map(self.d_surrogate, new)
-        self._keys.extend(nu.sort_key() for nu in new)
-        self._order.extend(range(start, len(self.members)))  # a sorted run, then the new rows
-        self._order.sort(key=self._keys.__getitem__)
         add = lambda rows, values: np.concatenate((rows, np.array(values, rows.dtype)))
         self.t = add(self.t, 1.0 / np.array(self.walk.values[start:]))
         self.d = add(self.d, [float(v) ** exponent for v in d])
         self.points = add(self.points, list(map(_point_factor, new)))
         self.max_exp = add(self.max_exp, [max((e for _, e in nu.entries), default=0) for nu in new])
-        self.order = np.array(self._order, np.intp)
-        self._t_in_order = self.t[self.order]
+        self.s = self.d.cumsum()
+        self.s.flags.writeable = False
 
     def levels(self, eps: float, work_sequence: WorkSequence) -> tuple:
-        """Rows of the threshold set at ``eps`` (one the table reaches), in
-        member order, and their levels, each the highest whose cost is at
-        most ``eps**(-(1/2 - q1/4)/alpha) * d * S**(1/(2 alpha))`` with ``S``
-        the sum of ``d`` over the rows, in member order."""
-        rows = self.order[self._t_in_order >= eps]
-        total = sum(self.d[rows].tolist())
+        """Rows of the threshold set at ``eps`` (one the table reaches), the
+        first n, and their levels, each the highest whose cost is at most
+        ``eps**(-(1/2 - q1/4)/alpha) * d * S**(1/(2 alpha))`` with ``S = s[n-1]``
+        (0 without rows)."""
+        n = int(np.count_nonzero(self.t >= eps))
+        rows, total = np.arange(n), float(self.s[n - 1]) if n else 0.0
         try:
             prefactor = eps ** -self.gamma * total ** (0.5 / self.alpha)
         except OverflowError:  # a factor past the doubles: the product in logs, saturated
@@ -195,8 +189,7 @@ class MemberTable:
         def midpoints(k):  # interval k: the first ends[k] rows, down to the next t
             n = ends[k]
             hi, lo = log_t[n - 1], log_t[n] if n < log_t.size else head
-            total = sum(self.d[self.order[self.order < n]].tolist())
-            x = (log_d[:n, None] + math.log(total) / (2.0 * self.alpha) - log_w) / self.gamma
+            x = (log_d[:n, None] + math.log(self.s[n - 1]) / (2 * self.alpha) - log_w) / self.gamma
             x = np.concatenate(([hi], np.sort(x[(x > lo) & (x < hi)])[::-1], [lo]))
             return ((x[:-1] + x[1:]) / 2.0)[x[:-1] - x[1:] > TIE]
 

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyIndexSet, NotDownwardClosed
+from .errors import EmptyIndexSet, NotDownwardClosed, ThresholdTooSmall
 from .hermite import MAX_LEVEL, gauss_hermite_rule, hermite_eval_all
 from .indexset import TIE, IndexSet, MultiIndex, ThresholdWalk
 
@@ -105,7 +105,7 @@ def evaluation_point_count(index_set: IndexSet) -> int:
     return sum(map(_pattern_size, _set_patterns(index_set)))
 
 
-def largest_threshold_set(surrogate, budgets, d_max: int) -> list:
+def largest_threshold_set(surrogate, budgets, d_max: int, cap: int = 10_000_000) -> list:
     """Largest threshold set ``{nu : 1/surrogate(nu) >= eps}`` on at most ``b``
     nodes, for each budget ``b`` in the sequence ``budgets``, in its order.
 
@@ -120,7 +120,8 @@ def largest_threshold_set(surrogate, budgets, d_max: int) -> list:
     A group is popped first; the walk stops once more members than the
     largest budget are popped, inside a group too (the operators reproduce
     P_Lambda, so they need at least |Lambda| nodes), or at a group with an
-    exponent above MAX_LEVEL, whose rule does not exist.  Equal prefixes
+    exponent above MAX_LEVEL, whose rule does not exist; a walk that would
+    pop past ``cap`` members first raises `ThresholdTooSmall`.  Equal prefixes
     come back as one `IndexSet` object.  Each set's ``complete`` is True when
     it is the last set of the family that has rules, so that no larger
     budget would select more; no prefix below an unfinished group is.
@@ -139,6 +140,9 @@ def largest_threshold_set(surrogate, budgets, d_max: int) -> list:
         boundary = len(walk.members)
         bound = walk.head * (1.0 + TIE)
         while walk.head <= bound and len(walk.members) <= limit:
+            if len(walk.members) >= cap:
+                raise ThresholdTooSmall(f"budget {limit}: the threshold walk reached the cap "
+                                        f"of {cap} members")
             walk.pop()
         group = walk.members[boundary:]
         if max((e for nu in group for _, e in nu.entries), default=0) > MAX_LEVEL:

@@ -51,6 +51,9 @@ CONFIGS = (
     ("interp-eps", "interp", SIN8_EPS, None, 0),
     ("ml-quad-eps", "ml-quad", SIN8_EPS.replace("d_max = 8", "d_max = 4"), None, 0),
     ("ml-interp-eps", "ml-interp", SIN8_EPS.replace("d_max = 8", "d_max = 4"), None, 0),
+    # a member table large enough that the walk's order and member order differ widely
+    ("ml-quad-sin64", "ml-quad", "system = sindecay\nd_max = 64\nalpha = 2.0\n",
+     "256,1024,4096,16384,65536", 0),
 )
 
 

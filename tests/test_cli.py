@@ -644,6 +644,26 @@ class TestBudgetRowCap:
         assert "budget 256: the search reached the cap" in capsys.readouterr().err
         assert not (tmp_path / "out" / "ml_quad.csv").exists()
 
+    def test_single_level_walk_past_the_cap_exits_3_naming_the_budget(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # interp's reference walk at four times 10**12 points would not stop
+        # before memory ran out
+        monkeypatch.setattr(cli, "_BUDGET_CAP", 2000)
+        cfg = write_cfg(tmp_path, "system = sindecay\nr_decay = 3.0\nd_max = 16\n")
+        assert main(["interp", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--budgets", "1000000000000"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: budget 4000000000000: the threshold walk reached the cap "
+            "of 2000 members")
+        assert not (tmp_path / "out" / "interp.csv").exists()
+
+    def test_single_level_walk_that_stops_at_the_rules_keeps_the_cap(self, tmp_path):
+        # quad's walk stops after 5836 pops at the first exponent without a rule
+        cfg = write_cfg(tmp_path, "system = sindecay\nr_decay = 3.0\nd_max = 16\n")
+        assert main(["quad", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--budgets", "1000000000000"]) == 0
+        assert len((tmp_path / "out" / "quad.csv").read_text().splitlines()) == 2
+
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.floats(0.1, 1.9),
            st.floats(0.25, 3.0), st.integers(1, 40), st.integers(1, 3000))
     @settings(max_examples=40, deadline=None)

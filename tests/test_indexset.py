@@ -275,6 +275,19 @@ class TestThresholdWalk:
         assert built == IndexSet(walk.members) == lattice_threshold_set(surrogate, eps, d_max)
         assert stats["tests"] == walk.calls
 
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.booleans(), st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_walk_pops_by_value_then_entries(self, seed, d_max, tied, t):
+        # every child's entries sort after its pusher's, so the heap pops the
+        # threshold set in (value, entries) order, ties included; the
+        # multilevel oracle sums the weights in this order
+        make = tied_product_surrogate if tied else random_product_surrogate
+        surrogate, _, _ = make(np.random.default_rng(seed), d_max)
+        walk = ThresholdWalk(surrogate, d_max)
+        walk.lower(2.0 ** -t, 10 ** 6)
+        assert walk.members == sorted(lattice_threshold_set(surrogate, 2.0 ** -t, d_max),
+                                      key=lambda nu: (surrogate(nu), nu.entries))
+
     @given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(1, 300), min_size=1, max_size=4))
     @settings(max_examples=30, deadline=None)
     def test_budget_walk_cost_independent_of_truncation(self, seed, budgets):

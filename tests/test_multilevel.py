@@ -73,6 +73,25 @@ class TestWorkSequence:
         with pytest.raises(ValueError, match="max_level must be positive"):
             default_work_sequence(0)
 
+    @given(st.floats(1.01, 1e4), st.integers(1, 2000),
+           st.lists(st.integers(0, 10 ** 6), max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_partial_sum_bound_implies_the_level_count_bound(self, kw, top, extra):
+        # the least values the partial-sum bound admits, plus drawn extras:
+        # along them l <= kw (1 + log v_l) holds, so no sequence the
+        # constructor accepts could fail that check
+        vals, total = [0], 0
+        for l in range(1, top + 1):
+            v = max(vals[-1] + 1, math.ceil(total / (kw - 1))) + (extra[l - 1:l] or [0])[0]
+            while total + v > kw * v:  # the constructor's comparison, in floats
+                v += max(1, v >> 40)
+            if v > 1e300:
+                break
+            vals.append(v)
+            total += v
+        assert not any(sum(vals[:l + 1]) > kw * vals[l] for l in range(1, len(vals)))
+        assert all(l <= kw * (1.0 + math.log(v)) for l, v in enumerate(vals[1:], start=1))
+
     def test_floor_level(self):
         sw = default_work_sequence(3)
         assert sw.floor_level(1.189) == 0
@@ -181,14 +200,14 @@ class TestMemberTable:
         for x in sorted(log_eps, reverse=True):
             grown.lower(10.0 ** x)
         once.lower(10.0 ** min(log_eps))
-        for name in ("t", "d", "points", "max_exp", "order"):
+        for name in ("t", "d", "points", "max_exp", "s"):
             got, want = getattr(grown, name), getattr(once, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
     def test_weight_sum_in_member_order(self):
-        # weights 1, 1e-16, 1e-16, 1e-16 sum to 1.0 in member order and to
-        # 1 + 2**-52 backwards; at eps just above 1/4 that moves the empty
-        # index across the level-1 cost 2
+        # weights 1, 1e-16, 1e-16, 1e-16 sum to 1.0 left to right in the walk's
+        # order (here, in 1-d, also member order) and to 1 + 2**-52 backwards;
+        # at eps just above 1/4 that moves the empty index across the level-1 cost 2
         c = lambda nu: 1.5 ** nu.order
         d = lambda nu: 1.0 if nu.order == 0 else 1e32
         sw = default_work_sequence(3)
@@ -196,6 +215,23 @@ class TestMemberTable:
         expected = construct_levels_loop(c, d, 1.0, 0.5, eps, sw, 1)
         assert len(expected.levels) == 0
         assert construct_levels(c, d, 1.0, 0.5, eps, sw, 1).levels == expected.levels
+
+    def test_weight_sum_in_the_walks_order(self):
+        # the walk pops (), 0:1, 0:2, 1:1 (c = 1, 2, 3, 3.5), whose weights
+        # 5e-17, 5e-17, 5e-17, 1 sum left to right to 1 + 2**-52; member order
+        # puts 1:1 before 0:2 and sums to 1.0, leaving 1:1 below the level-1
+        # cost 2 at eps just above 1/4
+        values = {(): 1.0, ((0, 1),): 2.0, ((0, 2),): 3.0, ((1, 1),): 3.5}
+        c = lambda nu: values.get(nu.entries, 10.0 * (1 + nu.order))
+        d = lambda nu: 1.0 if nu.entries == ((1, 1),) else 0.5e-16 ** -2
+        sw = default_work_sequence(3)
+        eps = float(np.nextafter(0.25, 1.0))
+        assert construct_levels(c, d, 1.0, 0.5, eps, sw, 2).levels == {mi({1: 1}): 1}
+        assert construct_levels_loop(c, d, 1.0, 0.5, eps, sw, 2).levels == {mi({1: 1}): 1}
+        table = MemberTable(c, d, 1.0, 0.5, 2)
+        table.lower(eps)
+        assert table.members == [MultiIndex(), mi({0: 1}), mi({0: 2}), mi({1: 1})]
+        assert table.s[-1] == 1.0 + 2.0 ** -52
 
     def test_rows_above_threshold_form_smaller_sets(self):
         c, _, _ = random_product_surrogate(np.random.default_rng(5), 3)
@@ -298,12 +334,12 @@ class TestMemberTable:
         assert len(table.members) == 50 and table.t.size == 0
         eps = 1.0 / c(table.members[20])  # a later read appends the walked rows first
         assert table.allocation(eps, sw).levels == fresh.allocation(eps, sw).levels
-        assert table.t.size == table.order.size == len(table.members) == 50
+        assert table.t.size == table.s.size == len(table.members) == 50
         with pytest.raises(ThresholdTooSmall):
             fresh.allocation(1e-300, sw)
         assert fresh.price(1e-300, sw) == math.inf  # the budget path reads on
         assert fresh.t.size == len(fresh.members) == 50
-        assert fresh.t.tolist() == table.t.tolist() and fresh.order.tolist() == table.order.tolist()
+        assert fresh.t.tolist() == table.t.tolist() and fresh.s.tolist() == table.s.tolist()
 
 
 class TestGammaSets:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hermgrid import smolyak
 from hermgrid.cli import resolve_config
-from hermgrid.errors import EmptyIndexSet, LevelTooLarge, NotDownwardClosed
+from hermgrid.errors import EmptyIndexSet, LevelTooLarge, NotDownwardClosed, ThresholdTooSmall
 from hermgrid.hermite import MAX_LEVEL, gauss_hermite_rule, hermite_eval_all
 from hermgrid.indexset import (IndexSet, MultiIndex, ThresholdWalk, degree_weight,
                                surrogate_weight)
@@ -276,6 +276,18 @@ class TestLargestThresholdSet:
     def test_stops_below_missing_rule(self):
         surrogate, _, _ = random_product_surrogate(np.random.default_rng(0), 1)
         assert largest_threshold_set(surrogate, [300], 1) == [ladder(MAX_LEVEL)]
+
+    def test_walk_past_the_cap_raises_naming_the_budget(self):
+        # the ladder's walk stops by itself after MAX_LEVEL + 2 pops (the last
+        # one past the rules) and, at budget 10, after 11: a cap of that many
+        # members holds, one less raises
+        surrogate, _, _ = random_product_surrogate(np.random.default_rng(0), 1)
+        for budget, pops in ((300, MAX_LEVEL + 2), (10, 11)):
+            assert largest_threshold_set(surrogate, [budget], 1, cap=pops) == \
+                largest_threshold_set(surrogate, [budget], 1)
+            message = f"budget {budget}: the threshold walk reached the cap of {pops - 1} members"
+            with pytest.raises(ThresholdTooSmall, match=message):
+                largest_threshold_set(surrogate, [budget], 1, cap=pops - 1)
 
     def test_complete_only_when_the_rules_run_out(self):
         # the ladder's last set has 65 nodes; a budget below that cuts it short

@@ -481,15 +481,19 @@ def construct_levels_loop(c_surrogate, d_surrogate, q1, alpha, eps, work_sequenc
                           d_max, cap=10_000_000) -> LevelAllocation:
     """Loop oracle for `construct_levels`: one dict entry per member.
 
-    Sums the weights over the set in `IndexSet` iteration order and floors
+    Takes the set's members in the walk's order, by ``(c_surrogate(nu),
+    nu.entries)``, sums the weights left to right in that order and floors
     each member's cost bound with `floor_level_loop`.
     """
     selected = lattice_threshold_set(c_surrogate, eps, d_max, cap=cap)
     if len(selected) == 0:
         raise EmptyAllocation(f"threshold {eps} admits no multi-indices")
+    selected = sorted(selected, key=lambda nu: (c_surrogate(nu), nu.entries))
     exponent = -1.0 / (1.0 + 2.0 * alpha)
     d_values = {nu: float(d_surrogate(nu)) ** exponent for nu in selected}
-    total = sum(d_values[nu] for nu in selected)
+    total = 0.0
+    for nu in selected:  # not sum(), which compensates from Python 3.12 on
+        total += d_values[nu]
     prefactor = eps ** (-(0.5 - q1 / 4.0) / alpha) * total ** (1.0 / (2.0 * alpha))
     levels = {
         nu: floor_level_loop(work_sequence.values, prefactor * d_values[nu])
@@ -553,7 +557,7 @@ def event_midpoints(table, work_sequence, top=math.inf):
     `MemberTable.eps_for_budget`: every entry (log ``t``) and, between two
     distinct entries, every level step of the rows entered (log eps
     ``(log d_i + log S/(2 alpha) - log W_l)/gamma`` with ``S`` summed over
-    the rows in member order), in descending log eps; yields the midpoint
+    the rows left to right, in row order), in descending log eps; yields the midpoint
     of each gap wider than 1e-12 between consecutive events below ``top``,
     down to the walk's next member.
     """
@@ -566,9 +570,10 @@ def event_midpoints(table, work_sequence, top=math.inf):
         hi, lo = log_t[n - 1], log_t[n]
         if lo >= top or lo == hi:
             continue
-        rows = sorted((i for i in range(len(table.members)) if table.t[i] >= t[n - 1]),
-                      key=lambda i: table.members[i].sort_key())
-        total = sum(table.d[rows].tolist())
+        rows = [i for i in range(len(table.members)) if table.t[i] >= t[n - 1]]
+        total = 0.0
+        for i in rows:  # not sum(), which compensates from Python 3.12 on
+            total += float(table.d[i])
         steps = ((np.log(table.d[rows])[:, None] + math.log(total) / (2.0 * table.alpha)
                   - log_w) / gamma).ravel()
         for x in [hi] + sorted(steps[(steps > lo) & (steps < hi)].tolist(), reverse=True):
