@@ -23,6 +23,7 @@ from .errors import (
     ConfigError,
     HermgridError,
     OutputError,
+    ThresholdTooSmall,
     UnsupportedSmoothness,
 )
 from .grf import CovarianceSpec, circulant_embed_1d, sample_grf
@@ -318,7 +319,13 @@ def _study_sets(study: StudyConfig, k: int, reference_budget=None) -> tuple:
     budgets = [] if study.eps_grid else list(study.budgets)
     if reference_budget:
         budgets.append(reference_budget)
-    sets = threshold_set_for_budget(study, k, budgets)
+    try:
+        sets = threshold_set_for_budget(study, k, budgets)
+    except ThresholdTooSmall:
+        if not reference_budget:
+            raise
+        raise ThresholdTooSmall(f"budget {study.budgets[-1]}: the walk to its reference set "
+                                f"reached the cap of {_BUDGET_CAP} members") from None
     ref_set = sets.pop() if reference_budget else None
     if study.eps_grid:
         family = study.weight_family(k)

@@ -39,11 +39,11 @@ _BLOCK = 1 << 16  # values in one kernel temporary; rows go through in blocks
 
 
 class RepresentationSystem(Frozen):
-    """Basis ``psi_j`` of the affine-parametric log-coefficient: ``basis``
-    maps a float array x to the (len(x), d_max) values ``psi_j(x_i)``,
-    ``sup_norms`` holds the per-mode uniform norms (the decay vector of the
-    weight families) and ``edges`` the increasing points of (0, 1) where a
-    mode jumps.  Systems compare by identity."""
+    """Basis ``psi_j`` of the affine-parametric log-coefficient: ``basis`` maps
+    a float array x and a count k to the (len(x), k) values ``psi_j(x_i)`` of
+    the first k modes, ``sup_norms`` holds the per-mode uniform norms (the decay
+    vector of the weight families) and ``edges`` the increasing points of (0, 1)
+    where a mode jumps.  Systems compare by identity."""
 
     __slots__ = ("basis", "sup_norms", "edges", "d_max")
 
@@ -60,14 +60,14 @@ class RepresentationSystem(Frozen):
         if not (decay > 1.0 and np.all(norms > 0)):
             raise ValueError(f"decay {decay}: must exceed 1 for a summable system, with no "
                              "norm (j+1)**(-decay) underflowing to 0")
-        return cls(lambda x: np.sin(np.multiply.outer(x, j) * np.pi) * norms, norms)
+        return cls(lambda x, k: np.sin(np.multiply.outer(x, j[:k]) * np.pi) * norms[:k], norms)
 
     @classmethod
     def constant_mode(cls, amplitude: float) -> "RepresentationSystem":
         """Single constant mode; the workhorse analytic test problem."""
         if not 0 < amplitude < np.inf:
             raise ValueError("amplitude must be positive and finite")
-        return cls(lambda x: np.full((x.size, 1), amplitude), [amplitude])
+        return cls(lambda x, k: np.full((x.size, min(k, 1)), amplitude), [amplitude])
 
     @classmethod
     def blocks(cls, d_max: int, amplitude: float = 1.0) -> "RepresentationSystem":
@@ -75,12 +75,13 @@ class RepresentationSystem(Frozen):
         if not 0 < amplitude < np.inf:
             raise ValueError("amplitude must be positive and finite")
         block = lambda x: np.clip((x * d_max).astype(int), 0, d_max - 1)[:, None]  # of each x
-        return cls(lambda x: amplitude * (block(x) == np.arange(d_max)),
+        return cls(lambda x, k: amplitude * (block(x) == np.arange(k)),
                    np.full(d_max, amplitude), [k / d_max for k in range(1, d_max)])
 
-    def basis_matrix(self, x) -> np.ndarray:
-        """Values ``psi_j(x_i)`` with shape (len(x), d_max)."""
-        return self.basis(np.atleast_1d(np.asarray(x, dtype=np.float64)))
+    def basis_matrix(self, x, k=None) -> np.ndarray:
+        """Values ``psi_j(x_i)`` of the first k modes (default d_max), shape (len(x), k)."""
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        return self.basis(x, self.d_max if k is None else k)
 
 
 def _f_one(x):
@@ -227,10 +228,12 @@ def fem_solve_1d(problem: ModelProblem1D, y, n_cells: int) -> np.ndarray:
     if hit is None:
         flat = ((np.arange(n_cells)[:, None] + _accel._REF_POINTS) * (1.0 / n_cells)).ravel()
         f_vals = np.asarray(problem.f(flat), dtype=np.float64).reshape(n_cells, 3)
-        hit = problem._quad_cache[n_cells] = (
-            problem.system.basis_matrix(flat), f_vals, -float(problem.F(1.0)))
-    basis, f_vals, flux = hit
+        hit = problem._quad_cache[n_cells] = [
+            flat, f_vals, -float(problem.F(1.0)), np.empty((flat.size, 0))]
+    flat, f_vals, flux, basis = hit
     rows = problem.truncated(np.atleast_2d(y))
+    if basis.shape[1] < rows.shape[1]:  # as wide as the widest stack the mesh served
+        basis = hit[3] = problem.system.basis_matrix(flat, rows.shape[1])
     out = np.empty((len(rows), n_cells + 1))
     step = max(1, _BLOCK // basis.shape[0])
     for i in range(0, len(rows), step):

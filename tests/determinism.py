@@ -54,6 +54,10 @@ CONFIGS = (
     # a member table large enough that the walk's order and member order differ widely
     ("ml-quad-sin64", "ml-quad", "system = sindecay\nd_max = 64\nalpha = 2.0\n",
      "256,1024,4096,16384,65536", 0),
+    # the FEM levels on the other two systems: indicator blocks and the one constant mode
+    ("ml-quad-blocks4", "ml-quad", "system = blocks\nd_max = 4\nalpha = 1.0\n",
+     "4096,16384,65536", 0),
+    ("ml-quad-constant", "ml-quad", "", None, 0),
 )
 
 

@@ -653,9 +653,21 @@ class TestBudgetRowCap:
         assert main(["interp", "--config", str(cfg), "--out", str(tmp_path / "out"),
                      "--budgets", "1000000000000"]) == 3
         assert capsys.readouterr().err.startswith(
-            "numerical failure: budget 4000000000000: the threshold walk reached the cap "
-            "of 2000 members")
+            "numerical failure: budget 1000000000000: the walk to its reference set reached "
+            "the cap of 2000 members")
         assert not (tmp_path / "out" / "interp.csv").exists()
+
+    def test_reference_walk_past_the_cap_names_the_largest_budget(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # quad fits budgets 25 and 50 under a cap of 100 members; interp's
+        # reference walk, at four times 50 points, does not
+        monkeypatch.setattr(cli, "_BUDGET_CAP", 100)
+        cfg = write_cfg(tmp_path, "system = sindecay\nr_decay = 3.0\nd_max = 16\n")
+        args = ["--config", str(cfg), "--budgets", "25,50", "--out"]
+        assert main(["quad", *args, str(tmp_path / "quad")]) == 0
+        assert main(["interp", *args, str(tmp_path / "interp")]) == 3
+        assert capsys.readouterr().err == ("numerical failure: budget 50: the walk to its "
+                                           "reference set reached the cap of 100 members\n")
 
     def test_single_level_walk_that_stops_at_the_rules_keeps_the_cap(self, tmp_path):
         # quad's walk stops after 5836 pops at the first exponent without a rule

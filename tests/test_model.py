@@ -30,6 +30,7 @@ from hermgrid.smolyak import _shared, combination_coeffs, quadrature
 from util import (
     fem_cell_data,
     fem_solve_fsum,
+    fem_solve_full_basis,
     fem_solve_point,
     fem_system_exact,
     fem_system_loop,
@@ -92,6 +93,20 @@ class TestCoefficient:
         expected = np.exp(np.sin(np.pi * x))
         got = np.exp(log_coeff_point(problem, [1.0, 0.0, 0.0, 0.0], x))
         assert got == pytest.approx(expected)
+
+    @given(st.sampled_from(["sindecay", "constant", "blocks"]), st.integers(1, 12),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    @example("blocks", 4, [0.0, 0.25, 0.5, 0.75, 1.0])
+    def test_first_k_modes_are_the_full_basis_columns(self, kind, d_max, xs):
+        system = {"sindecay": lambda: RepresentationSystem.sin_decay(2.5, d_max),
+                  "constant": lambda: RepresentationSystem.constant_mode(0.7),
+                  "blocks": lambda: RepresentationSystem.blocks(d_max, 1.3)}[kind]()
+        full = system.basis_matrix(xs)
+        assert full.shape == (len(xs), system.d_max)
+        for k in range(system.d_max + 1):
+            got = system.basis_matrix(xs, k)
+            assert got.shape == (len(xs), k) and got.tobytes() == full[:, :k].tobytes()
 
     def test_truncation_ignores_extra_coordinates(self):
         problem = sin_problem(3.0, 2)
@@ -172,7 +187,7 @@ class TestOracle:
         # the law of one constant mode hypot(a, b): a system built from its
         # basis and norms alone needs no other code to be averaged
         a, b = 0.4, 0.3
-        system = RepresentationSystem(lambda x: np.tile([a, b], (x.size, 1)), [a, b])
+        system = RepresentationSystem(lambda x, k: np.tile([a, b][:k], (x.size, 1)), [a, b])
         problem = ModelProblem1D(system, qoi=qoi)
         want = expected_qoi_oracle(constant_problem(math.hypot(a, b), qoi=qoi))
         assert expected_qoi_oracle(problem) == pytest.approx(want, rel=1e-14, abs=0.0)
@@ -518,6 +533,26 @@ class TestBatchedMaps:
             scale = np.abs(oracle).max()
             assert ulps(row, oracle, scale) <= ULPS
             assert ulps(fem_solve_point(problem, y, n_cells), oracle, scale) <= ULPS
+
+    @given(st.sampled_from(sorted(SYSTEMS)), st.sampled_from([1, 2, 8, 32]),
+           st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_fem_equals_full_basis_oracle(self, system, n_cells, seed, n):
+        # the mesh's basis widens from no modes to d_max as wider stacks
+        # arrive, then serves every narrower one: no value may move a bit
+        problem = SYSTEMS[system]()
+        d_max, widest = problem.system.d_max, 0
+        rng = np.random.default_rng(seed)
+        for width in [*range(d_max + 3), *reversed(range(d_max + 3))]:
+            stack = rng.normal(0.0, 2.0, (n, width))
+            np.testing.assert_array_equal(fem_solve_1d(problem, stack, n_cells),
+                                          fem_solve_full_basis(problem, stack, n_cells),
+                                          strict=True)
+            widest = max(widest, width)
+            assert problem._quad_cache[n_cells][3].shape[1] == min(widest, d_max)
+        y = rng.normal(0.0, 2.0, int(rng.integers(0, d_max + 3)))
+        np.testing.assert_array_equal(fem_solve_1d(problem, y, n_cells),
+                                      fem_solve_full_basis(problem, y, n_cells), strict=True)
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 80), st.integers(1, 4),
            st.sampled_from(QOIS))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
-from hermgrid._accel import _REF_POINTS, _REF_WEIGHTS
+from hermgrid._accel import _REF_POINTS, _REF_WEIGHTS, fem_system
 from hermgrid.cli import _format
 from hermgrid.errors import (
     EmptyAllocation,
@@ -18,7 +18,7 @@ from hermgrid.errors import (
 )
 from hermgrid.hermite import MAX_LEVEL, gauss_hermite_rule
 from hermgrid.indexset import IndexSet, MultiIndex
-from hermgrid.model import _MAX_DOUBLINGS, ParametricMapFn, _panel_rule
+from hermgrid.model import _BLOCK, _MAX_DOUBLINGS, ParametricMapFn, _log_coeff, _panel_rule
 from hermgrid.multilevel import LevelAllocation, construct_levels, default_work_sequence, work
 from hermgrid.smolyak import _shared, combination_coeffs, evaluation_point_count
 
@@ -839,6 +839,23 @@ def fem_solve_point(problem, y, n_cells: int) -> np.ndarray:
     u = np.zeros(load.size)
     np.cumsum(q / s, out=u[1:])
     return u
+
+
+def fem_solve_full_basis(problem, y, n_cells: int) -> np.ndarray:
+    """Bitwise oracle for `hermgrid.model.fem_solve_1d`: the same mode sum,
+    row blocks and chain solve on a basis of all d_max modes at every
+    Gauss point of the mesh, rebuilt on each call (the map before its mesh
+    cache held only the modes the stacks carry)."""
+    flat = ((np.arange(n_cells)[:, None] + _REF_POINTS) * (1.0 / n_cells)).ravel()
+    f_vals = np.asarray(problem.f(flat), dtype=np.float64).reshape(n_cells, 3)
+    basis, flux = problem.system.basis_matrix(flat), -float(problem.F(1.0))
+    rows = problem.truncated(np.atleast_2d(y))
+    out = np.empty((len(rows), n_cells + 1))
+    step = max(1, _BLOCK // basis.shape[0])
+    for i in range(0, len(rows), step):
+        a_vals = np.exp(_log_coeff(rows[i:i + step], basis)).reshape(-1, n_cells, 3)
+        out[i:i + step] = fem_system(a_vals, f_vals, 1.0 / n_cells, flux)
+    return out if np.ndim(y) > 1 else out[0]
 
 
 def prefix_sums(values) -> list:
