@@ -23,7 +23,6 @@ from .errors import (
     ConfigError,
     HermgridError,
     OutputError,
-    ThresholdTooSmall,
     UnsupportedSmoothness,
 )
 from .grf import CovarianceSpec, circulant_embed_1d, sample_grf
@@ -37,6 +36,7 @@ from .model import (
     RepresentationSystem,
     as_parametric_map,
     expected_qoi_oracle,
+    l2_errors,
     posterior_expectation,
 )
 from .multilevel import (
@@ -312,27 +312,21 @@ def _no_rows(study: StudyConfig, why: str) -> HermgridError:
     return HermgridError(f"{study.kind}: no row at {rows} {values}: {why}")
 
 
-def _study_sets(study: StudyConfig, k: int, reference_budget=None) -> tuple:
-    """One threshold set per row, from the eps grid or the largest fitting
-    each budget, and the set at ``reference_budget`` (None without one);
-    the budget rows and the reference set share one walk."""
-    budgets = [] if study.eps_grid else list(study.budgets)
-    if reference_budget:
-        budgets.append(reference_budget)
-    try:
-        sets = threshold_set_for_budget(study, k, budgets)
-    except ThresholdTooSmall:
-        if not reference_budget:
-            raise
-        raise ThresholdTooSmall(f"budget {study.budgets[-1]}: the walk to its reference set "
-                                f"reached the cap of {_BUDGET_CAP} members") from None
-    ref_set = sets.pop() if reference_budget else None
+def _study_sets(study: StudyConfig, k: int) -> tuple:
+    """The nonempty threshold set of each row (an eps's, or the largest fitting
+    a budget, one walk for all), and the exact map, called once on their nodes."""
     if study.eps_grid:
         family = study.weight_family(k)
         surrogate = partial(surrogate_weight, family)
         sets = [build_threshold_set(surrogate, eps, family.d_max, _EPS_CAP)
                 for eps in study.eps_grid]
-    return sets, ref_set
+    else:
+        sets = threshold_set_for_budget(study, k, study.budgets)
+    if not (sets := [selected for selected in sets if len(selected)]):
+        raise _no_rows(study, "every threshold set is empty")
+    target = _shared(as_parametric_map(study.problem, ("exact",)))
+    _evaluate((_terms(selected), target) for selected in sets)
+    return sets, target
 
 
 def run_quad_study(study: StudyConfig, out_dir: Path) -> list:
@@ -342,22 +336,11 @@ def run_quad_study(study: StudyConfig, out_dir: Path) -> list:
     problem QoI (`expected_qoi_oracle`).  Rows follow the configured eps
     grid when one is present, otherwise the point budgets.
     """
-    problem = study.problem
-    sets = [selected for selected in _study_sets(study, 2)[0] if len(selected)]
-    target = _shared(as_parametric_map(problem, ("exact",)))
-    _evaluate((_terms(selected), target) for selected in sets)
-    reference = expected_qoi_oracle(problem)
-    rows = []
-    ns, errs = [], []
-    for selected in sets:
-        n = evaluation_point_count(selected)
-        value = float(quadrature(selected, target)[0])
-        err = abs(value - reference)
-        ns.append(n)
-        errs.append(err)
-        rows.append([n, n, err, None])
-    if not rows:
-        raise _no_rows(study, "every threshold set is empty")
+    sets, target = _study_sets(study, 2)
+    reference = expected_qoi_oracle(study.problem)
+    ns = [evaluation_point_count(selected) for selected in sets]
+    errs = [abs(float(quadrature(selected, target)[0]) - reference) for selected in sets]
+    rows = [[n, n, err, None] for n, err in zip(ns, errs)]
     rows[-1][3] = fit_rate(ns, errs)
     write_csv(out_dir / "quad.csv", ("n_points", "work", "abs_error", "fitted_rate"), rows)
     write_meta(out_dir, study, {"reference": "analytic"})
@@ -365,31 +348,13 @@ def run_quad_study(study: StudyConfig, out_dir: Path) -> list:
 
 
 def run_interp_study(study: StudyConfig, out_dir: Path) -> list:
-    """Single-level interpolation error (Gaussian L2, via coefficients)."""
-    problem = study.problem
-    sets, ref_set = _study_sets(study, 1, 4 * study.budgets[-1])
-    if not (sets := [selected for selected in sets if len(selected)]):
-        raise _no_rows(study, "every threshold set is empty")
-    # a complete reference is as resolved as the rules allow: rows may equal it
-    for selected in sets:
-        if not ref_set.complete and not selected.members < ref_set.members:
-            raise HermgridError(
-                f"interp row of {evaluation_point_count(selected)} points: its set is "
-                f"not a proper subset of the reference set (the largest fitting "
-                f"{4 * study.budgets[-1]} points), so its error would read 0 or the "
-                "reference's own error; keep every row's set below the reference"
-            )
-    target = _shared(as_parametric_map(problem, ("exact",)))
-    _evaluate((_terms(selected), target) for selected in [*sets, ref_set])
-    reference = interpolate(ref_set, target)
-    rows = []
-    for selected in sets:
-        poly = interpolate(selected, target)
-        err = (reference - poly).l2_norm()
-        rows.append([evaluation_point_count(selected), err])
+    """Single-level interpolation error: the Gaussian L2 distance from the
+    QoI, against its closed-form Wiener-Hermite coefficients (`l2_errors`)."""
+    sets, target = _study_sets(study, 1)
+    errors, floor = l2_errors(study.problem, [interpolate(selected, target) for selected in sets])
+    rows = [[evaluation_point_count(selected), err] for selected, err in zip(sets, errors)]
     write_csv(out_dir / "interp.csv", ("n_points", "l2_error"), rows)
-    label = f"interpolant-{evaluation_point_count(ref_set)}-points"
-    write_meta(out_dir, study, {"reference": label})
+    write_meta(out_dir, study, {"reference": "analytic", "l2_floor": floor})
     return rows
 
 
@@ -410,15 +375,7 @@ def _ml_allocation_for_budget(table: MemberTable, budget: int):
 def run_ml_study(study: StudyConfig, out_dir: Path, quantity: str) -> list:
     """Multilevel error against total work, FEM fidelities per level."""
     problem = study.problem
-    k = 2 if quantity == "quad" else 1
-    if quantity == "quad":
-        reference, ref_label = expected_qoi_oracle(problem), "analytic"
-    else:
-        ref_set, = threshold_set_for_budget(study, 1, [2048])
-        reference = interpolate(ref_set, as_parametric_map(problem, ("exact",)))
-        ref_label = f"interpolant-{evaluation_point_count(ref_set)}-points"
-
-    family = study.weight_family(k)
+    family = study.weight_family(2 if quantity == "quad" else 1)
     surrogate = partial(surrogate_weight, family)
     table = MemberTable(surrogate, surrogate, study.q1, study.alpha, family.d_max,
                         _EPS_CAP if study.eps_grid else _BUDGET_CAP)
@@ -433,16 +390,17 @@ def run_ml_study(study: StudyConfig, out_dir: Path, quantity: str) -> list:
     planned = [(alloc, _plan(alloc, [fem(cells) for cells in sw.values[1:alloc.max_level + 1]]))
                for alloc, sw in pairs if alloc.max_level]
     _evaluate(level for _, levels in planned for level in levels)
-    rows = []
-    for alloc, levels in planned:
-        if quantity == "quad":
-            err = abs(float(_weighted_sum(levels)[0]) - reference)
-        else:
-            err = (reference - _projection_sum(levels)).l2_norm()
-        rows.append([work(alloc), err])
+    meta = {"reference": "analytic"}
+    if quantity == "quad":
+        reference = expected_qoi_oracle(problem)
+        errors = [abs(float(_weighted_sum(levels)[0]) - reference) for _, levels in planned]
+    else:
+        errors, meta["l2_floor"] = l2_errors(problem, [_projection_sum(levels)
+                                                       for _, levels in planned])
+    rows = [[work(alloc), err] for (alloc, _), err in zip(planned, errors)]
     name = "ml_quad.csv" if quantity == "quad" else "ml_interp.csv"
     write_csv(out_dir / name, ("work", "error"), rows)
-    write_meta(out_dir, study, {"reference": ref_label})
+    write_meta(out_dir, study, meta)
     return rows
 
 

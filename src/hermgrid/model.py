@@ -6,9 +6,10 @@ closed form ``u(x) = -int_0^x exp(-b(y, s)) F(s) ds`` with ``b`` the
 affine-parametric log-coefficient and ``F`` the antiderivative of the
 right-hand side.  Quantities of interest are exposed as parametric maps
 (exact closed form, or P1 finite elements on a uniform mesh) feeding the
-sparse-grid operators.
+sparse-grid operators, and by their Wiener-Hermite coefficients.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +21,7 @@ from .errors import (
     QuadratureNonconvergence,
     SingularSystem,
 )
-from .indexset import IndexSet
+from .indexset import IndexSet, MultiIndex
 from .multilevel import LevelAllocation, ml_quadrature
 from .smolyak import quadrature
 
@@ -35,6 +36,7 @@ _GL_NODES, _GL_WEIGHTS = np.hstack((_GL_HALF[:, ::-1] * [[-1.0], [1.0]], _GL_HAL
 _GL_NODES.setflags(write=False)
 _GL_WEIGHTS.setflags(write=False)
 _MAX_DOUBLINGS = 12
+CLOSED_FORM_TOL = 1e-13  # where `_doubled` stops the closed-form Gaussian sums
 _BLOCK = 1 << 16  # values in one kernel temporary; rows go through in blocks
 
 
@@ -187,30 +189,75 @@ def exact_solution_1d(problem: ModelProblem1D, y, x: float, tol: float = 1e-12,
     return float(values[0]) if np.ndim(y) < 2 else values
 
 
-def expected_qoi_oracle(problem: ModelProblem1D) -> float:
-    """Gaussian average of the problem QoI, in closed form for every system.
-
-    ``b(y, s)`` is linear in the standard Gaussian ``y``, so the lognormal
-    moment identity gives ``E[exp(-b(y, s))] = exp(g(s))`` with
-    ``g = sum_j psi_j**2 / 2``.  Hence ``E[u(x0, .)] = -int_0^x0 exp(g) F``
-    and, for the mean QoI, ``-int_0^1 (1 - s) exp(g) F ds``; the integral
-    is panel-doubled until two refinements agree to 1e-13 (relative to
-    size).  ``exp(max g)`` is factored out of the sum, so for the constant
-    mode the sum is ``int F`` itself and the value is the separable
-    ``-exp(c**2 / 2) * int_0^x0 F`` to the last bit.
-    """
+def _lognormal_mean(problem: ModelProblem1D, level: int) -> tuple:
+    """The QoI's panel weights and basis on 2**level panels, ``exp(g - max g) F``
+    (times ``1 - s`` for the mean QoI; ``g = |psi|**2 / 2``) and ``exp(max g)``."""
     x_upper, mean = problem.span
+    nodes, weights, basis, f_anti = _panel_rule(problem, x_upper, level)
+    g = 0.5 * np.sum(basis ** 2, axis=1)
+    top = float(g.max())
+    integrand = np.exp(g - top) * f_anti * (1.0 - nodes) if mean else np.exp(g - top) * f_anti
+    return weights, basis, integrand, float(np.exp(top))
 
+
+def hermite_coefficients(problem: ModelProblem1D, indices) -> np.ndarray:
+    """Wiener-Hermite coefficients ``E[u H_nu]`` of the problem QoI, one per
+    multi-index of ``indices`` (dimensions below d_max).  With normalized H_n,
+    ``E[exp(-y psi) H_n(y)] = exp(psi**2 / 2) (-psi)**n / sqrt(n!)``, so ``u_nu
+    = -int_0^x0 exp(g) prod_j (-psi_j)**nu_j / sqrt(nu_j!) F ds``, each one
+    panel sum (`_lognormal_mean`), doubled to `CLOSED_FORM_TOL` (`_doubled`)."""
+    entries = [nu.entries for nu in indices]
+
+    def values_at(level, active):
+        weights, basis, integrand, scale = _lognormal_mean(problem, level)
+        terms = (math.prod(((-basis[:, j]) ** e / math.sqrt(math.factorial(e))
+                            for j, e in entries[k]), start=integrand) for k in active)
+        return np.array([-float(weights @ term) * scale for term in terms])
+
+    return _doubled(values_at, len(entries), CLOSED_FORM_TOL,
+                    f"Wiener-Hermite coefficients of the {problem.qoi[0]} QoI")
+
+
+def expected_qoi_oracle(problem: ModelProblem1D) -> float:
+    """Gaussian average ``u_0`` of the problem QoI (`hermite_coefficients`); for the
+    constant mode it is ``-exp(c**2 / 2) * int_0^x0 F`` to the last bit."""
+    return float(hermite_coefficients(problem, [MultiIndex()])[0])
+
+
+def second_moment(problem: ModelProblem1D) -> float:
+    """``E[u**2]`` of the problem QoI: the tensor panel sum of ``E[exp(-b(y, s)
+    - b(y, t))] = exp(g(s) + g(t) + psi(s) . psi(t))`` times ``F(s) F(t)`` (see
+    `_lognormal_mean`), doubled to `CLOSED_FORM_TOL`, with psi(s) . psi(t)
+    summed mode by mode (`_log_coeff`) in blocks of s."""
     def values_at(level, _):
-        nodes, weights, basis, f_anti = _panel_rule(problem, x_upper, level)
-        g = 0.5 * np.sum(basis ** 2, axis=1)
-        top = float(g.max())
-        integrand = np.exp(g - top) * f_anti
-        if mean:
-            integrand = integrand * (1.0 - nodes)
-        return np.array([-float(weights @ integrand) * float(np.exp(top))])
+        weights, basis, integrand, scale = _lognormal_mean(problem, level)
+        half = weights * integrand
+        step, inner = max(1, _BLOCK // half.size), np.empty(half.size)
+        for i in range(0, half.size, step):
+            inner[i:i + step] = (np.exp(_log_coeff(basis[i:i + step], basis)) * half).sum(axis=1)
+        return np.array([float(half @ inner) * scale * scale])
 
-    return float(_doubled(values_at, 1, 1e-13, f"Gaussian average of the {problem.qoi[0]} QoI")[0])
+    return float(_doubled(values_at, 1, CLOSED_FORM_TOL, "second moment of the QoI")[0])
+
+
+def l2_errors(problem: ModelProblem1D, polys) -> tuple:
+    """Gaussian L2 distances from the problem QoI to each scalar
+    `HermitePolynomial` of ``polys``, and the floor below which none reads.
+    By Parseval ``||u - p||**2 = sum_nu (u_nu - c_nu)**2 + E[u**2] - sum_nu
+    u_nu**2`` over p's coefficients c_nu.  Each closed-form sum is known to
+    `CLOSED_FORM_TOL` times (1 + its size), so the square is known to that
+    times ``1 + E[u**2] + 2 sum_nu |u_nu| (1 + |u_nu|)`` (every nu of
+    ``polys``): the floor is its root."""
+    indices = list(dict.fromkeys(nu for poly in polys for nu in poly.coefficients))
+    exact = dict(zip(indices, hermite_coefficients(problem, indices)))
+    moment, size = second_moment(problem), np.abs(list(exact.values()))
+    floor = math.sqrt(CLOSED_FORM_TOL * (1.0 + moment + 2.0 * float(size @ (1.0 + size))))
+    errors = []
+    for poly in polys:
+        u, c = np.array([(exact[nu], value[0]) for nu, value in poly.coefficients.items()]).T
+        square = float(np.sum((u - c) ** 2)) + moment - float(np.sum(u * u))
+        errors.append(math.sqrt(max(square, floor * floor)))
+    return errors, floor
 
 
 def fem_solve_1d(problem: ModelProblem1D, y, n_cells: int) -> np.ndarray:

@@ -122,19 +122,11 @@ def largest_threshold_set(surrogate, budgets, d_max: int, cap: int = 10_000_000)
     P_Lambda, so they need at least |Lambda| nodes), or at a group with an
     exponent above MAX_LEVEL, whose rule does not exist; a walk that would
     pop past ``cap`` members first raises `ThresholdTooSmall`.  Equal prefixes
-    come back as one `IndexSet` object.  Each set's ``complete`` is True when
-    it is the last set of the family that has rules, so that no larger
-    budget would select more; no prefix below an unfinished group is.
+    come back as one `IndexSet` object.
     """
     walk = ThresholdWalk(surrogate, d_max)
     coeffs, patterns, grids = {}, {}, {}  # grids: each grid's patterns and their sizes
     nodes, best, limit = 0, [0] * len(budgets), max(budgets, default=-1)
-
-    def prefixes(end=None):
-        sets = {k: IndexSet(walk.members[:k]) for k in best}
-        for k, selected in sets.items():
-            selected.complete = k == end
-        return [sets[k] for k in best]
 
     while True:
         boundary = len(walk.members)
@@ -145,10 +137,11 @@ def largest_threshold_set(surrogate, budgets, d_max: int, cap: int = 10_000_000)
                                         f"of {cap} members")
             walk.pop()
         group = walk.members[boundary:]
-        if max((e for nu in group for _, e in nu.entries), default=0) > MAX_LEVEL:
-            return prefixes(boundary)
-        if len(walk.members) > limit:  # the group fits no budget: leave it unfinished
-            return prefixes()
+        # a group past the largest budget, or with an exponent without a rule, joins no set
+        if len(walk.members) > limit or max((e for nu in group for _, e in nu.entries),
+                                            default=0) > MAX_LEVEL:
+            sets = {k: IndexSet(walk.members[:k]) for k in best}
+            return [sets[k] for k in best]
         for nu in group:
             for mu, sign in _downs(nu.entries):
                 old = coeffs.get(mu, 0)

@@ -525,35 +525,18 @@ class TestInterpStudy:
         reference = interpolate(ref_set, target)
         assert (reference - reference).l2_norm() == 0.0
 
-    def test_row_equal_to_reference_set_is_refused(self, tmp_path, capsys):
-        # on blocks one tie group of 256 nodes is the largest set both within
-        # 400 and within 4 x 400 points, so the row would read 0
-        cfg = write_cfg(tmp_path, "system = blocks\nd_max = 8\n")
-        assert main(["interp", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                     "--budgets", "25,50,100,200,400"]) == 3
-        assert "row of 256 points" in capsys.readouterr().err
-
-    def test_eps_row_beyond_reference_is_refused(self, tmp_path, capsys):
-        # the 1e-6 row holds 1263 points, the reference at most 4 x 50
-        cfg = write_cfg(tmp_path, "system = sindecay\nd_max = 16\n"
-                                  "eps_grid = 1e-2,1e-4,1e-6\n")
-        out = tmp_path / "out"
-        assert main(["interp", "--config", str(cfg), "--out", str(out),
-                     "--budgets", "50"]) == 3
-        err = capsys.readouterr().err
-        assert "row of 1263 points" in err and "fitting 200 points" in err
-        assert not (out / "interp.csv").exists()
-
     def test_rows_equal_to_the_last_set_of_the_family_are_written(self, tmp_path):
-        # the 1-d ladder ends at 65 nodes, so budgets 100..800 and the
-        # reference all select it: rows resolved as far as the rules go
+        # the 1-d ladder ends at 65 nodes, so budgets 100..800 all select it;
+        # every row is resolved below the closed form's floor, so reads it
         out = tmp_path / "o"
         assert main(["interp", "--out", str(out)]) == 0
         lines = (out / "interp.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["25", "50"] + ["65"] * 4
-        assert all(float(line.split(",")[1]) < 1e-14 for line in lines[1:3])
-        assert all(line.split(",")[1] == "0.0" for line in lines[3:])
-        assert "reference = interpolant-65-points" in (out / "meta.txt").read_text()
+        meta = (out / "meta.txt").read_text().splitlines()
+        assert "reference = analytic" in meta
+        floor, = [line.split(" = ")[1] for line in meta if line.startswith("l2_floor = ")]
+        assert 0 < float(floor) < 1e-6
+        assert all(line.split(",")[1] == floor for line in lines[1:])
 
 
 class TestMlStudy:
@@ -646,28 +629,26 @@ class TestBudgetRowCap:
 
     def test_single_level_walk_past_the_cap_exits_3_naming_the_budget(self, tmp_path, capsys,
                                                                       monkeypatch):
-        # interp's reference walk at four times 10**12 points would not stop
-        # before memory ran out
+        # interp's walk to 10**12 points would not stop before memory ran out
         monkeypatch.setattr(cli, "_BUDGET_CAP", 2000)
         cfg = write_cfg(tmp_path, "system = sindecay\nr_decay = 3.0\nd_max = 16\n")
         assert main(["interp", "--config", str(cfg), "--out", str(tmp_path / "out"),
                      "--budgets", "1000000000000"]) == 3
         assert capsys.readouterr().err.startswith(
-            "numerical failure: budget 1000000000000: the walk to its reference set reached "
+            "numerical failure: budget 1000000000000: the threshold walk reached "
             "the cap of 2000 members")
         assert not (tmp_path / "out" / "interp.csv").exists()
 
-    def test_reference_walk_past_the_cap_names_the_largest_budget(self, tmp_path, capsys,
-                                                                  monkeypatch):
-        # quad fits budgets 25 and 50 under a cap of 100 members; interp's
-        # reference walk, at four times 50 points, does not
+    def test_single_level_budgets_within_the_cap_exit_0(self, tmp_path, monkeypatch):
+        # quad and interp both fit budgets 25 and 50 under a cap of 100 members:
+        # interp walks no further than its own largest budget
         monkeypatch.setattr(cli, "_BUDGET_CAP", 100)
         cfg = write_cfg(tmp_path, "system = sindecay\nr_decay = 3.0\nd_max = 16\n")
         args = ["--config", str(cfg), "--budgets", "25,50", "--out"]
         assert main(["quad", *args, str(tmp_path / "quad")]) == 0
-        assert main(["interp", *args, str(tmp_path / "interp")]) == 3
-        assert capsys.readouterr().err == ("numerical failure: budget 50: the walk to its "
-                                           "reference set reached the cap of 100 members\n")
+        assert main(["interp", *args, str(tmp_path / "interp")]) == 0
+        for name in ("quad/quad.csv", "interp/interp.csv"):
+            assert len((tmp_path / name).read_text().splitlines()) == 3
 
     def test_single_level_walk_that_stops_at_the_rules_keeps_the_cap(self, tmp_path):
         # quad's walk stops after 5836 pops at the first exponent without a rule
@@ -695,8 +676,8 @@ class TestBudgetRowCap:
 
 class TestOneCallPerNodeAndFidelity:
     """Within a study every map is called once per fidelity, after every row
-    is planned, and once per distinct node: the reference and the rows share
-    one exact-map call, and the budget rows one FEM call per mesh size."""
+    is planned, and once per distinct node: the rows share one exact-map
+    call, and the budget rows one FEM call per mesh size."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -731,9 +712,8 @@ class TestOneCallPerNodeAndFidelity:
         study = resolve_config(kind, {"system": "sindecay", "d_max": "6"}, 0,
                                budgets=(25, 50, 100))
         run(study, tmp_path)
-        # quad has a closed-form reference; interp adds the set at 4 x 100
-        k, reference = (2, ()) if kind == "quad" else (1, (400,))
-        sets = threshold_set_for_budget(study, k, (25, 50, 100) + reference)
+        # both are scored in closed form: the rows' sets are all the map sees
+        sets = threshold_set_for_budget(study, 2 if kind == "quad" else 1, (25, 50, 100))
         nodes = {tuple((j, v) for j, v in enumerate(y.tolist()) if v)
                  for selected in sets for y in sparse_grid_points(selected)}
         (fidelity, batch), = calls
@@ -779,8 +759,8 @@ class TestOneBudgetSearchPerStudy:
         study = resolve_config(kind, {"system": "sindecay", "d_max": "6"}, 0,
                                budgets=(25, 50, 100))
         run(study, tmp_path)
-        # three rows, and for interp the reference interpolant's set
-        assert searches == [("walk", True, 3 if kind == "quad" else 4)]
+        # one walk for the three rows
+        assert searches == [("walk", True, 3)]
 
     def test_ml_study_lowers_one_table(self, tmp_path, searches, monkeypatch):
         tables = []
@@ -813,9 +793,8 @@ class TestOneBudgetSearchPerStudy:
         study = resolve_config(kind, {"system": "sindecay", "r_decay": "3.0",
                                       "d_max": "16"}, 0, budgets=(25, 50, 100, 200))
         run(study, tmp_path)
-        # four rows, and for interp the reference interpolant's set
-        assert len(coeff_calls) == len({id(s) for s in coeff_calls}) == (
-            4 if kind == "quad" else 5)
+        # one set per row
+        assert len(coeff_calls) == len({id(s) for s in coeff_calls}) == 4
 
     def test_ml_level_maps_follow_net_terms(self, tmp_path, monkeypatch):
         # the mlquad-fem config: every row is planned before any map call, and

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hermgrid import _accel, model
+from hermgrid.cli import resolve_config, threshold_set_for_budget
 from hermgrid.errors import DegenerateNormalization, QuadratureNonconvergence, SingularSystem
 from hermgrid.indexset import IndexSet, MultiIndex
 from hermgrid.multilevel import LevelAllocation, default_work_sequence
@@ -23,10 +24,13 @@ from hermgrid.model import (
     exact_solution_1d,
     expected_qoi_oracle,
     fem_solve_1d,
+    hermite_coefficients,
+    l2_errors,
     posterior_density,
     posterior_expectation,
+    second_moment,
 )
-from hermgrid.smolyak import _shared, combination_coeffs, quadrature
+from hermgrid.smolyak import _shared, combination_coeffs, interpolate, quadrature
 from util import (
     fem_cell_data,
     fem_solve_fsum,
@@ -41,6 +45,7 @@ from util import (
     posterior_density_fsum,
     posterior_density_point,
     gamma_sets,
+    interpolant_difference,
     summation_bound,
     telescope,
     ulps,
@@ -204,6 +209,60 @@ class TestOracle:
         # the gap between two successive tensor orders bounds the finer one's error
         coarse, fine = (tensor_average(problem, n) for n in orders)
         assert abs(expected_qoi_oracle(problem) - fine) <= abs(fine - coarse)
+
+
+def sindecay_rows(d_max: int, budgets):
+    """The interp study's problem, and the exact map's interpolant on the
+    set of each budget."""
+    study = resolve_config("interp", {"system": "sindecay", "d_max": str(d_max)}, 0,
+                           budgets=budgets)
+    target = as_parametric_map(study.problem, ("exact",))
+    sets = threshold_set_for_budget(study, 1, budgets)
+    return study.problem, sets, [interpolate(selected, target) for selected in sets]
+
+
+class TestHermiteCoefficients:
+    @pytest.mark.parametrize("qoi, integral", [(("point", 1.0), 0.5), (("mean",), 1.0 / 6.0)])
+    @pytest.mark.parametrize("amplitude", [0.5, 1.0, 2.0])
+    def test_constant_mode_closed_form(self, amplitude, qoi, integral):
+        # u_n = -exp(c**2 / 2) (-c)**n / sqrt(n!) int F and E[u**2] =
+        # exp(2 c**2) (int F)**2, int F = 1/2 (or int (1 - s) s ds = 1/6)
+        problem = constant_problem(amplitude, qoi=qoi)
+        got = hermite_coefficients(problem, [mi({0: n}) for n in range(31)])
+        for n, value in enumerate(got.tolist()):
+            want = (-integral * math.exp(amplitude ** 2 / 2.0) * (-amplitude) ** n
+                    / math.sqrt(math.factorial(n)))
+            assert value == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert second_moment(problem) == pytest.approx(
+            math.exp(2.0 * amplitude ** 2) * integral ** 2, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("problem", [
+        sin_problem(3.0, 4),
+        ModelProblem1D(RepresentationSystem.blocks(3, 1.0), qoi=("point", 0.6)),
+        sin_problem(2.5, 6, qoi=("mean",)),
+    ], ids=["sindecay-point", "blocks-point", "sindecay-mean"])
+    def test_average_is_the_zero_coefficient_whatever_else_is_asked(self, problem):
+        # each coefficient is its own panel sum, doubled on its own
+        others = [mi({0: 1}), mi({0: 2, 1: 1}), mi({2: 5})]
+        got = hermite_coefficients(problem, [*others, MultiIndex()])
+        assert got[-1] == expected_qoi_oracle(problem)
+        assert got[:-1].tolist() == hermite_coefficients(problem, others).tolist()
+
+    def test_interpolant_coefficients_converge_to_the_closed_form(self):
+        problem, _, polys = sindecay_rows(4, (25, 100, 400, 1600))
+        first = list(polys[0].coefficients)
+        exact = hermite_coefficients(problem, first)
+        gaps = [float(np.max(np.abs([poly.coefficient(nu)[0] for nu in first] - exact)))
+                for poly in polys]
+        assert all(b < a / 5.0 for a, b in zip(gaps, gaps[1:])) and gaps[-1] < 1e-7
+
+    @given(st.integers(2, 4), st.integers(4, 60))
+    @settings(max_examples=15, deadline=None)
+    def test_exact_error_agrees_with_a_larger_interpolant(self, d_max, budget):
+        # |e - ||I_big - I_small||| <= e_big, less the floor's rounding on each
+        problem, (small, big), polys = sindecay_rows(d_max, (budget, 4 * budget))
+        (error, big_error), floor = l2_errors(problem, polys)
+        assert abs(error - interpolant_difference(problem, small, big)) <= big_error + 2 * floor
 
 
 def h1_seminorm_error(problem, y, n_cells):

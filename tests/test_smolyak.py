@@ -260,13 +260,9 @@ class TestLargestThresholdSet:
         assert walked == [largest_threshold_set(surrogate, [b], dims)[0] for b in budgets]
         # equal sets come back as one object, so their terms are computed once
         assert len({id(s) for s in walked}) == len({s.members for s in walked})
-        # a complete set is what every larger budget selects too
-        bigger, = largest_threshold_set(surrogate, [4 * max(budgets)], dims)
-        assert [s.complete for s in walked] == [s == bigger and bigger.complete
-                                                for s in walked]
 
     def test_one_walk_on_the_sine_system(self):
-        # one-ulp ties (see above) and a dense reference four times the top budget
+        # one-ulp ties (see above), up to a budget four times the one below it
         budgets = [25, 50, 100, 200, 800]
         surrogate = sindecay_surrogate(16)
         assert largest_threshold_set(surrogate, budgets, 16) == [
@@ -290,19 +286,16 @@ class TestLargestThresholdSet:
                 largest_threshold_set(surrogate, [budget], 1, cap=pops - 1)
 
     def test_complete_only_when_the_rules_run_out(self):
-        # the ladder's last set has 65 nodes; a budget below that cuts it short
+        # the ladder is complete at its last set with rules, of 65 nodes; a
+        # budget below that cuts it short
         surrogate, _, _ = random_product_surrogate(np.random.default_rng(0), 1)
         walked = largest_threshold_set(surrogate, [64, 65, 300], 1)
-        assert walked[1] is walked[2] == ladder(MAX_LEVEL)
-        assert [s.complete for s in walked] == [False, True, True]
+        assert walked[1] is walked[2] == ladder(MAX_LEVEL) != walked[0]
         # e_1 ties the missing rule's e_0 * 65 and is walked first; the set
         # before their group is still the last one with rules
         tied = lambda nu: 2.0 ** (dict(nu.entries).get(0, 0) + 65 * dict(nu.entries).get(1, 0))
         selected, = largest_threshold_set(tied, [300], 2)
-        assert selected == ladder(MAX_LEVEL) and selected.complete
-        # the sine system's walk stops at its largest budget, not at a rule
-        assert not any(s.complete for s in
-                       largest_threshold_set(sindecay_surrogate(16), [25, 800], 16))
+        assert selected == ladder(MAX_LEVEL)
 
     @pytest.mark.parametrize("d_max", [12, 64])
     def test_tie_group_past_the_budget_is_left_unfinished(self, monkeypatch, d_max):
@@ -312,7 +305,7 @@ class TestLargestThresholdSet:
         monkeypatch.setattr(ThresholdWalk, "pop", lambda walk: pops.append(1) or pop(walk))
         surrogate, calls = counting(lambda nu: math.prod(float(e) ** 2 for _, e in nu.entries))
         walked = largest_threshold_set(surrogate, [25, 50], d_max)
-        assert walked == [IndexSet([])] * 2 and not any(s.complete for s in walked)
+        assert walked == [IndexSet([])] * 2
         assert len(pops) <= 52 and len(calls) <= 3 * 52 + 1
 
 

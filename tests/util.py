@@ -18,9 +18,10 @@ from hermgrid.errors import (
 )
 from hermgrid.hermite import MAX_LEVEL, gauss_hermite_rule
 from hermgrid.indexset import IndexSet, MultiIndex
-from hermgrid.model import _BLOCK, _MAX_DOUBLINGS, ParametricMapFn, _log_coeff, _panel_rule
+from hermgrid.model import (_BLOCK, _MAX_DOUBLINGS, ParametricMapFn, _log_coeff, _panel_rule,
+                            as_parametric_map)
 from hermgrid.multilevel import LevelAllocation, construct_levels, default_work_sequence, work
-from hermgrid.smolyak import _shared, combination_coeffs, evaluation_point_count
+from hermgrid.smolyak import _shared, combination_coeffs, evaluation_point_count, interpolate
 
 
 def gaussian_moment(degree: int) -> float:
@@ -856,6 +857,15 @@ def fem_solve_full_basis(problem, y, n_cells: int) -> np.ndarray:
         a_vals = np.exp(_log_coeff(rows[i:i + step], basis)).reshape(-1, n_cells, 3)
         out[i:i + step] = fem_system(a_vals, f_vals, 1.0 / n_cells, flux)
     return out if np.ndim(y) > 1 else out[0]
+
+
+def interpolant_difference(problem, index_set: IndexSet, bigger: IndexSet) -> float:
+    """Slow oracle for `hermgrid.model.l2_errors`: the Gaussian L2 distance
+    from the exact map's Smolyak interpolant on ``index_set`` to the one on
+    ``bigger``, which stands in for the map.  By the triangle inequality it
+    lies within the larger interpolant's own error of the exact distance."""
+    target = as_parametric_map(problem, ("exact",))
+    return (interpolate(bigger, target) - interpolate(index_set, target)).l2_norm()
 
 
 def prefix_sums(values) -> list:
