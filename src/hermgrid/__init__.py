@@ -25,7 +25,6 @@ from .smolyak import (
     largest_threshold_set,
     quadrature,
     sparse_grid_points,
-    zero_polynomial,
 )
 from .multilevel import (
     LevelAllocation,

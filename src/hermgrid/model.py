@@ -248,13 +248,13 @@ def l2_errors(problem: ModelProblem1D, polys) -> tuple:
     `CLOSED_FORM_TOL` times (1 + its size), so the square is known to that
     times ``1 + E[u**2] + 2 sum_nu |u_nu| (1 + |u_nu|)`` (every nu of
     ``polys``): the floor is its root."""
-    indices = list(dict.fromkeys(nu for poly in polys for nu in poly.coefficients))
+    indices = list(dict.fromkeys(nu for poly in polys for nu in poly.indices))
     exact = dict(zip(indices, hermite_coefficients(problem, indices)))
     moment, size = second_moment(problem), np.abs(list(exact.values()))
     floor = math.sqrt(CLOSED_FORM_TOL * (1.0 + moment + 2.0 * float(size @ (1.0 + size))))
     errors = []
     for poly in polys:
-        u, c = np.array([(exact[nu], value[0]) for nu, value in poly.coefficients.items()]).T
+        u, c = np.array([exact[nu] for nu in poly.indices]), poly.coefficients[:, 0]
         square = float(np.sum((u - c) ** 2)) + moment - float(np.sum(u * u))
         errors.append(math.sqrt(max(square, floor * floor)))
     return errors, floor

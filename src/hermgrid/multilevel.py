@@ -22,7 +22,7 @@ from .hermite import MAX_LEVEL
 from .indexset import TIE, MultiIndex, ThresholdWalk, build_threshold_set  # noqa: F401
 from .smolyak import quadrature  # noqa: F401
 from .smolyak import (HermitePolynomial, _evaluate, _projection_sum, _shared, _signed_terms,
-                      _weighted_sum, zero_polynomial)
+                      _weighted_sum)
 
 
 _LOG_MAX = math.log(sys.float_info.max)  # the largest argument of exp below inf
@@ -95,9 +95,10 @@ class MemberTable:
     twice, ``t = 1/c(nu)`` never rises along the rows, and the first rows, those
     with ``t >= e``, are the threshold set at any ``e`` above the walk's head.
     ``d`` holds ``d(nu)**(-1/(1+2 alpha))`` and ``s`` its running sums, left to
-    right; ``points`` the tensor point count ``prod_j (nu_j + 1)`` and
-    ``max_exp`` the largest exponent.  The table starts empty; `lower`,
-    `allocation`, `price` and `eps_for_budget` grow it.
+    right; ``points`` the tensor point count ``prod_j (nu_j + 1)``, or -1 for a
+    row that cannot be priced: one with an exponent above MAX_LEVEL, which has
+    no rule, or a count past int64, and ``top`` the largest count.  The table
+    starts empty; `lower`, `allocation`, `price` and `eps_for_budget` grow it.
     """
 
     def __init__(self, c_surrogate, d_surrogate, q1: float, alpha: float, d_max: int,
@@ -111,7 +112,7 @@ class MemberTable:
         self.walk = ThresholdWalk(c_surrogate, d_max)
         self.members = self.walk.members
         self.t = self.d = self.s = np.empty(0)
-        self.points = self.max_exp = np.empty(0, np.int64)
+        self.points, self.top = np.empty(0, np.int64), 0
 
     def lower(self, eps: float):
         """Append the rows with ``t >= eps``; `ThresholdTooSmall`, appending none, past ``cap``."""
@@ -128,8 +129,9 @@ class MemberTable:
         add = lambda rows, values: np.concatenate((rows, np.array(values, rows.dtype)))
         self.t = add(self.t, 1.0 / np.array(self.walk.values[start:]))
         self.d = add(self.d, [float(v) ** exponent for v in d])
-        self.points = add(self.points, list(map(_point_factor, new)))
-        self.max_exp = add(self.max_exp, [max((e for _, e in nu.entries), default=0) for nu in new])
+        priced = lambda nu, p: p < 2 ** 63 and all(e <= MAX_LEVEL for _, e in nu.entries)
+        points = [p if priced(nu, p) else -1 for nu, p in zip(new, map(_point_factor, new))]
+        self.points, self.top = add(self.points, points), max(self.top, *points)
         self.s = self.d.cumsum()
         self.s.flags.writeable = False
 
@@ -158,18 +160,22 @@ class MemberTable:
 
     def price(self, eps: float, work_sequence: WorkSequence):
         """``work(construct_levels(eps))``, lowering the table to ``eps``: an
-        integer dot product over the rows, or inf past ``cap`` members (every
-        walked one appended) or when a row at level 1 or above has an
-        exponent without a rule (MAX_LEVEL)."""
+        integer dot product over the rows, in Python ints unless ``top`` times
+        the rows and the largest cost stays within int64, or inf past ``cap``
+        members (every walked one appended) or when a row at level 1 or above
+        cannot be priced (``points`` -1)."""
         try:
             self.lower(eps)
         except ThresholdTooSmall:
             self._append()
             return math.inf
         rows, levels = self.levels(eps, work_sequence)
-        if np.any(self.max_exp[rows[levels > 0]] > MAX_LEVEL):
+        points, costs = self.points[rows], work_sequence.cumulative_costs[levels]
+        if np.any(points[levels > 0] < 0):
             return math.inf
-        return int(np.dot(self.points[rows], work_sequence.cumulative_costs[levels]))
+        if rows.size * self.top * int(work_sequence.cumulative_costs[-1]) >= 2 ** 63:
+            points = points.astype(object)  # an int64 dot could wrap: sum in Python ints
+        return int(np.dot(points, costs))
 
     def eps_for_budget(self, budget, work_sequence: WorkSequence):
         """An eps whose `price` is the largest at most ``budget`` (inf when only
@@ -279,12 +285,11 @@ def _plan(allocation: LevelAllocation, u_levels) -> list:
 
 
 def ml_interpolate(allocation: LevelAllocation, u_levels) -> HermitePolynomial:
-    """Multilevel interpolant, 0 below level 1: the `_net_levels` planned,
-    each level map called once on their nodes (`_evaluate`), then summed.
-    ``u_levels[j-1]`` is the level-j approximation of the target map; a
-    level without nonzero net terms does not call it."""
-    levels = _evaluate(_plan(allocation, u_levels))
-    return _projection_sum(levels) if levels else zero_polynomial()
+    """Multilevel interpolant, with no indices below level 1: the `_net_levels`
+    planned, each level map called once on their nodes (`_evaluate`), then
+    summed.  ``u_levels[j-1]`` is the level-j approximation of the target
+    map; a level without nonzero net terms does not call it."""
+    return _projection_sum(_evaluate(_plan(allocation, u_levels)))
 
 
 def ml_quadrature(allocation: LevelAllocation, u_levels) -> np.ndarray:

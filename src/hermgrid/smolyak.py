@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyIndexSet, NotDownwardClosed, ThresholdTooSmall
+from .errors import EmptyIndexSet, Frozen, NotDownwardClosed, ThresholdTooSmall
 from .hermite import MAX_LEVEL, gauss_hermite_rule, hermite_eval_all
 from .indexset import TIE, IndexSet, MultiIndex, ThresholdWalk
 
@@ -169,68 +169,34 @@ def sparse_grid_points(index_set: IndexSet) -> np.ndarray:
     return np.vstack([_pattern_nodes(p, width) for p in _set_patterns(index_set)])
 
 
-class HermitePolynomial:
-    """Polynomial stored by its coefficients in the tensor Hermite basis.
+class HermitePolynomial(Frozen):
+    """Polynomial ``sum_i coefficients[i] H_{indices[i]}`` in the tensor Hermite basis.
 
-    Coefficients are vectors in the (abstract) output space, so scalar
-    problems carry length-1 arrays.  The Gaussian-weighted L2 norm equals
-    the Euclidean norm of the stacked coefficients.
+    ``indices`` is a tuple of `MultiIndex` and ``coefficients`` a read-only
+    float64 array of shape (len(indices), output_dim), row i belonging to
+    ``indices[i]``; scalar problems carry one column.  The Gaussian-weighted
+    L2 norm is the Euclidean norm of the array.
     """
 
-    def __init__(self, coefficients: dict, output_dim: int):
-        self.coefficients = {
-            nu: np.asarray(c, dtype=np.float64) for nu, c in coefficients.items()
-        }
-        self.output_dim = int(output_dim)
+    __slots__ = ("indices", "coefficients")
 
-    def coefficient(self, nu: MultiIndex) -> np.ndarray:
-        hit = self.coefficients.get(nu)
-        if hit is None:
-            return np.zeros(self.output_dim)
-        return hit
+    def __init__(self, indices, coefficients):
+        indices, coefficients = tuple(indices), np.array(coefficients, dtype=np.float64)
+        if coefficients.ndim != 2 or len(coefficients) != len(indices):
+            raise ValueError(f"need one coefficient row per index, got {coefficients.shape}")
+        coefficients.setflags(write=False)
+        self._fields(indices, coefficients)
 
     def eval(self, y) -> np.ndarray:
-        """Value ``sum_nu c_nu H_nu(y)`` as an output-space vector."""
+        """Value ``sum_i coefficients[i] H_{indices[i]}(y)`` as an output-space vector."""
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        max_exp = {}
-        for nu in self.coefficients:
-            for dim, exp in nu.entries:
-                max_exp[dim] = max(max_exp.get(dim, 0), exp)
-        tables = {
-            dim: hermite_eval_all(kmax, y[dim] if dim < y.size else 0.0)
-            for dim, kmax in max_exp.items()
-        }
-        out = np.zeros(self.output_dim)
-        for nu, coeff in sorted(self.coefficients.items(), key=lambda kv: kv[0].sort_key()):
-            factor = 1.0
-            for dim, exp in nu.entries:
-                factor *= tables[dim][exp]
-            out += factor * coeff
-        return out
-
-    def l2_norm(self) -> float:
-        """Gaussian-weighted L2 norm via the coefficient Euclidean norm."""
-        total = 0.0
-        for coeff in self.coefficients.values():
-            total += float(np.dot(coeff, coeff))
-        return np.sqrt(total)
-
-    def __add__(self, other: "HermitePolynomial") -> "HermitePolynomial":
-        """Coefficientwise sum; `ValueError` when the output dimensions differ."""
-        if other.output_dim != self.output_dim:
-            raise ValueError("output dimensions differ")
-        acc = dict(self.coefficients)
-        for nu, c in other.coefficients.items():
-            acc[nu] = acc[nu] + c if nu in acc else c
-        return HermitePolynomial(acc, self.output_dim)
-
-    def __sub__(self, other: "HermitePolynomial") -> "HermitePolynomial":
-        return self + HermitePolynomial({nu: -c for nu, c in other.coefficients.items()},
-                                        other.output_dim)
-
-
-def zero_polynomial(output_dim: int = 1) -> HermitePolynomial:
-    return HermitePolynomial({}, output_dim)
+        top = {}
+        for dim, exp in (entry for nu in self.indices for entry in nu.entries):
+            top[dim] = max(top.get(dim, 0), exp)
+        tables = {dim: hermite_eval_all(k, y[dim] if dim < y.size else 0.0)
+                  for dim, k in top.items()}
+        factors = [math.prod(tables[dim][exp] for dim, exp in nu.entries) for nu in self.indices]
+        return np.array(factors, dtype=np.float64) @ self.coefficients
 
 
 @lru_cache(maxsize=None)
@@ -352,27 +318,26 @@ def _evaluate(levels) -> list:
 
 def _projection_sum(levels) -> HermitePolynomial:
     """``sum sigma * I_nu(u)`` over the ``(terms, u)`` pairs in order, each
-    ``u`` a `_Shared` map evaluated on its terms' grids."""
-    acc = {}
+    ``u`` a `_Shared` map evaluated on its terms' grids.  Each term's grid is
+    projected to the Hermite coefficients of its box {mu <= nu}, and these
+    are added into one array, term after term; an index's row is numbered
+    when a box first reaches it, each box in C order."""
+    rows, parts = {}, []
     for terms, u in levels:
         for nu, sigma in terms.items():
-            term_values = u.grid(nu.entries)
+            values = u.grid(nu.entries)
             shape = tuple(exp + 1 for _, exp in nu.entries)
-            tensor = term_values.reshape(shape + term_values.shape[1:])
+            tensor = values.reshape(shape + values.shape[1:])
             for axis, (_, exp) in enumerate(nu.entries):
-                proj = _projection_matrix(exp)
-                tensor = np.moveaxis(np.tensordot(proj, tensor, axes=(1, axis)), 0, axis)
-            dims = nu.support
-            for local in np.ndindex(*shape):
-                mu = MultiIndex(
-                    tuple((d, int(e)) for d, e in zip(dims, local) if e != 0)
-                )
-                contrib = sigma * tensor[local]
-                if mu in acc:
-                    acc[mu] = acc[mu] + contrib
-                else:
-                    acc[mu] = contrib.copy()
-    return HermitePolynomial(acc, term_values.shape[1])
+                tensor = np.moveaxis(np.tensordot(_projection_matrix(exp), tensor, axes=(1, axis)),
+                                     0, axis)
+            box = [rows.setdefault(tuple((d, e) for d, e in zip(nu.support, local) if e), len(rows))
+                   for local in np.ndindex(*shape)]
+            parts.append((box, sigma * tensor.reshape(len(box), -1)))
+    out = np.zeros((len(rows), parts[0][1].shape[1] if parts else 1))
+    for box, contrib in parts:
+        out[box] += contrib
+    return HermitePolynomial(map(MultiIndex, rows), out)
 
 
 def _weighted_sum(levels) -> np.ndarray:

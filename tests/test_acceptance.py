@@ -39,6 +39,7 @@ from hermgrid.smolyak import _projection_matrix
 from util import (
     bisect_epsilon,
     brute_force_threshold,
+    coefficients_by_index,
     gauss_hermite_ratio,
     monomial_map,
     pointwise,
@@ -192,12 +193,13 @@ def test_criterion_06_telescoping_and_work_model():
         sw = hg.default_work_sequence(3)
         alloc = hg.LevelAllocation({nu: 2 for nu in lam}, sw)
         v = pointwise(lambda y: float(np.exp(0.2 * y[0]) + (y[1] if len(y) > 1 else 0.0) ** 2))
-        ml = hg.ml_interpolate(alloc, [v, v])
-        sl = hg.interpolate(lam, v)
-        for nu in set(ml.coefficients) | set(sl.coefficients):
+        ml = coefficients_by_index(hg.ml_interpolate(alloc, [v, v]))
+        sl = coefficients_by_index(hg.interpolate(lam, v))
+        zero = np.zeros(1)
+        for nu in ml.keys() | sl.keys():
             worst_coeff = max(
                 worst_coeff,
-                float(np.max(np.abs(ml.coefficient(nu) - sl.coefficient(nu)))),
+                float(np.max(np.abs(ml.get(nu, zero) - sl.get(nu, zero)))),
             )
         q = hg.ml_quadrature(alloc, [v, v])
         worst_coeff = max(worst_coeff, abs(float(q[0]) - float(hg.quadrature(lam, v)[0])))

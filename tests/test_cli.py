@@ -513,18 +513,6 @@ class TestInterpStudy:
         errors = [row[1] for row in rows]
         assert all(b < a for a, b in zip(errors, errors[1:]))
 
-    def test_reference_self_consistency(self, tmp_path):
-        study = resolve_config(
-            "interp", {"system": "sindecay", "d_max": "2"}, 0, budgets=(64,)
-        )
-        from hermgrid.model import as_parametric_map
-        from hermgrid.smolyak import interpolate
-
-        ref_set, = threshold_set_for_budget(study, 1, [4 * 64])
-        target = as_parametric_map(study.problem, ("exact",))
-        reference = interpolate(ref_set, target)
-        assert (reference - reference).l2_norm() == 0.0
-
     def test_rows_equal_to_the_last_set_of_the_family_are_written(self, tmp_path):
         # the 1-d ladder ends at 65 nodes, so budgets 100..800 all select it;
         # every row is resolved below the closed form's floor, so reads it
@@ -626,6 +614,14 @@ class TestBudgetRowCap:
                      "--budgets", "256"]) == 3
         assert "budget 256: the search reached the cap" in capsys.readouterr().err
         assert not (tmp_path / "out" / "ml_quad.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["ml-quad", "ml-interp"])
+    def test_blocks_member_past_int64_points_exits_2_or_3(self, tmp_path, monkeypatch, kind):
+        # every 0/1 index ties the origin on blocks, so within the cap's 300
+        # pops the walk reaches a member with 64 ones: 2**64 tensor points
+        monkeypatch.setattr(cli, "_BUDGET_CAP", 300)
+        cfg = write_cfg(tmp_path, "system = blocks\nd_max = 64\n")
+        assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "out")]) in (2, 3)
 
     def test_single_level_walk_past_the_cap_exits_3_naming_the_budget(self, tmp_path, capsys,
                                                                       monkeypatch):

@@ -126,7 +126,7 @@ def test_level_cap():
 
 def tensor_hermite(nu, y) -> float:
     """The tensor Hermite polynomial of ``nu`` at ``y``, as a one-term expansion."""
-    return HermitePolynomial({nu: [1.0]}, 1).eval(y)[0]
+    return HermitePolynomial([nu], [[1.0]]).eval(y)[0]
 
 
 def test_tensor_eval():

@@ -44,6 +44,7 @@ from util import (
     panel_integral_point,
     posterior_density_fsum,
     posterior_density_point,
+    coefficients_by_index,
     gamma_sets,
     interpolant_difference,
     summation_bound,
@@ -250,10 +251,10 @@ class TestHermiteCoefficients:
 
     def test_interpolant_coefficients_converge_to_the_closed_form(self):
         problem, _, polys = sindecay_rows(4, (25, 100, 400, 1600))
-        first = list(polys[0].coefficients)
+        first = polys[0].indices
         exact = hermite_coefficients(problem, first)
-        gaps = [float(np.max(np.abs([poly.coefficient(nu)[0] for nu in first] - exact)))
-                for poly in polys]
+        gaps = [float(np.max(np.abs([coefficients_by_index(poly)[nu][0] for nu in first]
+                                    - exact))) for poly in polys]
         assert all(b < a / 5.0 for a, b in zip(gaps, gaps[1:])) and gaps[-1] < 1e-7
 
     @given(st.integers(2, 4), st.integers(4, 60))

@@ -29,6 +29,7 @@ from hermgrid.smolyak import (
 )
 
 from util import (
+    coefficients_by_index,
     construct_levels_loop,
     floor_level_loop,
     gamma_sets,
@@ -200,7 +201,7 @@ class TestMemberTable:
         for x in sorted(log_eps, reverse=True):
             grown.lower(10.0 ** x)
         once.lower(10.0 ** min(log_eps))
-        for name in ("t", "d", "points", "max_exp", "s"):
+        for name in ("t", "d", "points", "s"):
             got, want = getattr(grown, name), getattr(once, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
@@ -342,6 +343,21 @@ class TestMemberTable:
         assert fresh.t.tolist() == table.t.tolist() and fresh.s.tolist() == table.s.tolist()
 
 
+    def test_price_is_exact_past_int64_and_inf_for_points_past_it(self):
+        # one chain of members 0:1 .. k-1:1 (2**k tensor points each), every one
+        # at level 3 (cumulative cost 14): up to k = 62 the price 14 (2**63 - 1)
+        # passes int64; the member with 63 ones has points past it, so no price
+        chain = lambda nu: (1.0 + nu.order / 100.0
+                            if nu.entries == tuple((j, 1) for j in range(nu.order)) else 1e300)
+        sw = default_work_sequence(3)
+        table = MemberTable(chain, lambda nu: 1e-40, 1.0, 0.5, 64)
+        eps = 1.0 / (1.0 + 62 / 100.0)
+        assert table.price(eps, sw) == 14 * (2 ** 63 - 1) == work(table.allocation(eps, sw))
+        assert table.price(1.0 / (1.0 + 63 / 100.0), sw) == math.inf
+        assert table.points.tolist() == [2 ** k for k in range(63)] + [-1]
+        assert table.top == 2 ** 62
+
+
 class TestGammaSets:
     def test_reading(self):
         sw = default_work_sequence(3)
@@ -361,13 +377,11 @@ class TestTelescoping:
         sw = default_work_sequence(3)
         alloc = LevelAllocation({nu: 2 for nu in lam}, sw)
         v = pointwise(lambda y: float(np.sin(y[0]) + np.cos(y[1] if len(y) > 1 else 0.0)))
-        ml = ml_interpolate(alloc, [v, v])
-        sl = interpolate(lam, v)
-        union = set(ml.coefficients) | set(sl.coefficients)
-        for nu in union:
-            np.testing.assert_allclose(
-                ml.coefficient(nu), sl.coefficient(nu), atol=1e-14
-            )
+        ml = coefficients_by_index(ml_interpolate(alloc, [v, v]))
+        sl = coefficients_by_index(interpolate(lam, v))
+        zero = np.zeros(1)
+        for nu in ml.keys() | sl.keys():
+            np.testing.assert_allclose(ml.get(nu, zero), sl.get(nu, zero), atol=1e-14)
         np.testing.assert_allclose(
             ml_quadrature(alloc, [v, v]), quadrature(lam, v), atol=1e-14
         )
@@ -376,17 +390,18 @@ class TestTelescoping:
         lam = IndexSet([MultiIndex(), mi({0: 1})])
         alloc = LevelAllocation({nu: 1 for nu in lam}, default_work_sequence(2))
         v = pointwise(lambda y: float(np.exp(0.2 * y[0])))
-        ml = ml_interpolate(alloc, [v])
-        sl = interpolate(lam, v)
-        for nu in set(ml.coefficients) | set(sl.coefficients):
-            np.testing.assert_allclose(ml.coefficient(nu), sl.coefficient(nu), atol=1e-15)
+        ml = coefficients_by_index(ml_interpolate(alloc, [v]))
+        sl = coefficients_by_index(interpolate(lam, v))
+        zero = np.zeros(1)
+        for nu in ml.keys() | sl.keys():
+            np.testing.assert_allclose(ml.get(nu, zero), sl.get(nu, zero), atol=1e-15)
 
     def test_zero_maps(self):
         lam = IndexSet([MultiIndex(), mi({0: 1})])
         alloc = LevelAllocation({nu: 2 for nu in lam}, default_work_sequence(2))
         zero = pointwise(lambda y: 0.0)
         ml = ml_interpolate(alloc, [zero, zero])
-        assert ml.l2_norm() == 0.0
+        assert np.linalg.norm(ml.coefficients) == 0.0
 
     def test_quadrature_examples(self):
         sw = default_work_sequence(2)
@@ -413,7 +428,7 @@ class TestTelescoping:
                 pointwise(lambda y: float(np.exp(0.3 * y[0]) + 0.1 * y[0]))]
         q = ml_quadrature(alloc, maps)
         p = ml_interpolate(alloc, maps)
-        assert abs(q[0] - p.coefficient(MultiIndex())[0]) <= 1e-12
+        assert abs(q[0] - coefficients_by_index(p)[MultiIndex()][0]) <= 1e-12
 
 
 class TestSharedLevelValues:
@@ -463,11 +478,11 @@ class TestSharedLevelValues:
 
     def check_interpolate(self, alloc, maps, calls):
         got = ml_interpolate(alloc, maps)
-        per_term = [(c, smolyak._projection_sum([({nu: 1}, u)]).coefficients)
+        per_term = [(c, coefficients_by_index(smolyak._projection_sum([({nu: 1}, u)])))
                     for terms, u in self.net_levels(alloc, maps, calls)
                     for nu, c in terms.items()]
-        assert got.coefficients.keys() == set().union(*(t for _, t in per_term))
-        for mu, coeff in got.coefficients.items():
+        assert set(got.indices) == set().union(*(t for _, t in per_term))
+        for mu, coeff in zip(got.indices, got.coefficients):
             pairs = [(c, t[mu]) for c, t in per_term if mu in t]
             want = [math.fsum(c * s[k] for c, s in pairs) for k in range(2)]
             assert np.all(np.abs(coeff - want) <= summation_bound(pairs))
@@ -535,7 +550,7 @@ class TestAdmissibility:
         q = ml_quadrature(alloc, [])
         assert q.shape == (1,) and q[0] == 0.0
         p = ml_interpolate(alloc, [])
-        assert p.coefficients == {} and p.output_dim == 1
+        assert p.indices == () and p.coefficients.shape == (0, 1)
 
     def test_empty_levels_call_no_map(self):
         # levels 1 and 2 hold no member: their net terms cancel, so only the

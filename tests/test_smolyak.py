@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hermgrid import smolyak
+from hermgrid import multilevel, smolyak
 from hermgrid.cli import resolve_config
 from hermgrid.errors import EmptyIndexSet, LevelTooLarge, NotDownwardClosed, ThresholdTooSmall
 from hermgrid.hermite import MAX_LEVEL, gauss_hermite_rule, hermite_eval_all
 from hermgrid.indexset import (IndexSet, MultiIndex, ThresholdWalk, degree_weight,
                                surrogate_weight)
 from hermgrid.model import ParametricMapFn
+from hermgrid.multilevel import ml_interpolate
 from hermgrid.smolyak import (
     HermitePolynomial,
     _shared,
@@ -24,23 +25,24 @@ from hermgrid.smolyak import (
     largest_threshold_set,
     quadrature,
     sparse_grid_points,
-    zero_polynomial,
 )
 
 from util import (
     bisection_threshold_set,
+    coefficients_by_index,
     combination_coeffs_oracle,
     counting,
     listed_point_count,
-    merged_coefficients,
     monomial_map,
     node_key,
     pad,
     pattern_nodes_oracle,
     pointwise,
     product_map,
+    projection_sum_oracle,
     quadrature_oracle,
     random_downward_closed,
+    random_monotone_allocation,
     random_product_surrogate,
     scan_threshold_set,
     tensor_moment,
@@ -312,22 +314,23 @@ class TestLargestThresholdSet:
 class TestInterpolate:
     def test_constant(self):
         poly = interpolate(IndexSet([MultiIndex()]), pointwise(lambda y: 3.0))
-        assert poly.coefficients.keys() == {MultiIndex()}
+        assert poly.indices == (MultiIndex(),) and poly.coefficients.shape == (1, 1)
         assert poly.eval([0.4])[0] == pytest.approx(3.0)
 
     def test_square_in_hermite_basis(self):
         poly = interpolate(ladder(2), pointwise(lambda y: y[0] ** 2))
-        assert poly.coefficient(MultiIndex())[0] == pytest.approx(1.0, abs=1e-12)
-        assert poly.coefficient(mi({0: 2}))[0] == pytest.approx(np.sqrt(2), rel=1e-12)
-        assert abs(poly.coefficient(mi({0: 1}))[0]) < 1e-14
+        coeffs = coefficients_by_index(poly)
+        assert coeffs[MultiIndex()][0] == pytest.approx(1.0, abs=1e-12)
+        assert coeffs[mi({0: 2})][0] == pytest.approx(np.sqrt(2), rel=1e-12)
+        assert abs(coeffs[mi({0: 1})][0]) < 1e-14
         assert poly.eval([2.0])[0] == pytest.approx(4.0, rel=1e-12)
 
     def test_truncation_error_against_dense_quadrature(self):
         # distance of H_3 to its degree-2 interpolant, measured two ways
         target = lambda y: hermite_eval_all(3, float(y[0]))[3]
         poly = interpolate(ladder(2), pointwise(target))
-        diff_sq = poly + HermitePolynomial({mi({0: 3}): np.array([-1.0])}, 1)
-        parseval = diff_sq.l2_norm()
+        assert mi({0: 3}) not in poly.indices  # so H_3 adds a row -1 to poly's
+        parseval = np.linalg.norm(np.append(poly.coefficients, -1.0))
         rule = gauss_hermite_rule(40)
         vals = np.array([target([x]) - poly.eval([x])[0] for x in rule.nodes])
         dense = np.sqrt(np.sum(rule.weights * vals ** 2))
@@ -379,20 +382,30 @@ class TestInterpolate:
     def test_vector_outputs_componentwise(self):
         poly = interpolate(ladder(2), pointwise(lambda y: [y[0] ** 2, 2.0], 2))
         np.testing.assert_allclose(
-            poly.coefficient(mi({0: 2})), [np.sqrt(2), 0.0], atol=1e-13
+            coefficients_by_index(poly)[mi({0: 2})], [np.sqrt(2), 0.0], atol=1e-13
         )
         np.testing.assert_allclose(poly.eval([1.5]), [2.25, 2.0], rtol=1e-12)
 
     def test_eval_examples(self):
-        assert HermitePolynomial({MultiIndex(): np.array([2.5])}, 1).eval(
-            [9.9]
-        )[0] == pytest.approx(2.5)
-        poly = HermitePolynomial(
-            {mi({0: 2}): np.array([np.sqrt(2)]), MultiIndex(): np.array([1.0])}, 1
-        )
+        assert HermitePolynomial([MultiIndex()], [[2.5]]).eval([9.9])[0] == pytest.approx(2.5)
+        poly = HermitePolynomial([mi({0: 2}), MultiIndex()], [[np.sqrt(2)], [1.0]])
         assert poly.eval([2.0])[0] == pytest.approx(4.0)
-        lin = HermitePolynomial({mi({0: 1}): np.array([1.0])}, 1)
+        lin = HermitePolynomial([mi({0: 1})], [[1.0]])
         assert lin.eval([-1.5])[0] == pytest.approx(-1.5)
+        assert HermitePolynomial([], np.zeros((0, 2))).eval([1.0]).tolist() == [0.0, 0.0]
+
+    def test_one_read_only_row_per_index(self):
+        rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+        poly = HermitePolynomial([MultiIndex(), mi({0: 1})], rows)
+        rows[0, 0] = 7.0  # the polynomial holds its own copy
+        assert poly.coefficients.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        with pytest.raises(ValueError):
+            poly.coefficients[0, 0] = 0.0
+        with pytest.raises(AttributeError):
+            poly.indices = ()
+        for indices, shape in (([MultiIndex()], (2, 1)), ([MultiIndex()], (1,)), ([], (1, 1))):
+            with pytest.raises(ValueError, match="one coefficient row per index"):
+                HermitePolynomial(indices, np.zeros(shape))
 
 
 class TestQuadrature:
@@ -424,8 +437,45 @@ class TestQuadrature:
             lam = random_downward_closed(rng, 2, 12)
             u = pointwise(lambda y: float(np.exp(0.3 * pad(y, 2)[0]) * np.cos(0.5 * pad(y, 2)[1])))
             q = quadrature(lam, u)[0]
-            c = interpolate(lam, u).coefficient(MultiIndex())[0]
+            c = coefficients_by_index(interpolate(lam, u))[MultiIndex()][0]
             assert abs(q - c) <= 1e-12
+
+
+class TestProjectionSum:
+    """`interpolate` and `ml_interpolate` hold the dict oracle's indices, in
+    its order, and its values bitwise, for 1 to 3 outputs."""
+
+    @staticmethod
+    def sine_map(rng, dims: int, outputs: int, shift: float = 0.0):
+        a = rng.standard_normal((outputs, dims))
+        return _shared(ParametricMapFn(lambda ys: np.sin(ys @ a[:, :ys.shape[1]].T + shift),
+                                       outputs))
+
+    @staticmethod
+    def check(poly, levels, outputs: int):
+        want = projection_sum_oracle(levels)
+        assert poly.indices == tuple(want)
+        np.testing.assert_array_equal(
+            poly.coefficients, np.reshape(list(want.values()), (len(want), outputs)))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 30),
+           st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_single_level_on_random_downward_closed_sets(self, seed, dims, size, outputs):
+        rng = np.random.default_rng(seed)
+        lam = random_downward_closed(rng, dims, size)
+        u = self.sine_map(rng, dims, outputs)
+        self.check(interpolate(lam, u), [(smolyak._terms(lam), u)], outputs)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 30),
+           st.integers(1, 4), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_multilevel_on_random_monotone_allocations(self, seed, dims, size, top, outputs):
+        rng = np.random.default_rng(seed)
+        alloc = random_monotone_allocation(rng, dims, size, top)
+        maps = [self.sine_map(rng, dims, outputs, j) for j in range(top)]
+        poly = ml_interpolate(alloc, maps)
+        self.check(poly, list(zip(multilevel._net_levels(alloc), maps)), outputs)
 
 
 class TestShared:
@@ -576,41 +626,11 @@ class TestCaches:
         np.testing.assert_array_equal(sparse_grid_points(lam), expected)
 
 
-class TestArithmetic:
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
-    @settings(max_examples=60, deadline=None)
-    def test_sum_and_difference_match_dict_merge(self, seed, output_dim):
-        rng = np.random.default_rng(seed)
-        keys = list(random_downward_closed(rng, 3, 12))
-
-        def poly():
-            picked = [keys[i] for i in rng.permutation(len(keys)) if rng.random() < 0.6]
-            values = rng.standard_normal((len(picked), output_dim))
-            values[rng.random(values.shape) < 0.2] = -0.0
-            return HermitePolynomial(dict(zip(picked, values)), output_dim)
-
-        a, b = poly(), poly()
-        for got, sign in ((a + b, 1.0), (a - b, -1.0)):
-            want = merged_coefficients(a, b, sign)
-            assert list(got.coefficients) == list(want) and got.output_dim == output_dim
-            assert all(got.coefficients[nu].tobytes() == c.tobytes() for nu, c in want.items())
-
-    def test_unequal_output_dims_raise(self):
-        a = HermitePolynomial({MultiIndex(): np.ones(2)}, 2)
-        with pytest.raises(ValueError, match="output dimensions differ"):
-            a + zero_polynomial(1)
-        with pytest.raises(ValueError, match="output dimensions differ"):
-            a - zero_polynomial(3)
-
-
 class TestNorms:
     def test_examples(self):
-        assert HermitePolynomial({MultiIndex(): np.array([3.0])}, 1).l2_norm() == 3.0
-        poly = HermitePolynomial(
-            {MultiIndex(): np.array([1.0]), mi({0: 2}): np.array([np.sqrt(2)])}, 1
-        )
-        assert poly.l2_norm() == pytest.approx(np.sqrt(3.0), rel=1e-14)
-        assert zero_polynomial().l2_norm() == 0.0
+        assert np.linalg.norm(HermitePolynomial([MultiIndex()], [[3.0]]).coefficients) == 3.0
+        poly = HermitePolynomial([MultiIndex(), mi({0: 2})], [[1.0], [np.sqrt(2)]])
+        assert np.linalg.norm(poly.coefficients) == pytest.approx(np.sqrt(3.0), rel=1e-14)
 
     def test_interpolant_norm_bounded_by_degree_weight(self):
         rng = np.random.default_rng(41)
@@ -627,4 +647,4 @@ class TestNorms:
                 np.prod([hermite_eval_all(e, y[d])[e] for d, e in mu.entries] or [1.0])
             )
             poly = interpolate(lam, pointwise(target))
-            assert poly.l2_norm() <= degree_weight(mu, 3.0, 1.0) * (1 + 1e-10)
+            assert np.linalg.norm(poly.coefficients) <= degree_weight(mu, 3.0, 1.0) * (1 + 1e-10)

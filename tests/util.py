@@ -21,7 +21,8 @@ from hermgrid.indexset import IndexSet, MultiIndex
 from hermgrid.model import (_BLOCK, _MAX_DOUBLINGS, ParametricMapFn, _log_coeff, _panel_rule,
                             as_parametric_map)
 from hermgrid.multilevel import LevelAllocation, construct_levels, default_work_sequence, work
-from hermgrid.smolyak import _shared, combination_coeffs, evaluation_point_count, interpolate
+from hermgrid.smolyak import (_projection_matrix, _shared, combination_coeffs,
+                              evaluation_point_count, interpolate)
 
 
 def gaussian_moment(degree: int) -> float:
@@ -241,14 +242,30 @@ def monomial_map(nu: MultiIndex) -> ParametricMapFn:
     return pointwise(fn)
 
 
-def merged_coefficients(a, b, sign: float) -> dict:
-    """Dict-merge oracle for ``a + b`` (``sign`` 1) and ``a - b`` (``sign`` -1)
-    on `HermitePolynomial`s: a's terms in order, each plus ``sign`` times b's
-    term, then b's other terms times ``sign``."""
-    out = {nu: c.copy() for nu, c in a.coefficients.items()}
-    for nu, c in b.coefficients.items():
-        out[nu] = out[nu] + sign * c if nu in out else sign * c
-    return out
+def coefficients_by_index(poly) -> dict:
+    """A `HermitePolynomial`'s coefficient rows keyed by their indices, in row order."""
+    return dict(zip(poly.indices, poly.coefficients))
+
+
+def projection_sum_oracle(levels) -> dict:
+    """Dict oracle for `hermgrid.smolyak._projection_sum`: for each term in
+    order, its grid projected to the Hermite coefficients of its box, each
+    box entry in C order copied into a new key or added to its key's
+    value.  So the keys come in the order the boxes first reach them."""
+    acc = {}
+    for terms, u in levels:
+        for nu, sigma in terms.items():
+            term_values = u.grid(nu.entries)
+            shape = tuple(exp + 1 for _, exp in nu.entries)
+            tensor = term_values.reshape(shape + term_values.shape[1:])
+            for axis, (_, exp) in enumerate(nu.entries):
+                proj = _projection_matrix(exp)
+                tensor = np.moveaxis(np.tensordot(proj, tensor, axes=(1, axis)), 0, axis)
+            for local in np.ndindex(*shape):
+                mu = MultiIndex(tuple((d, int(e)) for d, e in zip(nu.support, local) if e != 0))
+                contrib = sigma * tensor[local]
+                acc[mu] = acc[mu] + contrib if mu in acc else contrib.copy()
+    return acc
 
 
 def tensor_moment(nu: MultiIndex) -> float:
@@ -865,7 +882,10 @@ def interpolant_difference(problem, index_set: IndexSet, bigger: IndexSet) -> fl
     ``bigger``, which stands in for the map.  By the triangle inequality it
     lies within the larger interpolant's own error of the exact distance."""
     target = as_parametric_map(problem, ("exact",))
-    return (interpolate(bigger, target) - interpolate(index_set, target)).l2_norm()
+    diff = coefficients_by_index(interpolate(bigger, target))
+    for nu, c in coefficients_by_index(interpolate(index_set, target)).items():
+        diff[nu] = diff[nu] - c if nu in diff else -c
+    return math.sqrt(sum(float(c @ c) for c in diff.values()))
 
 
 def prefix_sums(values) -> list:
